@@ -1,0 +1,9 @@
+"""Put the benchmark's modules and the checkout's package on the import path."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent
+for path in (PERFBENCH, PERFBENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
