@@ -134,7 +134,7 @@ def _apply_beam_splitter(state: FockState, e: BeamSplitter) -> FockState:
                 scattered[e.mode_i] = p
                 scattered[e.mode_j] = total - p
                 out[tuple(scattered)] += amp * coef
-    return FockState(state.mode_count, out, normalized=state.normalized)
+    return FockState._trusted(state.mode_count, out, state.normalized)
 
 
 def _apply_phase_shifter(state: FockState, e: PhaseShifter) -> FockState:
@@ -143,7 +143,7 @@ def _apply_phase_shifter(state: FockState, e: PhaseShifter) -> FockState:
         occ: amp * cmath.exp(1j * e.phi * occ[e.mode])
         for occ, amp in state.terms.items()
     }
-    return FockState(state.mode_count, terms, normalized=state.normalized)
+    return FockState._trusted(state.mode_count, terms, state.normalized)
 
 
 def _apply_cross_kerr(state: FockState, e: CrossKerr) -> FockState:
@@ -155,7 +155,7 @@ def _apply_cross_kerr(state: FockState, e: CrossKerr) -> FockState:
         occ: amp * cmath.exp(1j * e.chi * occ[e.mode_i] * occ[e.mode_j])
         for occ, amp in state.terms.items()
     }
-    return FockState(state.mode_count, terms, normalized=state.normalized)
+    return FockState._trusted(state.mode_count, terms, state.normalized)
 
 
 def _apply_polarizing_bs(state: FockState, e: PolarizingBS) -> FockState:
@@ -171,7 +171,7 @@ def _apply_polarizing_bs(state: FockState, e: PolarizingBS) -> FockState:
         swapped = list(occ)
         swapped[i_v], swapped[j_v] = occ[j_v], occ[i_v]
         terms[tuple(swapped)] = amp * _I_POW[reflected % 4]
-    return FockState(state.mode_count, terms, normalized=state.normalized)
+    return FockState._trusted(state.mode_count, terms, state.normalized)
 
 
 def apply_element(state: FockState, element: Element) -> FockState:
@@ -205,7 +205,7 @@ def project_photons(state: FockState, mode: int, k: int) -> HeraldedOutcome:
         for occ, amp in state.terms.items()
         if occ[mode] == k
     }
-    outcome = FockState(state.mode_count - 1, kept, normalized=False)
+    outcome = FockState._trusted(state.mode_count - 1, kept)
     probability = norm_sq(outcome) / before if before > 0.0 else 0.0
     return HeraldedOutcome(outcome, probability)
 
@@ -283,6 +283,6 @@ def two_photon_projector(
             continue
         rest = occ[:lo] + occ[lo + 1 : hi] + occ[hi + 1 :]
         out[rest] += coef * amp
-    outcome = FockState(state.mode_count - 2, out, normalized=False)
+    outcome = FockState._trusted(state.mode_count - 2, out)
     probability = norm_sq(outcome) / before if before > 0.0 else 0.0
     return HeraldedOutcome(outcome, probability)

@@ -29,6 +29,15 @@ class FockState:
     be shared freely across concurrent workers. The ``normalized`` flag
     documents whether the state is a physical unit-norm state or a
     relative-amplitude (heralded) expansion.
+
+    There are two construction paths. The public constructor validates its
+    input: every occupation must have ``mode_count`` non-negative entries,
+    every amplitude is converted with ``complex()``, and a state flagged
+    ``normalized`` must have unit squared norm. Operations inside the package
+    build their results through the trusted :meth:`_trusted` path instead,
+    which skips those checks because its occupations and amplitudes are
+    derived from states that already passed them. Both paths apply the same
+    pruning rule and copy the terms into a dict of their own.
     """
 
     __slots__ = ("_mode_count", "_terms", "_normalized")
@@ -63,6 +72,27 @@ class FockState:
                 raise ValueError(
                     f"state flagged normalized but its squared norm is {total!r}"
                 )
+
+    @classmethod
+    def _trusted(
+        cls,
+        mode_count: int,
+        terms: Mapping[Occupation, complex],
+        normalized: bool = False,
+    ) -> FockState:
+        """Build a state from package-derived terms without re-validating them.
+
+        The caller guarantees tuple occupations of length ``mode_count`` with
+        non-negative ints, ``complex`` amplitudes and, when ``normalized`` is
+        set, a unit norm inherited from a validated state.
+        """
+        state = object.__new__(cls)
+        state._mode_count = mode_count
+        state._terms = {
+            occ: amp for occ, amp in terms.items() if abs(amp) >= PRUNE_THRESHOLD
+        }
+        state._normalized = normalized
+        return state
 
     @property
     def mode_count(self) -> int:
@@ -125,10 +155,8 @@ def tensor(a: FockState, b: FockState) -> FockState:
     for occ_a, amp_a in a.terms.items():
         for occ_b, amp_b in b.terms.items():
             terms[occ_a + occ_b] = amp_a * amp_b
-    return FockState(
-        a.mode_count + b.mode_count,
-        terms,
-        normalized=a.normalized and b.normalized,
+    return FockState._trusted(
+        a.mode_count + b.mode_count, terms, a.normalized and b.normalized
     )
 
 
@@ -153,7 +181,7 @@ def restrict_total_photons(state: FockState, n_total: int) -> FockState:
     kept = {
         occ: amp for occ, amp in state.terms.items() if sum(occ) == n_total
     }
-    return FockState(state.mode_count, kept, normalized=False)
+    return FockState._trusted(state.mode_count, kept)
 
 
 def state_rows(state: FockState) -> list[tuple[Occupation, float, float]]:

@@ -3,7 +3,11 @@
 Four schemes are simulated exactly on the sparse Fock representation:
 
 1. d coherent inputs pass through floor(N/2) Fock-state-filter blocks and the
-   N-photon sector is postselected at the end.
+   N-photon sector is postselected. The filter preserves the photon number of
+   every mode it acts on, so sectors of different total photon number never
+   mix; the N-photon sector of the coherent product is therefore built up
+   front and filtered alone, which gives exactly the amplitudes of filtering
+   the full product and postselecting at the end.
 2. an evenly split N-photon input passes through the same filter blocks; no
    postselection is needed because the photon number is fixed.
 3. a cascade of d-1 entanglement generators built from two-photon
@@ -38,12 +42,12 @@ from .elements import (
     two_photon_herald,
 )
 from .fock import (
+    PRUNE_THRESHOLD,
     FockState,
     amplitude,
     make_coherent_truncated,
     make_fock,
     norm_sq,
-    restrict_total_photons,
     tensor,
 )
 
@@ -54,9 +58,10 @@ class MethodConfig:
 
     ``alpha`` is the coherent amplitude used by method 1 only; when omitted it
     defaults to the optimal value sqrt(N/d). ``per_mode_cutoff`` (method 1
-    only) defaults to N, which is exact for the postselected N-photon sector:
-    filtration never raises a mode's occupation, so terms above N per mode
-    cannot contribute to a total of N.
+    only) caps the photon number of each mode in the N-photon sector that is
+    built before filtration. It defaults to N, which is exact: no mode of an
+    N-photon term holds more than N photons. A cutoff below N removes the
+    NOON components themselves, so the reported probability is 0.
     """
 
     method: int
@@ -171,30 +176,57 @@ def _zero_report(d: int, n_photons: int, tolerance: float) -> NoonReport:
     return extract_noon(FockState(d, {}), n_photons, tolerance)
 
 
+def _coherent_sector(single: FockState, d: int, n_photons: int) -> FockState:
+    """N-photon sector of the d-fold tensor power of a single-mode state.
+
+    Enumerates the compositions of N into d parts drawn from the occupations
+    of ``single`` in lexicographic order and multiplies amplitudes left to
+    right, dropping a partial product below the pruning threshold just as
+    :func:`tensor` does. The terms, their order and every amplitude are
+    therefore those of restricting the full product to N photons, so every
+    later accumulation sums in the same order.
+    """
+    factors = [(occ[0], amp) for occ, amp in single.terms.items()]
+    largest = max((n for n, _ in factors), default=0)
+    partial = {(): (0, None)}
+    for remaining in range(d - 1, -1, -1):
+        grown = {}
+        for prefix, (used, amp) in partial.items():
+            for n, factor in factors:
+                total = used + n
+                if total > n_photons or n_photons - total > remaining * largest:
+                    continue
+                value = factor if amp is None else amp * factor
+                if abs(value) >= PRUNE_THRESHOLD:
+                    grown[prefix + (n,)] = (total, value)
+        partial = grown
+    return FockState._trusted(d, {occ: amp for occ, (_, amp) in partial.items()})
+
+
 def run_method1(cfg: MethodConfig) -> NoonReport:
     """Coherent inputs, Fock-state filtration, and N-photon postselection.
 
-    Each of the d modes starts in a truncated coherent state. Block k applies
-    a k-filter to every mode (a d-fold single-photon coincidence); after
-    floor(N/2) blocks every surviving per-mode occupation lies in
-    {0, M+1, M+2, ...}, so the postselected N-photon sector contains only the
-    NOON components.
+    Each of the d modes starts in a truncated coherent state. Only the
+    N-photon sector of their product is built (C(N+d-1, d-1) terms at most,
+    instead of (cutoff+1)^d): the filter preserves every mode's photon
+    number, so filtering the sector alone equals filtering the full product
+    and postselecting at the end. Block k applies a k-filter to every mode (a
+    d-fold single-photon coincidence); after floor(N/2) blocks every
+    surviving per-mode occupation lies in {0, M+1, M+2, ...}, so the sector
+    contains only the NOON components.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")
     alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(cfg.N / cfg.d)
     cutoff = cfg.per_mode_cutoff if cfg.per_mode_cutoff is not None else cfg.N
     single = make_coherent_truncated(alpha, cutoff)
-    state = single
-    for _ in range(cfg.d - 1):
-        state = tensor(state, single)
+    state = _coherent_sector(single, cfg.d, cfg.N)
     for k in range(1, cfg.N // 2 + 1):
         for mode in range(cfg.d):
             state = apply_fsf(state, mode, k).state
             if not state:
                 return _zero_report(cfg.d, cfg.N, cfg.tolerance)
-    sector = restrict_total_photons(state, cfg.N)
-    return extract_noon(sector, cfg.N, cfg.tolerance)
+    return extract_noon(state, cfg.N, cfg.tolerance)
 
 
 def run_method2(cfg: MethodConfig) -> NoonReport:
@@ -281,7 +313,7 @@ def _erased_single_photon_herald(
         for index in drop:
             del rest[index]
         out[tuple(rest)] += coef * amp
-    return FockState(state.mode_count - 4, out, normalized=False)
+    return FockState._trusted(state.mode_count - 4, out)
 
 
 def _swap_modes(state: FockState, mode_i: int, mode_j: int) -> FockState:
@@ -290,7 +322,7 @@ def _swap_modes(state: FockState, mode_i: int, mode_j: int) -> FockState:
         swapped = list(occ)
         swapped[mode_i], swapped[mode_j] = occ[mode_j], occ[mode_i]
         terms[tuple(swapped)] = amp
-    return FockState(state.mode_count, terms, normalized=state.normalized)
+    return FockState._trusted(state.mode_count, terms, state.normalized)
 
 
 def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
@@ -390,7 +422,7 @@ def collapse_polarization(state: FockState) -> FockState:
     for occ, amp in state.terms.items():
         collapsed = tuple(occ[2 * i] + occ[2 * i + 1] for i in range(paths))
         out[collapsed] += amp
-    return FockState(paths, out, normalized=state.normalized)
+    return FockState._trusted(paths, out, state.normalized)
 
 
 def run_method3(cfg: MethodConfig) -> NoonReport:

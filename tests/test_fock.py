@@ -9,16 +9,24 @@ from hypothesis import strategies as st
 
 from conftest import assert_terms_close, random_state
 from noongen import (
+    BeamSplitter,
+    CrossKerr,
     FockState,
     PRUNE_THRESHOLD,
+    PhaseShifter,
+    PolarizingBS,
     amplitude,
+    apply_element,
     apply_fsf,
+    collapse_polarization,
     make_coherent_truncated,
     make_fock,
     norm_sq,
+    project_photons,
     restrict_total_photons,
     state_rows,
     tensor,
+    two_photon_projector,
 )
 
 
@@ -197,3 +205,58 @@ class TestStateInvariants:
     def test_zero_mode_count_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             FockState(0, {})
+
+    def test_wrong_length_occupation_rejected(self):
+        with pytest.raises(ValueError, match="expected 2"):
+            FockState(2, {(1, 0, 0): 1.0})
+
+    def test_negative_occupation_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            FockState(2, {(1, -1): 1.0})
+
+
+def _assert_trusted_invariants(out: FockState, source: FockState) -> None:
+    assert out._terms is not source._terms
+    for occ, amp in out.terms.items():
+        assert type(occ) is tuple and len(occ) == out.mode_count
+        assert all(type(n) is int and n >= 0 for n in occ)
+        assert type(amp) is complex and abs(amp) >= PRUNE_THRESHOLD
+
+
+class TestTrustedConstruction:
+    """States built inside the package keep the public constructor's invariants."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode_count=st.sampled_from((4, 6)),
+        angle=st.floats(-math.pi, math.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_keeps_invariants(self, seed, mode_count, angle):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, mode_count)
+        elements = (
+            BeamSplitter(0, 1, angle),
+            PhaseShifter(2, angle),
+            CrossKerr(1, 3, angle),
+            PolarizingBS((0, 1), (2, 3)),
+        )
+        outputs = [apply_element(state, element) for element in elements]
+        detected = next(iter(state.terms))[1]
+        outputs += [
+            project_photons(state, 1, detected).state,
+            two_photon_projector(state, 0, 2, angle).state,
+            apply_fsf(state, 3, 1).state,
+            tensor(state, random_state(rng, 2)),
+            restrict_total_photons(state, sum(next(iter(state.terms)))),
+            collapse_polarization(state),
+        ]
+        for out in outputs:
+            _assert_trusted_invariants(out, state)
+
+    def test_trusted_copies_and_prunes(self):
+        terms = {(1, 0): 0.5 + 0j, (0, 1): PRUNE_THRESHOLD / 10 + 0j}
+        state = FockState._trusted(2, terms)
+        terms[(2, 0)] = 1j
+        assert dict(state.terms) == {(1, 0): 0.5 + 0j}
+        assert not state.normalized

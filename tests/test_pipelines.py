@@ -21,14 +21,17 @@ from noongen import (
     generator_kerr,
     generator_magnitudes,
     generator_odd,
+    make_coherent_truncated,
     make_fock,
     norm_sq,
+    restrict_total_photons,
     run_method,
     run_method1,
     run_method2,
     run_method3,
     run_method4,
     split_evenly,
+    tensor,
 )
 
 
@@ -156,6 +159,38 @@ class TestMethod1:
         assert report.generation_probability == pytest.approx(
             closed_form_probability(1, 4, 4, 1.0), rel=1e-9
         )
+
+    @pytest.mark.parametrize("d,n", [(8, 4), (4, 8)])
+    def test_matches_closed_form_beyond_verify_grid(self, d, n):
+        report = run_method1(MethodConfig(method=1, d=d, N=n))
+        assert report.generation_probability == pytest.approx(
+            closed_form_probability(1, d, n, n / d), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_sector_first_matches_product_state(self, d, n):
+        # Oracle: filter the full coherent product, then postselect N photons.
+        for alpha in (None, 0.9 + 0.4j):
+            for cutoff in (None, n - 1, n + 2):
+                cfg = MethodConfig(method=1, d=d, N=n, alpha=alpha, per_mode_cutoff=cutoff)
+                amp = alpha if alpha is not None else math.sqrt(n / d)
+                single = make_coherent_truncated(amp, cutoff if cutoff is not None else n)
+                state = single
+                for _ in range(d - 1):
+                    state = tensor(state, single)
+                for k in range(1, n // 2 + 1):
+                    for mode in range(d):
+                        state = apply_fsf(state, mode, k).state
+                want = extract_noon(restrict_total_photons(state, n), n)
+                got = run_method1(cfg)
+                for a, b in zip(got.component_amplitudes, want.component_amplitudes):
+                    assert abs(a - b) <= 1e-15 * abs(b), (alpha, cutoff)
+                assert abs(got.residual_norm - want.residual_norm) <= (
+                    1e-15 * want.residual_norm
+                ), (alpha, cutoff)
+                if cutoff == n - 1:
+                    assert got.generation_probability == 0.0
 
 
 class TestMethod2:
