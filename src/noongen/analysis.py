@@ -2,8 +2,9 @@
 
 Generation probabilities and component magnitudes are evaluated in log space
 (via lgamma) so that sweeps far beyond the simulable range do not overflow;
-method 4 is returned exactly as 1/d. The sweep tables pair every closed form
-with a direct simulation wherever the grid point is cheap enough to simulate.
+method 4 is returned exactly as 1/d. One comparison, :func:`compare_grid`,
+pairs every closed form with a direct simulation wherever the grid point is
+cheap enough to simulate; sweeps and verification grids are both built on it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 from math import lgamma, log
 
 from . import pipelines
-
-METHODS = (1, 2, 3, 4)
+from .pipelines import check_domain
 
 # Ceilings for the simulation columns of sweeps and verification grids; the
 # closed-form columns have no such limit.
@@ -57,20 +57,6 @@ class LossModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def _check_method(method: int) -> None:
-    if method not in METHODS:
-        raise ValueError(f"method must be 1, 2, 3 or 4, got {method}")
-
-
-def _check_d_n(method: int, d: int, n_photons: int) -> None:
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    if n_photons < 1:
-        raise ValueError(f"N must be at least 1, got {n_photons}")
-    if method in (3, 4) and d & (d - 1):
-        raise ValueError("d must be a power of two for methods 3 and 4")
-
-
 def optimal_alpha_sq(d: int, n_photons: int) -> float:
     """Coherent intensity N/d that maximizes the method-1 probability.
 
@@ -91,8 +77,7 @@ def closed_form_probability(
     used. Factorials are evaluated through lgamma, so large-N sweeps stay
     finite.
     """
-    _check_method(method)
-    _check_d_n(method, d, n_photons)
+    check_domain(method, d, n_photons)
     n = n_photons
     m = n // 2
     if method == 1:
@@ -155,8 +140,7 @@ def closed_form_component_magnitude(
     Evaluated independently of :func:`closed_form_probability`; the two are
     tied by probability = d * magnitude**2.
     """
-    _check_method(method)
-    _check_d_n(method, d, n_photons)
+    check_domain(method, d, n_photons)
     n = n_photons
     m = n // 2
     if method == 1:
@@ -205,8 +189,7 @@ def asymptotic_ratio(n_photons: int) -> float:
 
 def resource_counts(method: int, d: int, n_photons: int) -> ResourceCount:
     """Component tallies for one configuration."""
-    _check_method(method)
-    _check_d_n(method, d, n_photons)
+    check_domain(method, d, n_photons)
     m = n_photons // 2
     if method == 1:
         return ResourceCount(d * m, 0, d * m, 0, d * m)
@@ -261,7 +244,7 @@ class SweepSpec:
 
     ``alpha_sq`` fixes the method-1 intensity; None means the optimal N/d at
     every grid point. Simulation columns are filled only within the
-    (SIM_MAX_D, SIM_MAX_N) ceilings and only when ``simulate`` is set.
+    (SIM_MAX_D, SIM_MAX_N) ceilings.
     """
 
     methods: tuple[int, ...]
@@ -269,7 +252,6 @@ class SweepSpec:
     fixed: int
     values: tuple[int, ...]
     alpha_sq: float | None = None
-    simulate: bool = True
 
     def __post_init__(self) -> None:
         if self.vary not in ("d", "N"):
@@ -277,7 +259,7 @@ class SweepSpec:
         if not self.methods:
             raise ValueError("at least one method is required")
         for method in self.methods:
-            _check_method(method)
+            check_domain(method)
         if not self.values:
             raise ValueError("sweep values must be non-empty")
         minimum = 2 if self.vary == "d" else 1
@@ -302,36 +284,49 @@ class SweepRow:
     rel_err: float | None
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate a sweep in deterministic (method, d, N) order.
+def compare_grid(
+    methods: tuple[int, ...],
+    d_values: tuple[int, ...],
+    n_values: tuple[int, ...],
+    alpha_sq: float | None = None,
+) -> list[SweepRow]:
+    """Pair closed form and simulation over a grid in sorted (method, d, N) order.
 
     Methods 3 and 4 emit only power-of-two d points; other grid points are
     skipped rather than reported as errors, mirroring how the comparison plots
-    are drawn.
+    are drawn. ``alpha_sq`` fixes the method-1 intensity; None means the
+    optimal N/d at every point. Points beyond (SIM_MAX_D, SIM_MAX_N) carry the
+    closed form only.
     """
     rows: list[SweepRow] = []
-    for method in sorted(set(spec.methods)):
-        for value in sorted(set(spec.values)):
-            d, n = (value, spec.fixed) if spec.vary == "d" else (spec.fixed, value)
+    for method in sorted(set(methods)):
+        for d in sorted(set(d_values)):
             if method in (3, 4) and d & (d - 1):
                 continue
-            alpha_sq = None
-            if method == 1:
-                alpha_sq = (
-                    spec.alpha_sq if spec.alpha_sq is not None else n / d
+            for n in sorted(set(n_values)):
+                point_alpha_sq = None
+                if method == 1:
+                    point_alpha_sq = alpha_sq if alpha_sq is not None else n / d
+                p_closed = closed_form_probability(method, d, n, point_alpha_sq)
+                p_sim = rel_err = None
+                if d <= SIM_MAX_D and n <= SIM_MAX_N:
+                    p_sim = simulated_probability(method, d, n, point_alpha_sq)
+                    if p_closed > 0.0:
+                        rel_err = abs(p_sim - p_closed) / p_closed
+                    else:
+                        rel_err = abs(p_sim)
+                rows.append(
+                    SweepRow(method, d, n, point_alpha_sq, p_closed, p_sim, rel_err)
                 )
-            p_closed = closed_form_probability(method, d, n, alpha_sq)
-            p_sim = rel_err = None
-            if spec.simulate and d <= SIM_MAX_D and n <= SIM_MAX_N:
-                p_sim = simulated_probability(method, d, n, alpha_sq)
-                if p_closed > 0.0:
-                    rel_err = abs(p_sim - p_closed) / p_closed
-                else:
-                    rel_err = abs(p_sim)
-            rows.append(
-                SweepRow(method, d, n, alpha_sq, p_closed, p_sim, rel_err)
-            )
     return rows
+
+
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate a sweep: :func:`compare_grid` with the fixed value as one axis."""
+    fixed = (spec.fixed,)
+    if spec.vary == "d":
+        return compare_grid(spec.methods, spec.values, fixed, spec.alpha_sq)
+    return compare_grid(spec.methods, fixed, spec.values, spec.alpha_sq)
 
 
 def format_float(value: float) -> str:

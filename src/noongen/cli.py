@@ -16,7 +16,7 @@ import sys
 
 from . import analysis
 from .fock import FockState, state_rows
-from .pipelines import MethodConfig, run_method
+from .pipelines import METHODS, MethodConfig, check_domain, run_method
 
 OUTPUT_DIR_ENV = "NOONGEN_OUTPUT_DIR"
 
@@ -34,20 +34,28 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        self.flags: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags.update(action.option_strings)
+        return action
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliError(message)
 
 
 def _parse_methods(text: str) -> tuple[int, ...]:
     if text == "all":
-        return analysis.METHODS
+        return METHODS
     try:
         methods = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(f"invalid method list {text!r}") from exc
     for method in methods:
-        if method not in analysis.METHODS:
-            raise CliError(f"method must be 1, 2, 3 or 4, got {method}")
+        check_domain(method)
     return methods
 
 
@@ -87,11 +95,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         return sub
 
     gen = add_command("generate", "run one pipeline and emit its NOON report")
-    gen.add_argument("--method", type=int, choices=analysis.METHODS, required=True)
+    gen.add_argument("--method", type=int, choices=METHODS, required=True)
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--N", type=int, required=True)
     gen.add_argument("--alpha-sq", type=float, default=None)
-    gen.add_argument("--cutoff", type=int, default=None)
     gen.add_argument("--tolerance", type=float, default=1e-10)
     gen.set_defaults(func=cmd_generate)
 
@@ -141,25 +148,15 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(sub: _Parser, values: dict[str, str]) -> None:
-    actions = {
-        action.dest: action
-        for action in sub._actions
-        if action.dest not in ("help", "func")
-    }
-    defaults = {}
-    for key, raw in values.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None:
+def _config_flags(sub: _Parser, values: dict[str, str]) -> list[str]:
+    """Turn config ``key=value`` pairs into ``--key=value`` flags of ``sub``."""
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in sub.flags:
             raise CliError(f"unknown config key {key!r}")
-        try:
-            defaults[dest] = action.type(raw) if action.type else raw
-        except ValueError as exc:
-            raise CliError(f"invalid value for config key {key!r}: {raw!r}") from exc
-        # a value from the file satisfies the flag; explicit flags still win
-        action.required = False
-    sub.set_defaults(**defaults)
+        flags.append(f"{flag}={value}")
+    return flags
 
 
 def _extract_config(argv: list[str]) -> tuple[str | None, list[str]]:
@@ -224,7 +221,6 @@ def cmd_generate(args) -> int:
         d=args.d,
         N=args.N,
         alpha=alpha,
-        per_mode_cutoff=args.cutoff,
         tolerance=args.tolerance,
     )
     report = run_method(cfg)
@@ -315,40 +311,22 @@ def cmd_verify(args) -> int:
                 f"N={n} exceeds the simulation limit N<={analysis.SIM_MAX_N}"
             )
     fmt = analysis.format_float
+    rows = analysis.compare_grid(methods, d_values, n_values, args.alpha_sq)
     lines = []
     failures = 0
-    points = 0
-    worst = 0.0
-    for method in sorted(set(methods)):
-        for d in sorted(set(d_values)):
-            if method in (3, 4) and d & (d - 1):
-                continue
-            for n in sorted(set(n_values)):
-                alpha_sq = None
-                if method == 1:
-                    alpha_sq = (
-                        args.alpha_sq
-                        if args.alpha_sq is not None
-                        else analysis.optimal_alpha_sq(d, n)
-                    )
-                p_closed = analysis.closed_form_probability(method, d, n, alpha_sq)
-                p_sim = analysis.simulated_probability(method, d, n, alpha_sq)
-                rel_err = (
-                    abs(p_sim - p_closed) / p_closed if p_closed > 0.0 else abs(p_sim)
-                )
-                points += 1
-                worst = max(worst, rel_err)
-                ok = rel_err < args.tolerance
-                failures += 0 if ok else 1
-                alpha_cell = "-" if alpha_sq is None else fmt(alpha_sq)
-                lines.append(
-                    f"M{method} d={d} N={n} alpha_sq={alpha_cell} "
-                    f"p_closed={fmt(p_closed)} p_sim={fmt(p_sim)} "
-                    f"rel_err={fmt(rel_err)} {'ok' if ok else 'FAIL'}"
-                )
-    verdict = "PASS" if failures == 0 else f"FAIL ({failures} of {points} points)"
+    for row in rows:
+        ok = row.rel_err < args.tolerance
+        failures += 0 if ok else 1
+        alpha_cell = "-" if row.alpha_sq is None else fmt(row.alpha_sq)
+        lines.append(
+            f"M{row.method} d={row.d} N={row.N} alpha_sq={alpha_cell} "
+            f"p_closed={fmt(row.p_closed)} p_sim={fmt(row.p_sim)} "
+            f"rel_err={fmt(row.rel_err)} {'ok' if ok else 'FAIL'}"
+        )
+    worst = max([0.0] + [row.rel_err for row in rows])
+    verdict = "PASS" if failures == 0 else f"FAIL ({failures} of {len(rows)} points)"
     lines.append(
-        f"verify: {points} points, max rel_err={fmt(worst)}, "
+        f"verify: {len(rows)} points, max rel_err={fmt(worst)}, "
         f"tolerance={fmt(args.tolerance)} -> {verdict}"
     )
     _emit("\n".join(lines), args.output)
@@ -409,7 +387,9 @@ def main(argv: list[str] | None = None) -> int:
             command = next((token for token in rest if token in registry), None)
             if command is None:
                 raise CliError("--config requires a subcommand")
-            _apply_config(registry[command], values)
+            # right after the command, so explicit flags that follow still win
+            at = rest.index(command) + 1
+            rest[at:at] = _config_flags(registry[command], values)
         args = parser.parse_args(rest)
         return args.func(args)
     except CliError as exc:

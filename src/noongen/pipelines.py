@@ -52,36 +52,41 @@ from .fock import (
 )
 
 
+METHODS = (1, 2, 3, 4)
+
+
+def check_domain(method: int, d: int = 2, n_photons: int = 1) -> None:
+    """Raise ValueError unless the schemes accept (method, d, N).
+
+    ``d`` and ``n_photons`` default to the smallest accepted values, so a
+    method can be checked on its own.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be 1, 2, 3 or 4, got {method}")
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    if n_photons < 1:
+        raise ValueError(f"N must be at least 1, got {n_photons}")
+    if method in (3, 4) and d & (d - 1):
+        raise ValueError("d must be a power of two for methods 3 and 4")
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     """Configuration for one generation run.
 
     ``alpha`` is the coherent amplitude used by method 1 only; when omitted it
-    defaults to the optimal value sqrt(N/d). ``per_mode_cutoff`` (method 1
-    only) caps the photon number of each mode in the N-photon sector that is
-    built before filtration. It defaults to N, which is exact: no mode of an
-    N-photon term holds more than N photons. A cutoff below N removes the
-    NOON components themselves, so the reported probability is 0.
+    defaults to the optimal value sqrt(N/d).
     """
 
     method: int
     d: int
     N: int
     alpha: complex | None = None
-    per_mode_cutoff: int | None = None
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.method not in (1, 2, 3, 4):
-            raise ValueError(f"method must be 1, 2, 3 or 4, got {self.method}")
-        if self.d < 2:
-            raise ValueError(f"d must be at least 2, got {self.d}")
-        if self.N < 1:
-            raise ValueError(f"N must be at least 1, got {self.N}")
-        if self.method in (3, 4) and self.d & (self.d - 1):
-            raise ValueError("d must be a power of two for methods 3 and 4")
-        if self.per_mode_cutoff is not None and self.per_mode_cutoff < 0:
-            raise ValueError("per_mode_cutoff must be non-negative")
+        check_domain(self.method, self.d, self.N)
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
 
@@ -172,10 +177,6 @@ def split_evenly(n_photons: int, d: int) -> FockState:
     return state
 
 
-def _zero_report(d: int, n_photons: int, tolerance: float) -> NoonReport:
-    return extract_noon(FockState(d, {}), n_photons, tolerance)
-
-
 def _coherent_sector(single: FockState, d: int, n_photons: int) -> FockState:
     """N-photon sector of the d-fold tensor power of a single-mode state.
 
@@ -203,30 +204,35 @@ def _coherent_sector(single: FockState, d: int, n_photons: int) -> FockState:
     return FockState._trusted(d, {occ: amp for occ, (_, amp) in partial.items()})
 
 
+def _filtrate(cfg: MethodConfig, state: FockState) -> NoonReport:
+    """Run the floor(N/2) filter blocks and read out the NOON components.
+
+    Block k applies a k-filter to every mode (a d-fold single-photon
+    coincidence). The filter preserves each mode's photon number and removes
+    exactly the |k> component, so after the last block (M = floor(N/2)) every
+    surviving per-mode occupation lies in {0, M+1, M+2, ...}.
+    """
+    for k in range(1, cfg.N // 2 + 1):
+        for mode in range(cfg.d):
+            state = apply_fsf(state, mode, k).state
+    return extract_noon(state, cfg.N, cfg.tolerance)
+
+
 def run_method1(cfg: MethodConfig) -> NoonReport:
     """Coherent inputs, Fock-state filtration, and N-photon postselection.
 
-    Each of the d modes starts in a truncated coherent state. Only the
-    N-photon sector of their product is built (C(N+d-1, d-1) terms at most,
-    instead of (cutoff+1)^d): the filter preserves every mode's photon
+    Each of the d modes starts in a coherent state truncated at N photons.
+    Only the N-photon sector of their product is built (C(N+d-1, d-1) terms
+    at most, instead of (N+1)^d): the filter preserves every mode's photon
     number, so filtering the sector alone equals filtering the full product
-    and postselecting at the end. Block k applies a k-filter to every mode (a
-    d-fold single-photon coincidence); after floor(N/2) blocks every
-    surviving per-mode occupation lies in {0, M+1, M+2, ...}, so the sector
-    contains only the NOON components.
+    and postselecting at the end. After filtration the sector contains only
+    the NOON components.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")
     alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(cfg.N / cfg.d)
-    cutoff = cfg.per_mode_cutoff if cfg.per_mode_cutoff is not None else cfg.N
-    single = make_coherent_truncated(alpha, cutoff)
-    state = _coherent_sector(single, cfg.d, cfg.N)
-    for k in range(1, cfg.N // 2 + 1):
-        for mode in range(cfg.d):
-            state = apply_fsf(state, mode, k).state
-            if not state:
-                return _zero_report(cfg.d, cfg.N, cfg.tolerance)
-    return extract_noon(state, cfg.N, cfg.tolerance)
+    single = make_coherent_truncated(alpha, cfg.N)
+    return _filtrate(cfg, _coherent_sector(single, cfg.d, cfg.N))
 
 
 def run_method2(cfg: MethodConfig) -> NoonReport:
@@ -238,13 +244,7 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
     """
     if cfg.method != 2:
         raise ValueError("run_method2 requires method=2")
-    state = split_evenly(cfg.N, cfg.d)
-    for k in range(1, cfg.N // 2 + 1):
-        for mode in range(cfg.d):
-            state = apply_fsf(state, mode, k).state
-            if not state:
-                return _zero_report(cfg.d, cfg.N, cfg.tolerance)
-    return extract_noon(state, cfg.N, cfg.tolerance)
+    return _filtrate(cfg, split_evenly(cfg.N, cfg.d))
 
 
 def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
@@ -276,8 +276,6 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
         work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
         work = apply_element(work, BeamSplitter(tap_c, internal, theta))
         work = two_photon_herald(work, tap_b, tap_c, psi).state
-        if not work:
-            return HeraldedOutcome(FockState(internal + 1, {}), 0.0)
     probability = norm_sq(work) / before if before > 0.0 else 0.0
     return HeraldedOutcome(work, probability)
 
@@ -373,8 +371,6 @@ def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutc
         work = _erased_single_photon_herald(
             work, (b_h, b_v), (c_h, c_v), v_click_weight
         )
-        if not work:
-            return HeraldedOutcome(FockState(internal_v + 1, {}), 0.0)
     work = _swap_modes(work, internal_h, internal_v)
     probability = norm_sq(work) / before if before > 0.0 else 0.0
     return HeraldedOutcome(work, probability)
@@ -409,10 +405,6 @@ def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
     return HeraldedOutcome(work, probability)
 
 
-def _cascade_levels(d: int) -> int:
-    return d.bit_length() - 1
-
-
 def collapse_polarization(state: FockState) -> FockState:
     """Merge each (H, V) submode pair into one path occupation."""
     if state.mode_count % 2:
@@ -425,32 +417,34 @@ def collapse_polarization(state: FockState) -> FockState:
     return FockState._trusted(paths, out, state.normalized)
 
 
+def _cascade(d: int, state: FockState, generator, *args) -> FockState:
+    """Run d-1 generators as a balanced binary tree over d = 2^L paths.
+
+    At level l the paths 2^l - 1, ..., 1, 0 are each split in turn, and every
+    generator appends a fresh path with the next unused index. For d=8 the
+    generator paths are 0; 1, 0; 3, 2, 1, 0.
+    """
+    for level in range(d.bit_length() - 1):
+        for path in reversed(range(2**level)):
+            state = generator(state, path, *args).state
+    return state
+
+
 def run_method3(cfg: MethodConfig) -> NoonReport:
     """Cascade of d-1 two-photon-interference entanglement generators.
 
     Generators are arranged as a balanced binary tree: level by level, every
-    live mode is paired with a fresh mode (for d=4 the pairings are (1,2),
-    then (2,3) and (1,4)). Even and odd N dispatch to the matching generator;
-    odd N runs on polarization-doubled paths which are summed for the final
-    readout.
+    path created so far, last first, is paired with a fresh path (for d=4 the
+    pairings are (1,2), then (2,3) and (1,4)). Even and odd N dispatch to the
+    matching generator; odd N runs on polarization-doubled paths which are
+    summed for the final readout.
     """
     if cfg.method != 3:
         raise ValueError("run_method3 requires method=3")
-    even = cfg.N % 2 == 0
-    state = make_fock(1, (cfg.N,)) if even else make_fock(2, (cfg.N, 0))
-    live = [0]
-    for _ in range(_cascade_levels(cfg.d)):
-        for path in reversed(live.copy()):
-            fresh = state.mode_count if even else state.mode_count // 2
-            if even:
-                outcome = generator_even(state, path, cfg.N)
-            else:
-                outcome = generator_odd(state, path, cfg.N)
-            state = outcome.state
-            live.append(fresh)
-            if not state:
-                return _zero_report(cfg.d, cfg.N, cfg.tolerance)
-    if not even:
+    if cfg.N % 2 == 0:
+        state = _cascade(cfg.d, make_fock(1, (cfg.N,)), generator_even, cfg.N)
+    else:
+        state = _cascade(cfg.d, make_fock(2, (cfg.N, 0)), generator_odd, cfg.N)
         state = collapse_polarization(state)
     return extract_noon(state, cfg.N, cfg.tolerance)
 
@@ -459,15 +453,7 @@ def run_method4(cfg: MethodConfig) -> NoonReport:
     """Cascade of d-1 cross-Kerr generators in the same balanced tree."""
     if cfg.method != 4:
         raise ValueError("run_method4 requires method=4")
-    state = make_fock(1, (cfg.N,))
-    live = [0]
-    for _ in range(_cascade_levels(cfg.d)):
-        for path in reversed(live.copy()):
-            fresh = state.mode_count
-            state = generator_kerr(state, path).state
-            live.append(fresh)
-            if not state:
-                return _zero_report(cfg.d, cfg.N, cfg.tolerance)
+    state = _cascade(cfg.d, make_fock(1, (cfg.N,)), generator_kerr)
     return extract_noon(state, cfg.N, cfg.tolerance)
 
 

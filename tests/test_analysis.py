@@ -234,7 +234,6 @@ class TestSweep:
             vary="d",
             fixed=4,
             values=(2, 3, 4, 8),
-            simulate=False,
         )
         rows = run_sweep(spec)
         by_key = {(r.method, r.d): r for r in rows}
@@ -245,14 +244,14 @@ class TestSweep:
 
     def test_ordering_at_n4(self):
         spec = SweepSpec(
-            methods=(1, 2, 3, 4), vary="d", fixed=4, values=(4,), simulate=False
+            methods=(1, 2, 3, 4), vary="d", fixed=4, values=(4,)
         )
         rows = {r.method: r.p_closed for r in run_sweep(spec)}
         assert rows[4] > rows[2] > rows[1] > rows[3]
 
     def test_method2_decreases_in_n(self):
         spec = SweepSpec(
-            methods=(2,), vary="N", fixed=4, values=(2, 3, 4, 5, 6), simulate=False
+            methods=(2,), vary="N", fixed=4, values=(2, 3, 4, 5, 6)
         )
         values = [r.p_closed for r in run_sweep(spec)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -266,7 +265,7 @@ class TestSweep:
 
     def test_deterministic_order(self):
         spec = SweepSpec(
-            methods=(4, 1), vary="N", fixed=2, values=(3, 2), simulate=False
+            methods=(4, 1), vary="N", fixed=2, values=(3, 2)
         )
         keys = [(r.method, r.d, r.N) for r in run_sweep(spec)]
         assert keys == [(1, 2, 2), (1, 2, 3), (4, 2, 2), (4, 2, 3)]
@@ -300,7 +299,8 @@ class TestSweep:
     def test_json_shape(self):
         import json
 
-        spec = SweepSpec(methods=(3,), vary="N", fixed=2, values=(2, 3), simulate=False)
+        # d beyond SIM_MAX_D: closed form only, so p_sim is null
+        spec = SweepSpec(methods=(3,), vary="N", fixed=8, values=(2, 3))
         payload = json.loads(sweep_to_json(run_sweep(spec)))
         assert payload[0]["method"] == "M3"
         assert payload[0]["p_sim"] is None

@@ -232,6 +232,25 @@ class TestDeterminismAndIo:
         assert code == 1
         assert "mystery" in err
 
+    def test_abbreviated_config_key(self, capsys, tmp_path):
+        config = tmp_path / "abbrev.cfg"
+        config.write_text("method=4\nd=2\nN=2\nform=csv\n")
+        code, _, err = run_cli(capsys, "--config", str(config), "generate")
+        assert code == 1
+        assert "'form'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("generate", "--method", "4", "--d", "2", "--N", "2"), ("resources", "--d", "2", "--N", "2")],
+    )
+    def test_config_values_checked_like_flags(self, capsys, tmp_path, argv):
+        config = tmp_path / "xml.cfg"
+        config.write_text("format=xml\n")
+        code, out, err = run_cli(capsys, "--config", str(config), *argv)
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'xml'" in err
+
     def test_float_rendering_in_csv(self, capsys):
         _, out, _ = run_cli(
             capsys,

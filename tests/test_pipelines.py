@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_terms_close
+from noongen import pipelines
 from noongen import (
     FockState,
     MethodConfig,
@@ -172,25 +173,22 @@ class TestMethod1:
     def test_sector_first_matches_product_state(self, d, n):
         # Oracle: filter the full coherent product, then postselect N photons.
         for alpha in (None, 0.9 + 0.4j):
-            for cutoff in (None, n - 1, n + 2):
-                cfg = MethodConfig(method=1, d=d, N=n, alpha=alpha, per_mode_cutoff=cutoff)
-                amp = alpha if alpha is not None else math.sqrt(n / d)
-                single = make_coherent_truncated(amp, cutoff if cutoff is not None else n)
-                state = single
-                for _ in range(d - 1):
-                    state = tensor(state, single)
-                for k in range(1, n // 2 + 1):
-                    for mode in range(d):
-                        state = apply_fsf(state, mode, k).state
-                want = extract_noon(restrict_total_photons(state, n), n)
-                got = run_method1(cfg)
-                for a, b in zip(got.component_amplitudes, want.component_amplitudes):
-                    assert abs(a - b) <= 1e-15 * abs(b), (alpha, cutoff)
-                assert abs(got.residual_norm - want.residual_norm) <= (
-                    1e-15 * want.residual_norm
-                ), (alpha, cutoff)
-                if cutoff == n - 1:
-                    assert got.generation_probability == 0.0
+            cfg = MethodConfig(method=1, d=d, N=n, alpha=alpha)
+            amp = alpha if alpha is not None else math.sqrt(n / d)
+            single = make_coherent_truncated(amp, n)
+            state = single
+            for _ in range(d - 1):
+                state = tensor(state, single)
+            for k in range(1, n // 2 + 1):
+                for mode in range(d):
+                    state = apply_fsf(state, mode, k).state
+            want = extract_noon(restrict_total_photons(state, n), n)
+            got = run_method1(cfg)
+            for a, b in zip(got.component_amplitudes, want.component_amplitudes):
+                assert abs(a - b) <= 1e-15 * abs(b), alpha
+            assert abs(got.residual_norm - want.residual_norm) <= (
+                1e-15 * want.residual_norm
+            ), alpha
 
 
 class TestMethod2:
@@ -349,6 +347,25 @@ class TestGeneratorKerr:
         assert outcome.herald_probability == pytest.approx(1.0, rel=1e-12)
 
 
+class TestEmptyInput:
+    # An empty state flows through every generator unchanged, so the drivers
+    # need no early exit: the final readout reports zero on its own.
+    def test_generator_even(self):
+        outcome = generator_even(FockState(1, {}), 0, 4)
+        assert not outcome.state and outcome.state.mode_count == 2
+        assert outcome.herald_probability == 0.0
+
+    def test_generator_odd(self):
+        outcome = generator_odd(FockState(2, {}), 0, 3)
+        assert not outcome.state and outcome.state.mode_count == 4
+        assert outcome.herald_probability == 0.0
+
+    def test_generator_kerr(self):
+        outcome = generator_kerr(FockState(1, {}), 0)
+        assert not outcome.state and outcome.state.mode_count == 2
+        assert outcome.herald_probability == 0.0
+
+
 class TestMethod4:
     def test_headline(self):
         report = run_method4(MethodConfig(method=4, d=4, N=4))
@@ -365,6 +382,17 @@ class TestMethod4:
         report = run_method4(MethodConfig(method=4, d=8, N=3))
         assert abs(report.generation_probability - 0.125) < 1e-12
         assert report.balanced
+
+    def test_balanced_tree_path_order(self, monkeypatch):
+        paths = []
+
+        def recording(state, path_a):
+            paths.append(path_a)
+            return generator_kerr(state, path_a)
+
+        monkeypatch.setattr(pipelines, "generator_kerr", recording)
+        run_method4(MethodConfig(method=4, d=8, N=2))
+        assert paths == [0, 1, 0, 3, 2, 1, 0]
 
 
 class TestExtractNoon:
