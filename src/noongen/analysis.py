@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import lgamma, log
+from typing import Sequence
 
 from . import pipelines
 from .pipelines import check_domain
@@ -57,6 +58,12 @@ class LossModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def check_alpha_sq(alpha_sq: float | None) -> None:
+    """Raise ValueError unless ``alpha_sq`` is None or finite and non-negative."""
+    if alpha_sq is not None and not 0.0 <= alpha_sq < math.inf:
+        raise ValueError(f"alpha_sq must be finite and non-negative, got {alpha_sq}")
+
+
 def optimal_alpha_sq(d: int, n_photons: int) -> float:
     """Coherent intensity N/d that maximizes the method-1 probability.
 
@@ -83,8 +90,7 @@ def closed_form_probability(
     if method == 1:
         if alpha_sq is None:
             alpha_sq = optimal_alpha_sq(d, n)
-        if alpha_sq < 0.0:
-            raise ValueError(f"alpha_sq must be non-negative, got {alpha_sq}")
+        check_alpha_sq(alpha_sq)
         if alpha_sq == 0.0:
             return 0.0
         log_p = (
@@ -146,8 +152,7 @@ def closed_form_component_magnitude(
     if method == 1:
         if alpha_sq is None:
             alpha_sq = optimal_alpha_sq(d, n)
-        if alpha_sq < 0.0:
-            raise ValueError(f"alpha_sq must be non-negative, got {alpha_sq}")
+        check_alpha_sq(alpha_sq)
         if alpha_sq == 0.0:
             return 0.0
         log_c = (
@@ -269,8 +274,7 @@ class SweepSpec:
             )
         if self.fixed < (1 if self.vary == "d" else 2):
             raise ValueError(f"fixed value {self.fixed} out of range")
-        if self.alpha_sq is not None and self.alpha_sq < 0.0:
-            raise ValueError("alpha_sq must be non-negative")
+        check_alpha_sq(self.alpha_sq)
 
 
 @dataclass(frozen=True)
@@ -292,21 +296,22 @@ def compare_grid(
 ) -> list[SweepRow]:
     """Pair closed form and simulation over a grid in sorted (method, d, N) order.
 
-    Methods 3 and 4 emit only power-of-two d points; other grid points are
+    Methods 3 and 4 emit only power-of-two d points; other d >= 2 are
     skipped rather than reported as errors, mirroring how the comparison plots
-    are drawn. ``alpha_sq`` fixes the method-1 intensity; None means the
-    optimal N/d at every point. Points beyond (SIM_MAX_D, SIM_MAX_N) carry the
-    closed form only.
+    are drawn. A grid left with no point at all raises ValueError, as does any
+    point outside the domain. ``alpha_sq`` fixes the method-1 intensity; None
+    means the optimal N/d at every point. Points beyond (SIM_MAX_D, SIM_MAX_N)
+    carry the closed form only.
     """
     rows: list[SweepRow] = []
     for method in sorted(set(methods)):
         for d in sorted(set(d_values)):
-            if method in (3, 4) and d & (d - 1):
+            if method in (3, 4) and d >= 2 and d & (d - 1):
                 continue
             for n in sorted(set(n_values)):
                 point_alpha_sq = None
                 if method == 1:
-                    point_alpha_sq = alpha_sq if alpha_sq is not None else n / d
+                    point_alpha_sq = float(alpha_sq) if alpha_sq is not None else n / d
                 p_closed = closed_form_probability(method, d, n, point_alpha_sq)
                 p_sim = rel_err = None
                 if d <= SIM_MAX_D and n <= SIM_MAX_N:
@@ -318,6 +323,10 @@ def compare_grid(
                 rows.append(
                     SweepRow(method, d, n, point_alpha_sq, p_closed, p_sim, rel_err)
                 )
+    if not rows:
+        raise ValueError(
+            "the grid has no point: methods 3 and 4 need a power-of-two d"
+        )
     return rows
 
 
@@ -340,51 +349,56 @@ def format_float(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _csv_cell(value: float | None) -> str:
-    return "" if value is None else format_float(value)
-
-
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    """Render sweep rows as CSV (empty cells where simulation was skipped)."""
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    f"M{row.method}",
-                    str(row.d),
-                    str(row.N),
-                    _csv_cell(row.alpha_sq),
-                    format_float(row.p_closed),
-                    _csv_cell(row.p_sim),
-                    _csv_cell(row.rel_err),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def json_float(value: float) -> float:
     """Round to 12 significant digits for stable JSON output."""
     return float(f"{value:.12g}")
 
 
-def sweep_rows_to_dicts(rows: list[SweepRow]) -> list[dict]:
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "method": f"M{row.method}",
-                "d": row.d,
-                "N": row.N,
-                "alpha_sq": None if row.alpha_sq is None else json_float(row.alpha_sq),
-                "p_closed": json_float(row.p_closed),
-                "p_sim": None if row.p_sim is None else json_float(row.p_sim),
-                "rel_err": None if row.rel_err is None else json_float(row.rel_err),
-            }
-        )
-    return out
+def _csv_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def _json_rounded(value):
+    if isinstance(value, float):
+        return json_float(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_rounded(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_rounded(item) for key, item in value.items()}
+    return value
+
+
+def to_csv(columns: Sequence[str], records: list[dict]) -> str:
+    """Render records as CSV: a header of ``columns``, then one line per record.
+
+    None becomes an empty cell, booleans are lower case and floats go through
+    :func:`format_float`.
+    """
+    lines = [",".join(columns)]
+    for record in records:
+        lines.append(",".join(_csv_text(record[name]) for name in columns))
+    return "\n".join(lines) + "\n"
+
+
+def to_json(payload, sort_keys: bool = False) -> str:
+    """Render as indented JSON with every float rounded by :func:`json_float`."""
+    return json.dumps(_json_rounded(payload), indent=2, sort_keys=sort_keys) + "\n"
+
+
+def _sweep_records(rows: list[SweepRow]) -> list[dict]:
+    return [{**asdict(row), "method": f"M{row.method}"} for row in rows]
+
+
+def sweep_to_csv(rows: list[SweepRow]) -> str:
+    """Render sweep rows as CSV (empty cells where simulation was skipped)."""
+    return to_csv(SWEEP_CSV_HEADER.split(","), _sweep_records(rows))
 
 
 def sweep_to_json(rows: list[SweepRow]) -> str:
-    return json.dumps(sweep_rows_to_dicts(rows), indent=2) + "\n"
+    return to_json(_sweep_records(rows))

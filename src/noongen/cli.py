@@ -9,24 +9,16 @@ deterministic: repeated identical invocations emit byte-identical text.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import analysis
 from .fock import FockState, state_rows
 from .pipelines import METHODS, MethodConfig, check_domain, run_method
 
 OUTPUT_DIR_ENV = "NOONGEN_OUTPUT_DIR"
-
-_GENERATE_CSV_HEADER = (
-    "method,d,N,alpha_sq,generation_probability,balanced,residual_norm"
-)
-_RESOURCES_CSV_HEADER = (
-    "method,d,N,beam_splitters,phase_shifters,spcd_detectors,"
-    "fock_inputs,single_photon_inputs,odd_n_variant"
-)
 
 
 class CliError(Exception):
@@ -195,26 +187,8 @@ def _emit(text: str, output: str | None) -> None:
         handle.write(text)
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _report_payload(report, alpha_sq: float | None) -> dict:
-    jf = analysis.json_float
-    payload = report.to_dict()
-    payload["component_amplitudes"] = [
-        [jf(re), jf(im)] for re, im in payload["component_amplitudes"]
-    ]
-    payload["sign_pattern"] = [
-        [jf(re), jf(im)] for re, im in payload["sign_pattern"]
-    ]
-    payload["generation_probability"] = jf(payload["generation_probability"])
-    payload["residual_norm"] = jf(payload["residual_norm"])
-    payload["alpha_sq"] = None if alpha_sq is None else jf(alpha_sq)
-    return payload
-
-
 def cmd_generate(args) -> int:
+    analysis.check_alpha_sq(args.alpha_sq)
     alpha = None if args.alpha_sq is None else math.sqrt(args.alpha_sq)
     cfg = MethodConfig(
         method=args.method,
@@ -232,21 +206,17 @@ def cmd_generate(args) -> int:
             else analysis.optimal_alpha_sq(args.d, args.N)
         )
     if args.format == "csv":
-        fmt = analysis.format_float
-        row = ",".join(
-            (
-                f"M{args.method}",
-                str(args.d),
-                str(args.N),
-                "" if alpha_sq is None else fmt(alpha_sq),
-                fmt(report.generation_probability),
-                str(report.balanced).lower(),
-                fmt(report.residual_norm),
-            )
-        )
-        _emit(_GENERATE_CSV_HEADER + "\n" + row, args.output)
+        record = {
+            "method": f"M{args.method}",
+            "d": args.d,
+            "N": args.N,
+            "alpha_sq": alpha_sq,
+            "generation_probability": report.generation_probability,
+            "balanced": report.balanced,
+            "residual_norm": report.residual_norm,
+        }
+        _emit(analysis.to_csv(list(record), [record]), args.output)
         return 0
-    payload = {"method": f"M{args.method}", "report": _report_payload(report, alpha_sq)}
     noon_state = FockState(
         report.d,
         {
@@ -254,11 +224,12 @@ def cmd_generate(args) -> int:
             for j, amp in enumerate(report.component_amplitudes)
         },
     )
-    payload["noon_state_rows"] = [
-        [list(occ), analysis.json_float(re), analysis.json_float(im)]
-        for occ, re, im in state_rows(noon_state)
-    ]
-    _emit(_json_dumps(payload), args.output)
+    payload = {
+        "method": f"M{args.method}",
+        "report": {**report.to_dict(), "alpha_sq": alpha_sq},
+        "noon_state_rows": state_rows(noon_state),
+    }
+    _emit(analysis.to_json(payload, sort_keys=True), args.output)
     return 0
 
 
@@ -294,18 +265,16 @@ def cmd_verify(args) -> int:
     methods = _parse_methods(args.methods)
     d_values = _parse_range(args.d_values, "--d-values")
     n_values = _parse_range(args.N_range, "--N-range")
-    if args.tolerance <= 0.0:
-        raise CliError("tolerance must be positive")
+    if not 0.0 < args.tolerance < math.inf:
+        raise CliError(
+            f"tolerance must be positive and finite, got {args.tolerance}"
+        )
     for d in d_values:
-        if d < 2:
-            raise CliError(f"d must be at least 2, got {d}")
         if d > analysis.SIM_MAX_D:
             raise CliError(
                 f"d={d} exceeds the simulation limit d<={analysis.SIM_MAX_D}"
             )
     for n in n_values:
-        if n < 1:
-            raise CliError(f"N must be at least 1, got {n}")
         if n > analysis.SIM_MAX_N:
             raise CliError(
                 f"N={n} exceeds the simulation limit N<={analysis.SIM_MAX_N}"
@@ -334,46 +303,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_resources(args) -> int:
-    methods = _parse_methods(args.methods)
-    counts = [
-        (method, analysis.resource_counts(method, args.d, args.N))
-        for method in sorted(set(methods))
+    records = [
+        {
+            "method": f"M{method}",
+            "d": args.d,
+            "N": args.N,
+            **asdict(analysis.resource_counts(method, args.d, args.N)),
+        }
+        for method in sorted(set(_parse_methods(args.methods)))
     ]
     if args.format == "json":
-        payload = [
-            {
-                "method": f"M{method}",
-                "d": args.d,
-                "N": args.N,
-                "beam_splitters": rc.beam_splitters,
-                "phase_shifters": rc.phase_shifters,
-                "spcd_detectors": rc.spcd_detectors,
-                "fock_inputs": rc.fock_inputs,
-                "single_photon_inputs": rc.single_photon_inputs,
-                "odd_n_variant": rc.odd_n_variant,
-            }
-            for method, rc in counts
-        ]
-        _emit(_json_dumps(payload), args.output)
-        return 0
-    lines = [_RESOURCES_CSV_HEADER]
-    for method, rc in counts:
-        lines.append(
-            ",".join(
-                (
-                    f"M{method}",
-                    str(args.d),
-                    str(args.N),
-                    str(rc.beam_splitters),
-                    str(rc.phase_shifters),
-                    str(rc.spcd_detectors),
-                    str(rc.fock_inputs),
-                    str(rc.single_photon_inputs),
-                    str(rc.odd_n_variant).lower(),
-                )
-            )
-        )
-    _emit("\n".join(lines), args.output)
+        _emit(analysis.to_json(records, sort_keys=True), args.output)
+    else:
+        _emit(analysis.to_csv(list(records[0]), records), args.output)
     return 0
 
 

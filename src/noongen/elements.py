@@ -134,7 +134,7 @@ def _apply_beam_splitter(state: FockState, e: BeamSplitter) -> FockState:
                 scattered[e.mode_i] = p
                 scattered[e.mode_j] = total - p
                 out[tuple(scattered)] += amp * coef
-    return FockState._trusted(state.mode_count, out, state.normalized)
+    return FockState._trusted(state.mode_count, out)
 
 
 def _apply_phase_shifter(state: FockState, e: PhaseShifter) -> FockState:
@@ -143,7 +143,7 @@ def _apply_phase_shifter(state: FockState, e: PhaseShifter) -> FockState:
         occ: amp * cmath.exp(1j * e.phi * occ[e.mode])
         for occ, amp in state.terms.items()
     }
-    return FockState._trusted(state.mode_count, terms, state.normalized)
+    return FockState._trusted(state.mode_count, terms)
 
 
 def _apply_cross_kerr(state: FockState, e: CrossKerr) -> FockState:
@@ -155,7 +155,7 @@ def _apply_cross_kerr(state: FockState, e: CrossKerr) -> FockState:
         occ: amp * cmath.exp(1j * e.chi * occ[e.mode_i] * occ[e.mode_j])
         for occ, amp in state.terms.items()
     }
-    return FockState._trusted(state.mode_count, terms, state.normalized)
+    return FockState._trusted(state.mode_count, terms)
 
 
 def _apply_polarizing_bs(state: FockState, e: PolarizingBS) -> FockState:
@@ -171,7 +171,7 @@ def _apply_polarizing_bs(state: FockState, e: PolarizingBS) -> FockState:
         swapped = list(occ)
         swapped[i_v], swapped[j_v] = occ[j_v], occ[i_v]
         terms[tuple(swapped)] = amp * _I_POW[reflected % 4]
-    return FockState._trusted(state.mode_count, terms, state.normalized)
+    return FockState._trusted(state.mode_count, terms)
 
 
 def apply_element(state: FockState, element: Element) -> FockState:

@@ -19,36 +19,27 @@ Occupation = tuple[int, ...]
 # touching anything asserted at the 1e-10 level or coarser.
 PRUNE_THRESHOLD = 1e-14
 
-_UNIT_NORM_ATOL = 1e-10
-
 
 class FockState:
     """Sparse complex-amplitude expansion over occupation vectors.
 
     Instances are immutable: every operation returns a new state, so states can
-    be shared freely across concurrent workers. The ``normalized`` flag
-    documents whether the state is a physical unit-norm state or a
-    relative-amplitude (heralded) expansion.
+    be shared freely across concurrent workers. A state carries no claim about
+    its norm: heralded expansions are relative amplitudes, and
+    :func:`norm_sq` reads the squared norm off when it is needed.
 
     There are two construction paths. The public constructor validates its
-    input: every occupation must have ``mode_count`` non-negative entries,
-    every amplitude is converted with ``complex()``, and a state flagged
-    ``normalized`` must have unit squared norm. Operations inside the package
-    build their results through the trusted :meth:`_trusted` path instead,
-    which skips those checks because its occupations and amplitudes are
-    derived from states that already passed them. Both paths apply the same
+    input: every occupation must have ``mode_count`` non-negative entries and
+    every amplitude is converted with ``complex()``. Operations inside the
+    package build their results through the trusted :meth:`_trusted` path
+    instead, which skips those checks because its occupations and amplitudes
+    are derived from states that already passed them. Both paths apply the same
     pruning rule and copy the terms into a dict of their own.
     """
 
-    __slots__ = ("_mode_count", "_terms", "_normalized")
+    __slots__ = ("_mode_count", "_terms")
 
-    def __init__(
-        self,
-        mode_count: int,
-        terms: Mapping[Occupation, complex],
-        *,
-        normalized: bool = False,
-    ) -> None:
+    def __init__(self, mode_count: int, terms: Mapping[Occupation, complex]) -> None:
         if mode_count < 1:
             raise ValueError(f"mode_count must be positive, got {mode_count}")
         pruned: dict[Occupation, complex] = {}
@@ -65,42 +56,26 @@ class FockState:
                 pruned[occ] = value
         self._mode_count = mode_count
         self._terms = pruned
-        self._normalized = bool(normalized)
-        if self._normalized:
-            total = sum(abs(a) ** 2 for a in pruned.values())
-            if abs(total - 1.0) > _UNIT_NORM_ATOL:
-                raise ValueError(
-                    f"state flagged normalized but its squared norm is {total!r}"
-                )
 
     @classmethod
     def _trusted(
-        cls,
-        mode_count: int,
-        terms: Mapping[Occupation, complex],
-        normalized: bool = False,
+        cls, mode_count: int, terms: Mapping[Occupation, complex]
     ) -> FockState:
         """Build a state from package-derived terms without re-validating them.
 
         The caller guarantees tuple occupations of length ``mode_count`` with
-        non-negative ints, ``complex`` amplitudes and, when ``normalized`` is
-        set, a unit norm inherited from a validated state.
+        non-negative ints and ``complex`` amplitudes.
         """
         state = object.__new__(cls)
         state._mode_count = mode_count
         state._terms = {
             occ: amp for occ, amp in terms.items() if abs(amp) >= PRUNE_THRESHOLD
         }
-        state._normalized = normalized
         return state
 
     @property
     def mode_count(self) -> int:
         return self._mode_count
-
-    @property
-    def normalized(self) -> bool:
-        return self._normalized
 
     @property
     def terms(self) -> Mapping[Occupation, complex]:
@@ -114,10 +89,7 @@ class FockState:
         return bool(self._terms)
 
     def __repr__(self) -> str:
-        return (
-            f"FockState(mode_count={self._mode_count}, terms={len(self._terms)}, "
-            f"normalized={self._normalized})"
-        )
+        return f"FockState(mode_count={self._mode_count}, terms={len(self._terms)})"
 
 
 def make_fock(mode_count: int, occupation: Iterable[int]) -> FockState:
@@ -127,7 +99,7 @@ def make_fock(mode_count: int, occupation: Iterable[int]) -> FockState:
         raise ValueError(
             f"occupation has {len(occ)} entries but mode_count is {mode_count}"
         )
-    return FockState(mode_count, {occ: 1.0}, normalized=True)
+    return FockState(mode_count, {occ: 1.0})
 
 
 def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
@@ -135,8 +107,7 @@ def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
 
     Amplitudes follow the Poisson law exp(-|alpha|^2/2) * alpha^n / sqrt(n!).
     The Gaussian prefactor is kept exactly, so the stored amplitudes are the
-    true coherent-state amplitudes and the truncated norm is below one; the
-    state is therefore flagged unnormalized.
+    true coherent-state amplitudes and the truncated norm is below one.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
@@ -146,7 +117,7 @@ def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
     for n in range(1, cutoff + 1):
         amp = amp * alpha / math.sqrt(n)
         terms[(n,)] = amp
-    return FockState(1, terms, normalized=False)
+    return FockState(1, terms)
 
 
 def tensor(a: FockState, b: FockState) -> FockState:
@@ -155,9 +126,7 @@ def tensor(a: FockState, b: FockState) -> FockState:
     for occ_a, amp_a in a.terms.items():
         for occ_b, amp_b in b.terms.items():
             terms[occ_a + occ_b] = amp_a * amp_b
-    return FockState._trusted(
-        a.mode_count + b.mode_count, terms, a.normalized and b.normalized
-    )
+    return FockState._trusted(a.mode_count + b.mode_count, terms)
 
 
 def norm_sq(state: FockState) -> float:

@@ -76,7 +76,8 @@ class MethodConfig:
     """Configuration for one generation run.
 
     ``alpha`` is the coherent amplitude used by method 1 only; when omitted it
-    defaults to the optimal value sqrt(N/d).
+    defaults to the optimal value sqrt(N/d). ``alpha`` must be finite and
+    ``tolerance`` positive and finite.
     """
 
     method: int
@@ -87,8 +88,12 @@ class MethodConfig:
 
     def __post_init__(self) -> None:
         check_domain(self.method, self.d, self.N)
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if self.alpha is not None and not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,7 @@ def _swap_modes(state: FockState, mode_i: int, mode_j: int) -> FockState:
         swapped = list(occ)
         swapped[mode_i], swapped[mode_j] = occ[mode_j], occ[mode_i]
         terms[tuple(swapped)] = amp
-    return FockState._trusted(state.mode_count, terms, state.normalized)
+    return FockState._trusted(state.mode_count, terms)
 
 
 def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
@@ -414,7 +419,7 @@ def collapse_polarization(state: FockState) -> FockState:
     for occ, amp in state.terms.items():
         collapsed = tuple(occ[2 * i] + occ[2 * i + 1] for i in range(paths))
         out[collapsed] += amp
-    return FockState._trusted(paths, out, state.normalized)
+    return FockState._trusted(paths, out)
 
 
 def _cascade(d: int, state: FockState, generator, *args) -> FockState:

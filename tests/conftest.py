@@ -40,11 +40,7 @@ def random_unit_state(
     """Random unit-norm sparse state."""
     raw = random_state(rng, mode_count, max_photons, max_terms)
     norm = sum(abs(a) ** 2 for a in raw.terms.values()) ** 0.5
-    return FockState(
-        mode_count,
-        {occ: amp / norm for occ, amp in raw.terms.items()},
-        normalized=True,
-    )
+    return FockState(mode_count, {occ: amp / norm for occ, amp in raw.terms.items()})
 
 
 def global_phase_spread(a: dict, b: dict, atol: float = 1e-10) -> float:

@@ -25,7 +25,7 @@ from noongen import (
     sweep_to_csv,
     sweep_to_json,
 )
-from noongen.analysis import SWEEP_CSV_HEADER
+from noongen.analysis import SWEEP_CSV_HEADER, compare_grid
 
 
 def direct_probability(method: int, d: int, n: int, alpha_sq: float | None = None) -> float:
@@ -75,6 +75,14 @@ class TestClosedForms:
             closed_form_probability(3, 3, 2)
         with pytest.raises(ValueError, match="alpha_sq"):
             closed_form_probability(1, 2, 2, -1.0)
+
+    @pytest.mark.parametrize("alpha_sq", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_alpha_sq(self, alpha_sq):
+        for closed_form in (closed_form_probability, closed_form_component_magnitude):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                closed_form(1, 2, 2, alpha_sq)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SweepSpec(methods=(1,), vary="N", fixed=2, values=(2,), alpha_sq=alpha_sq)
 
     @pytest.mark.parametrize("method", [1, 2, 3, 4])
     def test_log_space_matches_direct_factorials(self, method):
@@ -277,6 +285,16 @@ class TestSweep:
             SweepSpec(methods=(1,), vary="d", fixed=4, values=(1,))
         with pytest.raises(ValueError, match="method"):
             SweepSpec(methods=(9,), vary="d", fixed=4, values=(2,))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="power-of-two"):
+            compare_grid((3, 4), (3, 5, 6), (2,))
+        with pytest.raises(ValueError, match="power-of-two"):
+            run_sweep(SweepSpec(methods=(4,), vary="d", fixed=2, values=(3,)))
+
+    def test_negative_d_not_skipped(self):
+        with pytest.raises(ValueError, match="at least 2, got -3"):
+            compare_grid((3,), (-3, 2), (2,))
 
     def test_csv_round_trip(self):
         spec = SweepSpec(methods=(1, 4), vary="d", fixed=4, values=(2, 4))

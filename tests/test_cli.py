@@ -259,3 +259,283 @@ class TestDeterminismAndIo:
         record = next(csv.DictReader(io.StringIO(out)))
         # scientific notation below 1e-4, 12 significant digits
         assert record["p_closed"] == "2.14334705075e-05"
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--methods", "3", "--d-values", "3"),
+            ("sweep", "--vary", "N", "--d", "3", "--N-range", "2:4", "--methods", "3"),
+        ],
+    )
+    def test_empty_grid_fails(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "power-of-two" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--method", "1", "--d", "2", "--N", "2"),
+            ("verify", "--methods", "1", "--d-values", "2", "--N-range", "2:3"),
+            ("sweep", "--vary", "N", "--d", "2", "--N-range", "1:3", "--methods", "1"),
+        ],
+    )
+    def test_bad_alpha_sq(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv, "--alpha-sq", value)
+        assert code == 1
+        assert out == ""
+        assert "alpha_sq must be finite and non-negative" in err
+
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance(self, capsys, command, value):
+        argv = ["--methods", "4", "--d-values", "2", "--N-range", "2:2"]
+        if command == "generate":
+            argv = ["--method", "4", "--d", "2", "--N", "2"]
+        code, out, err = run_cli(capsys, command, *argv, "--tolerance", value)
+        assert code == 1
+        assert out == ""
+        assert "tolerance must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--methods", "3", "--d-values=-3,2"), "d must be at least 2, got -3"),
+            (("--methods", "4", "--d-values", "1"), "d must be at least 2, got 1"),
+            (("--N-range", "0:2"), "N must be at least 1, got 0"),
+        ],
+    )
+    def test_verify_domain_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+# Exact stdout of each command, pinning JSON key order (sorted for generate
+# and resources, column order for sweep) and the 12-digit float rendering.
+PINNED_OUTPUTS = [
+    (
+        "generate --method 1 --d 2 --N 2 --alpha-sq 0.7",
+        """\
+{
+  "method": "M1",
+  "noon_state_rows": [
+    [
+      [
+        0,
+        2
+      ],
+      -0.061449296256,
+      0.0
+    ],
+    [
+      [
+        2,
+        0
+      ],
+      -0.061449296256,
+      0.0
+    ]
+  ],
+  "report": {
+    "N": 2,
+    "alpha_sq": 0.7,
+    "balanced": true,
+    "component_amplitudes": [
+      [
+        -0.061449296256,
+        0.0
+      ],
+      [
+        -0.061449296256,
+        0.0
+      ]
+    ],
+    "d": 2,
+    "generation_probability": 0.00755203202071,
+    "residual_norm": 0.0,
+    "sign_pattern": [
+      [
+        1.0,
+        -0.0
+      ],
+      [
+        1.0,
+        -0.0
+      ]
+    ]
+  }
+}
+""",
+    ),
+    (
+        "generate --method 1 --d 2 --N 2 --alpha-sq 0.7 --format csv",
+        """\
+method,d,N,alpha_sq,generation_probability,balanced,residual_norm
+M1,2,2,0.7,0.00755203202071,true,0
+""",
+    ),
+    (
+        "generate --method 3 --d 2 --N 3",
+        """\
+{
+  "method": "M3",
+  "noon_state_rows": [
+    [
+      [
+        0,
+        3
+      ],
+      0.0,
+      -0.0589255650989
+    ],
+    [
+      [
+        3,
+        0
+      ],
+      -7.97972798949e-17,
+      -0.0589255650989
+    ]
+  ],
+  "report": {
+    "N": 3,
+    "alpha_sq": null,
+    "balanced": true,
+    "component_amplitudes": [
+      [
+        -7.97972798949e-17,
+        -0.0589255650989
+      ],
+      [
+        0.0,
+        -0.0589255650989
+      ]
+    ],
+    "d": 2,
+    "generation_probability": 0.00694444444444,
+    "residual_norm": 0.0,
+    "sign_pattern": [
+      [
+        1.0,
+        -0.0
+      ],
+      [
+        1.0,
+        1.35420474561e-15
+      ]
+    ]
+  }
+}
+""",
+    ),
+    (
+        "generate --method 3 --d 2 --N 3 --format csv",
+        """\
+method,d,N,alpha_sq,generation_probability,balanced,residual_norm
+M3,2,3,,0.00694444444444,true,0
+""",
+    ),
+    (
+        "sweep --vary d --N 3 --d-range 2,8 --methods 1,4 --alpha-sq 0.5",
+        """\
+method,d,N,alpha_sq,p_closed,p_sim,rel_err
+M1,2,3,0.5,0.0019160387561,0.0019160387561,1.35805458302e-15
+M1,8,3,0.5,5.96212203409e-06,,
+M4,2,3,,0.5,0.5,0
+M4,8,3,,0.125,,
+""",
+    ),
+    (
+        "sweep --vary d --N 3 --d-range 2,8 --methods 1,4 --alpha-sq 0.5 --format json",
+        """\
+[
+  {
+    "method": "M1",
+    "d": 2,
+    "N": 3,
+    "alpha_sq": 0.5,
+    "p_closed": 0.0019160387561,
+    "p_sim": 0.0019160387561,
+    "rel_err": 1.35805458302e-15
+  },
+  {
+    "method": "M1",
+    "d": 8,
+    "N": 3,
+    "alpha_sq": 0.5,
+    "p_closed": 5.96212203409e-06,
+    "p_sim": null,
+    "rel_err": null
+  },
+  {
+    "method": "M4",
+    "d": 2,
+    "N": 3,
+    "alpha_sq": null,
+    "p_closed": 0.5,
+    "p_sim": 0.5,
+    "rel_err": 0.0
+  },
+  {
+    "method": "M4",
+    "d": 8,
+    "N": 3,
+    "alpha_sq": null,
+    "p_closed": 0.125,
+    "p_sim": null,
+    "rel_err": null
+  }
+]
+""",
+    ),
+    (
+        "resources --methods 1,3 --d 2 --N 3",
+        """\
+method,d,N,beam_splitters,phase_shifters,spcd_detectors,fock_inputs,single_photon_inputs,odd_n_variant
+M1,2,3,2,0,2,0,2,false
+M3,2,3,9,3,3,2,0,true
+""",
+    ),
+    (
+        "resources --methods 1,3 --d 2 --N 3 --format json",
+        """\
+[
+  {
+    "N": 3,
+    "beam_splitters": 2,
+    "d": 2,
+    "fock_inputs": 0,
+    "method": "M1",
+    "odd_n_variant": false,
+    "phase_shifters": 0,
+    "single_photon_inputs": 2,
+    "spcd_detectors": 2
+  },
+  {
+    "N": 3,
+    "beam_splitters": 9,
+    "d": 2,
+    "fock_inputs": 2,
+    "method": "M3",
+    "odd_n_variant": true,
+    "phase_shifters": 3,
+    "single_photon_inputs": 0,
+    "spcd_detectors": 3
+  }
+]
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, expected", PINNED_OUTPUTS)
+def test_pinned_output_bytes(capsys, command, expected):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == expected

@@ -35,7 +35,6 @@ class TestMakeFock:
         state = make_fock(1, [0])
         assert_terms_close(state, {(0,): 1.0})
         assert norm_sq(state) == pytest.approx(1.0)
-        assert state.normalized
 
     def test_single_term(self):
         state = make_fock(2, [4, 0])
@@ -66,7 +65,6 @@ class TestCoherent:
             state,
             {(0,): root, (1,): root, (2,): root / math.sqrt(2)},
         )
-        assert not state.normalized
 
     def test_norm_approaches_one(self):
         state = make_coherent_truncated(1.0, 20)
@@ -106,12 +104,11 @@ class TestTensor:
         assert_terms_close(state, {(2, 1): 1.0})
 
     def test_distributes(self):
-        plus = FockState(1, {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)}, normalized=True)
+        plus = FockState(1, {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)})
         state = tensor(plus, make_fock(1, [1]))
         assert_terms_close(
             state, {(0, 1): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}
         )
-        assert state.normalized
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -157,7 +154,6 @@ class TestRestrict:
         state = FockState(2, {(4, 0): 0.5, (3, 0): 0.5})
         sector = restrict_total_photons(state, 4)
         assert_terms_close(sector, {(4, 0): 0.5})
-        assert not sector.normalized
 
     def test_empty_sector(self):
         state = FockState(2, {(1, 0): 1.0})
@@ -191,10 +187,6 @@ class TestStateInvariants:
     def test_prunes_tiny_amplitudes(self):
         state = FockState(1, {(0,): 1.0, (1,): PRUNE_THRESHOLD / 10})
         assert set(state.terms) == {(0,)}
-
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError, match="normalized"):
-            FockState(1, {(0,): 0.5}, normalized=True)
 
     def test_rows_canonical_order(self):
         state = FockState(2, {(1, 0): 0.5j, (0, 1): 0.5, (0, 0): -0.5})
@@ -259,4 +251,3 @@ class TestTrustedConstruction:
         state = FockState._trusted(2, terms)
         terms[(2, 0)] = 1j
         assert dict(state.terms) == {(1, 0): 0.5 + 0j}
-        assert not state.normalized

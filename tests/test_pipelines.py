@@ -65,6 +65,16 @@ class TestMethodConfig:
         with pytest.raises(ValueError, match="tolerance"):
             MethodConfig(method=1, d=2, N=2, tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MethodConfig(method=1, d=2, N=2, tolerance=tolerance)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.inf)])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            MethodConfig(method=1, d=2, N=2, alpha=alpha)
+
 
 class TestSplitEvenly:
     def test_single_photon_two_modes(self):
