@@ -5,8 +5,10 @@ so transmitted amplitudes scale by cos(theta) and reflected amplitudes pick up
 a factor i*sin(theta). Every sign elsewhere in the package is validated against
 this single convention; there are no per-element sign flags.
 
-Detectors are ideal and photon-number resolving: a detection projects onto an
-exact photon count and removes the measured mode (destructive detection).
+Detectors are ideal and photon-number resolving and destructive. Every
+detection in the package is one call to :func:`herald`: it keeps the click
+patterns it is given on the measured modes, weights them, removes those modes
+and reports the herald probability through :meth:`HeraldedOutcome.relative`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
+from typing import Mapping
 
 from .fock import FockState, norm_sq
 from .fock import tensor as _tensor
@@ -77,6 +81,15 @@ class HeraldedOutcome:
     state: FockState
     herald_probability: float
 
+    @classmethod
+    def relative(cls, state: FockState, before: FockState) -> HeraldedOutcome:
+        """Outcome ``state`` with its herald probability relative to ``before``.
+
+        An input of zero norm gives probability 0.
+        """
+        reference = norm_sq(before)
+        return cls(state, norm_sq(state) / reference if reference > 0.0 else 0.0)
+
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -108,18 +121,19 @@ def bs_matrix_element(m: int, n: int, p: int, q: int, theta: float) -> complex:
     return acc * scale
 
 
-def _check_mode(state: FockState, mode: int) -> None:
-    if not 0 <= mode < state.mode_count:
-        raise ValueError(
-            f"mode index {mode} out of range for {state.mode_count} modes"
-        )
+def _check_modes(state: FockState, *modes: int) -> None:
+    """Raise ValueError unless every mode is in range and none repeats."""
+    for mode in modes:
+        if not 0 <= mode < state.mode_count:
+            raise ValueError(
+                f"mode index {mode} out of range for {state.mode_count} modes"
+            )
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"modes must be distinct, got {modes}")
 
 
 def _apply_beam_splitter(state: FockState, e: BeamSplitter) -> FockState:
-    _check_mode(state, e.mode_i)
-    _check_mode(state, e.mode_j)
-    if e.mode_i == e.mode_j:
-        raise ValueError("beam splitter modes must be distinct")
+    _check_modes(state, e.mode_i, e.mode_j)
     out: dict[tuple[int, ...], complex] = defaultdict(complex)
     for occ, amp in state.terms.items():
         m, n = occ[e.mode_i], occ[e.mode_j]
@@ -138,7 +152,7 @@ def _apply_beam_splitter(state: FockState, e: BeamSplitter) -> FockState:
 
 
 def _apply_phase_shifter(state: FockState, e: PhaseShifter) -> FockState:
-    _check_mode(state, e.mode)
+    _check_modes(state, e.mode)
     terms = {
         occ: amp * cmath.exp(1j * e.phi * occ[e.mode])
         for occ, amp in state.terms.items()
@@ -147,10 +161,7 @@ def _apply_phase_shifter(state: FockState, e: PhaseShifter) -> FockState:
 
 
 def _apply_cross_kerr(state: FockState, e: CrossKerr) -> FockState:
-    _check_mode(state, e.mode_i)
-    _check_mode(state, e.mode_j)
-    if e.mode_i == e.mode_j:
-        raise ValueError("cross-Kerr modes must be distinct")
+    _check_modes(state, e.mode_i, e.mode_j)
     terms = {
         occ: amp * cmath.exp(1j * e.chi * occ[e.mode_i] * occ[e.mode_j])
         for occ, amp in state.terms.items()
@@ -159,11 +170,7 @@ def _apply_cross_kerr(state: FockState, e: CrossKerr) -> FockState:
 
 
 def _apply_polarizing_bs(state: FockState, e: PolarizingBS) -> FockState:
-    indices = (*e.path_i, *e.path_j)
-    if len(set(indices)) != 4:
-        raise ValueError("polarizing splitter needs four distinct submodes")
-    for mode in indices:
-        _check_mode(state, mode)
+    _check_modes(state, *e.path_i, *e.path_j)
     i_v, j_v = e.path_i[1], e.path_j[1]
     terms = {}
     for occ, amp in state.terms.items():
@@ -187,27 +194,53 @@ def apply_element(state: FockState, element: Element) -> FockState:
     raise TypeError(f"unknown element {element!r}")
 
 
-def project_photons(state: FockState, mode: int, k: int) -> HeraldedOutcome:
-    """Detect exactly ``k`` photons in ``mode`` and remove that mode.
+def herald(
+    state: FockState,
+    modes: tuple[int, ...],
+    clicks: Mapping[tuple[int, ...], complex],
+) -> HeraldedOutcome:
+    """Detect the click patterns ``clicks`` on ``modes`` and remove those modes.
 
-    Surviving amplitudes are left untouched, so the outcome state stays
-    relative to whatever reference the input carried. An empty outcome is a
-    valid zero state with herald probability 0.
+    A term survives when its occupation of ``modes``, read in the order given,
+    is a key of ``clicks``; it is multiplied by that key's weight. Terms that
+    coincide once the measured modes are removed add coherently. Surviving
+    amplitudes stay relative to whatever reference the input carried, and an
+    empty outcome is a valid zero state with herald probability 0.
     """
-    _check_mode(state, mode)
+    _check_modes(state, *modes)
+    if not 0 < len(modes) < state.mode_count:
+        raise ValueError(
+            "herald needs a mode and cannot remove the only remaining modes"
+        )
+    pattern = itemgetter(*modes)
+    if len(modes) == 1:  # itemgetter then returns the bare count, not a 1-tuple
+        clicks = {key[0]: weight for key, weight in clicks.items()}
+    keep = [i for i in range(state.mode_count) if i not in modes]
+    if keep[-1] - keep[0] == len(keep) - 1:  # contiguous: one slice copies fastest
+        rest = itemgetter(slice(keep[0], keep[-1] + 1))
+    else:
+        rest = itemgetter(*keep)
+    if len(clicks) == 1 and next(iter(clicks.values())) == 1:
+        # One fixed pattern: removal is injective, so nothing accumulates.
+        (wanted,) = clicks
+        kept = {
+            rest(occ): amp for occ, amp in state.terms.items() if pattern(occ) == wanted
+        }
+    else:
+        kept = defaultdict(complex)
+        for occ, amp in state.terms.items():
+            weight = clicks.get(pattern(occ))
+            if weight is not None:
+                kept[rest(occ)] += weight * amp
+    outcome = FockState._trusted(state.mode_count - len(modes), kept)
+    return HeraldedOutcome.relative(outcome, state)
+
+
+def project_photons(state: FockState, mode: int, k: int) -> HeraldedOutcome:
+    """Detect exactly ``k`` photons in ``mode`` and remove that mode."""
     if k < 0:
         raise ValueError("photon count must be non-negative")
-    if state.mode_count == 1:
-        raise ValueError("cannot remove the only remaining mode")
-    before = norm_sq(state)
-    kept = {
-        occ[:mode] + occ[mode + 1 :]: amp
-        for occ, amp in state.terms.items()
-        if occ[mode] == k
-    }
-    outcome = FockState._trusted(state.mode_count - 1, kept)
-    probability = norm_sq(outcome) / before if before > 0.0 else 0.0
-    return HeraldedOutcome(outcome, probability)
+    return herald(state, (mode,), {(k,): 1})
 
 
 def apply_fsf(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
@@ -219,7 +252,7 @@ def apply_fsf(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
     C_n -> C_n * cos^(n+1)(theta) * (1 - n*tan^2(theta)), which vanishes
     exactly at n = k_filter.
     """
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     if k_filter < 1:
         raise ValueError(f"filter order must be at least 1, got {k_filter}")
     theta = math.atan(1.0 / math.sqrt(k_filter))
@@ -237,23 +270,15 @@ def two_photon_herald(
     """Two-fold single-photon coincidence on the taps of a sub-block.
 
     Circuit route: phase psi_k on ``tap_c``, a 50:50 recombining splitter on
-    the taps, then single-photon detections on both. Equals, up to one global
-    constant, the direct projector (i/sqrt(2)) (<2,0| + e^(2i psi_k) <0,2|) on
-    the taps (see :func:`two_photon_projector`).
+    the taps, then one :func:`herald` of a click in each tap. Equals, up to
+    one global constant, the direct projector
+    (i/sqrt(2)) (<2,0| + e^(2i psi_k) <0,2|) on the taps (see
+    :func:`two_photon_projector`).
     """
-    _check_mode(state, tap_b)
-    _check_mode(state, tap_c)
-    if tap_b == tap_c:
-        raise ValueError("tap modes must be distinct")
-    before = norm_sq(state)
     work = apply_element(state, PhaseShifter(tap_c, psi_k))
     work = apply_element(work, BeamSplitter(tap_b, tap_c, math.pi / 4))
-    # Project the higher tap first so the lower index stays valid.
-    hi, lo = (tap_b, tap_c) if tap_b > tap_c else (tap_c, tap_b)
-    work = project_photons(work, hi, 1).state
-    work = project_photons(work, lo, 1).state
-    probability = norm_sq(work) / before if before > 0.0 else 0.0
-    return HeraldedOutcome(work, probability)
+    work = herald(work, (tap_b, tap_c), {(1, 1): 1}).state
+    return HeraldedOutcome.relative(work, state)
 
 
 def two_photon_projector(
@@ -264,25 +289,6 @@ def two_photon_projector(
     Applies (i/sqrt(2)) (<2,0| + e^(2i psi_k) <0,2|) directly on the taps and
     removes them.
     """
-    _check_mode(state, tap_b)
-    _check_mode(state, tap_c)
-    if tap_b == tap_c:
-        raise ValueError("tap modes must be distinct")
-    before = norm_sq(state)
     prefactor = 1j / math.sqrt(2.0)
-    phased = prefactor * cmath.exp(2j * psi_k)
-    hi, lo = (tap_b, tap_c) if tap_b > tap_c else (tap_c, tap_b)
-    out: dict[tuple[int, ...], complex] = defaultdict(complex)
-    for occ, amp in state.terms.items():
-        taps = (occ[tap_b], occ[tap_c])
-        if taps == (2, 0):
-            coef = prefactor
-        elif taps == (0, 2):
-            coef = phased
-        else:
-            continue
-        rest = occ[:lo] + occ[lo + 1 : hi] + occ[hi + 1 :]
-        out[rest] += coef * amp
-    outcome = FockState._trusted(state.mode_count - 2, out)
-    probability = norm_sq(outcome) / before if before > 0.0 else 0.0
-    return HeraldedOutcome(outcome, probability)
+    clicks = {(2, 0): prefactor, (0, 2): prefactor * cmath.exp(2j * psi_k)}
+    return herald(state, (tap_b, tap_c), clicks)

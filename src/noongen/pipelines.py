@@ -38,7 +38,7 @@ from .elements import (
     PolarizingBS,
     apply_element,
     apply_fsf,
-    project_photons,
+    herald,
     two_photon_herald,
 )
 from .fock import (
@@ -101,10 +101,14 @@ class NoonReport:
     """Extracted NOON content of a final pipeline state.
 
     ``component_amplitudes[j]`` is the amplitude of the basis state with all N
-    photons in mode j, relative to the pipeline input. ``sign_pattern`` holds
-    the component phases after factoring out the phase of the first nonzero
-    component (entries are 0 for components below tolerance).
-    ``residual_norm`` is the squared norm of everything else left in the state.
+    photons in mode j, relative to the pipeline input. The report's threshold
+    is ``tolerance`` times the largest component magnitude, so it holds at
+    every scale of heralded amplitude. ``sign_pattern`` holds the component
+    phases after factoring out the phase of the first component above the
+    threshold; components at or below it get 0, and real or imaginary parts at
+    or below ``tolerance`` are exactly 0. ``balanced`` means the component
+    magnitudes differ by at most the threshold. ``residual_norm`` is the
+    squared norm of everything else left in the state.
     """
 
     d: int
@@ -129,6 +133,14 @@ class NoonReport:
         }
 
 
+def _snap(value: complex, tolerance: float) -> complex:
+    """``value`` with each real or imaginary part at or below ``tolerance`` set to 0."""
+    return complex(
+        0.0 if abs(value.real) <= tolerance else value.real,
+        0.0 if abs(value.imag) <= tolerance else value.imag,
+    )
+
+
 def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> NoonReport:
     """Read the d NOON component amplitudes out of a final state."""
     d = state.mode_count
@@ -139,14 +151,15 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     probability = sum(abs(c) ** 2 for c in components)
     residual = max(0.0, norm_sq(state) - probability)
     magnitudes = [abs(c) for c in components]
-    balanced = max(magnitudes) - min(magnitudes) <= tolerance
-    reference = next((c for c in components if abs(c) > tolerance), None)
+    threshold = tolerance * max(magnitudes)
+    balanced = max(magnitudes) - min(magnitudes) <= threshold
+    reference = next((c for c in components if abs(c) > threshold), None)
     if reference is None:
         signs = tuple(1 + 0j for _ in components)
     else:
         ref_phase = reference / abs(reference)
         signs = tuple(
-            (c / abs(c)) / ref_phase if abs(c) > tolerance else 0j
+            _snap((c / abs(c)) / ref_phase, tolerance) if abs(c) > threshold else 0j
             for c in components
         )
     return NoonReport(
@@ -269,7 +282,6 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
         raise ValueError(
             f"even-N generator requires even N >= 2, got {n_photons}"
         )
-    before = norm_sq(state)
     internal = state.mode_count
     work = tensor(state, make_fock(1, (n_photons,)))
     for k in range(1, n_photons // 2 + 1):
@@ -281,51 +293,7 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
         work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
         work = apply_element(work, BeamSplitter(tap_c, internal, theta))
         work = two_photon_herald(work, tap_b, tap_c, psi).state
-    probability = norm_sq(work) / before if before > 0.0 else 0.0
-    return HeraldedOutcome(work, probability)
-
-
-def _erased_single_photon_herald(
-    state: FockState,
-    watched: tuple[int, int],
-    unwatched: tuple[int, int],
-    v_weight: complex,
-) -> FockState:
-    """Polarization-erasing single-photon detection on a (H, V) port pair.
-
-    Keeps the terms with exactly one photon at the watched port (either
-    polarization, summed coherently; the V click carries the extra weight
-    ``v_weight``) and none at the unwatched port, then deletes all four
-    submodes.
-    """
-    watched_h, watched_v = watched
-    other_h, other_v = unwatched
-    drop = sorted((watched_h, watched_v, other_h, other_v), reverse=True)
-    out: dict[tuple[int, ...], complex] = defaultdict(complex)
-    for occ, amp in state.terms.items():
-        if occ[other_h] or occ[other_v]:
-            continue
-        clicks = (occ[watched_h], occ[watched_v])
-        if clicks == (1, 0):
-            coef = 1.0 + 0j
-        elif clicks == (0, 1):
-            coef = v_weight
-        else:
-            continue
-        rest = list(occ)
-        for index in drop:
-            del rest[index]
-        out[tuple(rest)] += coef * amp
-    return FockState._trusted(state.mode_count - 4, out)
-
-
-def _swap_modes(state: FockState, mode_i: int, mode_j: int) -> FockState:
-    terms = {}
-    for occ, amp in state.terms.items():
-        swapped = list(occ)
-        swapped[mode_i], swapped[mode_j] = occ[mode_j], occ[mode_i]
-        terms[tuple(swapped)] = amp
-    return FockState._trusted(state.mode_count, terms)
+    return HeraldedOutcome.relative(work, state)
 
 
 def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
@@ -337,14 +305,19 @@ def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutc
     each reducing one photon: taps with transmissivity (2N-k)/(2N-k+1), tap
     phase 2*pi*k/N, a polarizing splitter merging the taps, and a
     polarization-erasing single-photon detection on the port that can receive
-    both tap routes.
+    both tap routes. That detection is one :func:`herald` over the four tap
+    submodes (b_H, b_V, c_H, c_V) with the click patterns (1,0,0,0) and
+    (0,1,0,0): one photon at port b in either polarization, summed
+    coherently, and none at port c.
 
     The detection basis carries a fixed relative phase pi/(2N) on the V click;
     together with the i-reflection convention of the polarizing splitter this
     pins the relative sign of the two output components to +1 for
     N = 3 (mod 4) and -1 for N = 1 (mod 4). After the sub-blocks the fresh
     path's polarization is relabelled V -> H (an ideal half-wave plate) so
-    cascaded generators always see H-polarized content.
+    cascaded generators always see H-polarized content. The relabelling moves
+    no amplitude: the fresh path's first submode, which cascaded generators
+    read as H, serves as its V submode during the sub-blocks.
     """
     if n_photons < 1 or n_photons % 2 == 0:
         raise ValueError(f"odd-N generator requires odd N >= 1, got {n_photons}")
@@ -353,11 +326,11 @@ def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutc
     path_h, path_v = 2 * path_a, 2 * path_a + 1
     if path_v >= state.mode_count:
         raise ValueError(f"path index {path_a} out of range")
-    before = norm_sq(state)
-    internal_h = state.mode_count
-    internal_v = internal_h + 1
-    work = tensor(state, make_fock(2, (0, n_photons)))
+    internal_v = state.mode_count
+    internal_h = internal_v + 1
+    work = tensor(state, make_fock(2, (n_photons, 0)))
     v_click_weight = cmath.exp(0.5j * math.pi / n_photons)
+    clicks = {(1, 0, 0, 0): 1, (0, 1, 0, 0): v_click_weight}
     for k in range(1, n_photons + 1):
         theta = math.acos(
             math.sqrt((2 * n_photons - k) / (2 * n_photons - k + 1))
@@ -373,12 +346,8 @@ def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutc
         work = apply_element(work, PhaseShifter(c_h, psi))
         work = apply_element(work, PhaseShifter(c_v, psi))
         work = apply_element(work, PolarizingBS((b_h, b_v), (c_h, c_v)))
-        work = _erased_single_photon_herald(
-            work, (b_h, b_v), (c_h, c_v), v_click_weight
-        )
-    work = _swap_modes(work, internal_h, internal_v)
-    probability = norm_sq(work) / before if before > 0.0 else 0.0
-    return HeraldedOutcome(work, probability)
+        work = herald(work, (b_h, b_v, c_h, c_v), clicks).state
+    return HeraldedOutcome.relative(work, state)
 
 
 def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
@@ -392,7 +361,6 @@ def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
     input yields (|N,0> + |0,N>)/2 and a vacuum input passes through with
     amplitude 1 while the photon still exits at the heralding detector.
     """
-    before = norm_sq(state)
     partner = state.mode_count
     herald_mode = partner + 1
     kerr_arm = partner + 2
@@ -404,10 +372,8 @@ def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
     work = apply_element(work, BeamSplitter(path_a, partner, -quarter))
     work = apply_element(work, BeamSplitter(herald_mode, kerr_arm, -quarter))
     work = apply_element(work, PhaseShifter(partner, -0.5 * math.pi))
-    work = project_photons(work, kerr_arm, 0).state
-    work = project_photons(work, herald_mode, 1).state
-    probability = norm_sq(work) / before if before > 0.0 else 0.0
-    return HeraldedOutcome(work, probability)
+    work = herald(work, (herald_mode, kerr_arm), {(1, 0): 1}).state
+    return HeraldedOutcome.relative(work, state)
 
 
 def collapse_polarization(state: FockState) -> FockState:

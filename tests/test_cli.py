@@ -362,11 +362,11 @@ PINNED_OUTPUTS = [
     "sign_pattern": [
       [
         1.0,
-        -0.0
+        0.0
       ],
       [
         1.0,
-        -0.0
+        0.0
       ]
     ]
   }
@@ -423,11 +423,11 @@ M1,2,2,0.7,0.00755203202071,true,0
     "sign_pattern": [
       [
         1.0,
-        -0.0
+        0.0
       ],
       [
         1.0,
-        1.35420474561e-15
+        0.0
       ]
     ]
   }

@@ -17,6 +17,7 @@ from noongen import (
     apply_element,
     apply_fsf,
     bs_matrix_element,
+    herald,
     make_fock,
     norm_sq,
     project_photons,
@@ -149,6 +150,42 @@ class TestApplyElement:
             assert norm_sq(apply_element(state, element)) == pytest.approx(
                 before, rel=1e-12
             )
+
+
+class TestHerald:
+    # Modes (3, 1): the pattern is read as (n_3, n_1). The first two terms
+    # leave the same (n_0, n_2) = (0, 2) and must add coherently.
+    STATE = FockState(
+        4,
+        {
+            (0, 0, 2, 1): 0.3,
+            (0, 1, 2, 0): 0.4j,
+            (1, 0, 0, 1): 0.5,
+            (1, 1, 0, 1): 0.6,
+            (2, 0, 0, 0): 0.2,
+        },
+    )
+    CLICKS = {(1, 0): 0.5, (0, 1): 2j}
+
+    def test_weighted_patterns_add_coherently(self):
+        outcome = herald(self.STATE, (3, 1), self.CLICKS)
+        assert outcome.state.mode_count == 2
+        assert_terms_close(
+            outcome.state, {(0, 2): 0.5 * 0.3 + 2j * 0.4j, (1, 0): 0.5 * 0.5}
+        )
+        assert outcome.herald_probability == pytest.approx(
+            (0.65**2 + 0.25**2) / 0.9, rel=1e-12
+        )
+
+    def test_rejections(self):
+        with pytest.raises(ValueError, match="distinct"):
+            herald(self.STATE, (1, 1), {(1, 1): 1})
+        with pytest.raises(ValueError, match="out of range"):
+            herald(self.STATE, (3, 4), self.CLICKS)
+        with pytest.raises(ValueError, match="only remaining"):
+            herald(self.STATE, (0, 1, 2, 3), {(0, 0, 2, 1): 1})
+        with pytest.raises(ValueError, match="needs a mode"):
+            herald(self.STATE, (), {(): 1})
 
 
 class TestProjectPhotons:

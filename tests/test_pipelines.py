@@ -418,6 +418,14 @@ class TestExtractNoon:
         report = extract_noon(state, 2)
         assert report.sign_pattern[1] == pytest.approx(-1.0 + 0j)
 
+    def test_threshold_scales_with_components(self):
+        tiny = FockState(2, {(2, 0): 3e-13j, (0, 2): -3e-13j})
+        report = extract_noon(tiny, 2)
+        assert report.sign_pattern == (1 + 0j, -1 + 0j)
+        assert report.balanced
+        uneven = FockState(2, {(2, 0): 3e-13, (0, 2): 1e-13})
+        assert not extract_noon(uneven, 2).balanced
+
     def test_residual_flagged(self):
         state = FockState(2, {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.1})
         report = extract_noon(state, 2)
