@@ -29,6 +29,7 @@ import cmath
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .elements import (
     BeamSplitter,
@@ -265,6 +266,49 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
     return _filtrate(cfg, split_evenly(cfg.N, cfg.d))
 
 
+def _check_path(path_a: int, paths: int, unit: str) -> None:
+    """Raise ValueError unless ``path_a`` indexes one of the input's ``paths``."""
+    if not 0 <= path_a < paths:
+        raise ValueError(f"path index {path_a} out of range for {paths} {unit}")
+
+
+@lru_cache(maxsize=None)
+def _transfer_table(circuit, local: tuple[int, ...], *args) -> tuple:
+    """Output map of a generator circuit on one basis input of the touched modes.
+
+    Runs ``circuit`` once on the basis state ``local`` (path 0) and returns its
+    terms as ``(touched, appended, amplitude)`` triples: the new occupation of
+    the touched modes, that of the modes the circuit appends, and the
+    amplitude. Cached per circuit, occupation and arguments; tuples all the way
+    down, so no caller can change a table.
+    """
+    width = len(local)
+    outcome = circuit(make_fock(width, local), 0, *args).state
+    return tuple(
+        (occ[:width], occ[width:], amp) for occ, amp in outcome.terms.items()
+    )
+
+
+def _apply_transfer(
+    state: FockState, start: int, width: int, circuit, *args
+) -> HeraldedOutcome:
+    """Apply a heralded generator to ``state`` in one pass over its terms.
+
+    The generator ``circuit`` touches the path of ``width`` modes from
+    ``start`` and appends one fresh path of the same width. It is linear, so
+    each term expands by the transfer table of its occupation of the touched
+    modes, and terms that meet add coherently.
+    """
+    stop = start + width
+    out: dict[tuple[int, ...], complex] = defaultdict(complex)
+    for occ, amp in state.terms.items():
+        head, tail = occ[:start], occ[stop:]
+        for touched, fresh, factor in _transfer_table(circuit, occ[start:stop], *args):
+            out[head + touched + tail + fresh] += amp * factor
+    outcome = FockState._trusted(state.mode_count + width, out)
+    return HeraldedOutcome.relative(outcome, state)
+
+
 def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
     """Entanglement generator for even N: reduce two photons per sub-block.
 
@@ -275,13 +319,23 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
     on a vacuum input the internal |N> is fully consumed and the generator
     reduces to a scalar factor.
 
-    The fresh mode receives the next unused index; taps are created and
-    removed inside each sub-block.
+    The fresh mode receives the next unused index. The circuit
+    (:func:`_generator_even_circuit`) runs once per occupation of ``path_a``
+    and N to build a transfer table; each call applies the tables to its terms
+    in one pass.
     """
     if n_photons < 2 or n_photons % 2:
         raise ValueError(
             f"even-N generator requires even N >= 2, got {n_photons}"
         )
+    _check_path(path_a, state.mode_count, "modes")
+    return _apply_transfer(state, path_a, 1, _generator_even_circuit, n_photons)
+
+
+def _generator_even_circuit(
+    state: FockState, path_a: int, n_photons: int
+) -> HeraldedOutcome:
+    """Circuit of :func:`generator_even`; taps are created and removed per sub-block."""
     internal = state.mode_count
     work = tensor(state, make_fock(1, (n_photons,)))
     for k in range(1, n_photons // 2 + 1):
@@ -318,16 +372,30 @@ def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutc
     cascaded generators always see H-polarized content. The relabelling moves
     no amplitude: the fresh path's first submode, which cascaded generators
     read as H, serves as its V submode during the sub-blocks.
+
+    The circuit (:func:`_generator_odd_circuit`) runs once per (H, V)
+    occupation of ``path_a`` and N to build a transfer table; each call
+    applies the tables to its terms in one pass.
     """
     if n_photons < 1 or n_photons % 2 == 0:
         raise ValueError(f"odd-N generator requires odd N >= 1, got {n_photons}")
     if state.mode_count % 2:
         raise ValueError("polarized states need an even number of submodes")
+    _check_path(path_a, state.mode_count // 2, "paths")
+    return _apply_transfer(state, 2 * path_a, 2, _generator_odd_circuit, n_photons)
+
+
+def _generator_odd_circuit(
+    state: FockState, path_a: int, n_photons: int
+) -> HeraldedOutcome:
+    """Circuit of :func:`generator_odd`.
+
+    The internal H submode and tap c's H submode stay vacuum throughout (the
+    polarizing splitter passes H straight through), so the splitter and phase
+    that would act on them alone are left out.
+    """
     path_h, path_v = 2 * path_a, 2 * path_a + 1
-    if path_v >= state.mode_count:
-        raise ValueError(f"path index {path_a} out of range")
     internal_v = state.mode_count
-    internal_h = internal_v + 1
     work = tensor(state, make_fock(2, (n_photons, 0)))
     v_click_weight = cmath.exp(0.5j * math.pi / n_photons)
     clicks = {(1, 0, 0, 0): 1, (0, 1, 0, 0): v_click_weight}
@@ -341,9 +409,7 @@ def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutc
         work = tensor(work, make_fock(4, (0, 0, 0, 0)))
         work = apply_element(work, BeamSplitter(path_h, b_h, theta))
         work = apply_element(work, BeamSplitter(path_v, b_v, theta))
-        work = apply_element(work, BeamSplitter(c_h, internal_h, theta))
         work = apply_element(work, BeamSplitter(c_v, internal_v, theta))
-        work = apply_element(work, PhaseShifter(c_h, psi))
         work = apply_element(work, PhaseShifter(c_v, psi))
         work = apply_element(work, PolarizingBS((b_h, b_v), (c_h, c_v)))
         work = herald(work, (b_h, b_v, c_h, c_v), clicks).state
@@ -360,7 +426,18 @@ def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
     phase on the partner mode aligns the two output components, so a pure |N>
     input yields (|N,0> + |0,N>)/2 and a vacuum input passes through with
     amplitude 1 while the photon still exits at the heralding detector.
+
+    Of the three appended modes only the partner is kept. The circuit
+    (:func:`_generator_kerr_circuit`) runs once per occupation of ``path_a`` to
+    build a transfer table; each call applies the tables to its terms in one
+    pass.
     """
+    _check_path(path_a, state.mode_count, "modes")
+    return _apply_transfer(state, path_a, 1, _generator_kerr_circuit)
+
+
+def _generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
+    """Circuit of :func:`generator_kerr`."""
     partner = state.mode_count
     herald_mode = partner + 1
     kerr_arm = partner + 2

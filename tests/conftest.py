@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
-from noongen import FockState
+from noongen import (
+    BeamSplitter,
+    FockState,
+    HeraldedOutcome,
+    apply_element,
+    make_fock,
+    project_photons,
+    tensor,
+)
 
 
 def assert_terms_close(state: FockState, expected: dict, atol: float = 1e-12) -> None:
@@ -57,3 +66,24 @@ def global_phase_spread(a: dict, b: dict, atol: float = 1e-10) -> float:
         return max(abs(a.get(k, 0j)) for k in keys)
     scale = a.get(anchor, 0j) / b[anchor]
     return max(abs(a.get(k, 0j) - scale * b.get(k, 0j)) for k in keys)
+
+
+def fsf_circuit(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
+    """Fock-state filter built as its circuit: a |1> ancilla, a splitter, a click.
+
+    The herald probability is taken relative to ``state``, as ``apply_fsf``
+    reports it; the circuit's own ``project_photons`` measures it against the
+    splitter's output, whose norm equals the input's only to roundoff.
+    """
+    theta = math.atan(1.0 / math.sqrt(k_filter))
+    ancilla = state.mode_count
+    mixed = apply_element(
+        tensor(state, make_fock(1, (1,))), BeamSplitter(mode, ancilla, theta)
+    )
+    return HeraldedOutcome.relative(project_photons(mixed, ancilla, 1).state, state)
+
+
+def assert_same_bits(a: FockState, b: FockState) -> None:
+    """Assert two states hold the same terms in the same order, bit for bit."""
+    assert a.mode_count == b.mode_count
+    assert repr(list(a.terms.items())) == repr(list(b.terms.items()))

@@ -318,7 +318,156 @@ class TestRejectedInput:
 
 # Exact stdout of each command, pinning JSON key order (sorted for generate
 # and resources, column order for sweep) and the 12-digit float rendering.
+# The default-alpha M1 and the M2 entries also pin the filter's signed zeros.
 PINNED_OUTPUTS = [
+    (
+        "generate --method 1 --d 2 --N 4",
+        """\
+{
+  "method": "M1",
+  "noon_state_rows": [
+    [
+      [
+        0,
+        4
+      ],
+      0.0122778662268,
+      0.0
+    ],
+    [
+      [
+        4,
+        0
+      ],
+      0.0122778662268,
+      0.0
+    ]
+  ],
+  "report": {
+    "N": 4,
+    "alpha_sq": 2.0,
+    "balanced": true,
+    "component_amplitudes": [
+      [
+        0.0122778662268,
+        0.0
+      ],
+      [
+        0.0122778662268,
+        0.0
+      ]
+    ],
+    "d": 2,
+    "generation_probability": 0.000301491998168,
+    "residual_norm": 0.0,
+    "sign_pattern": [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        1.0,
+        0.0
+      ]
+    ]
+  }
+}
+""",
+    ),
+    (
+        "generate --method 2 --d 4 --N 4",
+        """\
+{
+  "method": "M2",
+  "noon_state_rows": [
+    [
+      [
+        0,
+        0,
+        0,
+        4
+      ],
+      0.00231481481481,
+      1.70089833215e-18
+    ],
+    [
+      [
+        0,
+        0,
+        4,
+        0
+      ],
+      0.00231481481481,
+      1.13393222143e-18
+    ],
+    [
+      [
+        0,
+        4,
+        0,
+        0
+      ],
+      0.00231481481481,
+      5.66966110716e-19
+    ],
+    [
+      [
+        4,
+        0,
+        0,
+        0
+      ],
+      0.00231481481481,
+      0.0
+    ]
+  ],
+  "report": {
+    "N": 4,
+    "alpha_sq": null,
+    "balanced": true,
+    "component_amplitudes": [
+      [
+        0.00231481481481,
+        0.0
+      ],
+      [
+        0.00231481481481,
+        5.66966110716e-19
+      ],
+      [
+        0.00231481481481,
+        1.13393222143e-18
+      ],
+      [
+        0.00231481481481,
+        1.70089833215e-18
+      ]
+    ],
+    "d": 4,
+    "generation_probability": 2.14334705075e-05,
+    "residual_norm": 0.0,
+    "sign_pattern": [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        1.0,
+        0.0
+      ],
+      [
+        1.0,
+        0.0
+      ],
+      [
+        1.0,
+        0.0
+      ]
+    ]
+  }
+}
+""",
+    ),
     (
         "generate --method 1 --d 2 --N 2 --alpha-sq 0.7",
         """\

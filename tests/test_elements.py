@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import assert_terms_close, global_phase_spread, random_state, random_unit_state
+from conftest import (
+    assert_same_bits,
+    assert_terms_close,
+    fsf_circuit,
+    global_phase_spread,
+    random_state,
+    random_unit_state,
+)
 from noongen import (
     BeamSplitter,
     CrossKerr,
@@ -263,6 +270,40 @@ class TestFockStateFilter:
                         continue
                     expected = coeffs[n] * filter_response(n, theta)
                     assert abs(out.terms.get((n,), 0j) - expected) < 1e-12
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_circuit_exactly(self, seed):
+        # The one-pass filter equals its kept circuit in terms, order, every
+        # bit of every amplitude (signed zeros included) and herald probability.
+        # Real and imaginary amplitudes of both signs meet negative factors,
+        # which is where a product not summed into 0j leaves a -0.0 part.
+        rng = np.random.default_rng(4100 + seed)
+        raw = random_state(rng, 3, max_photons=6, max_terms=12)
+        shapes = (lambda a: complex(a.real), lambda a: complex(0.0, a.imag), complex)
+        state = FockState(
+            3, {occ: shapes[i % 3](amp) for i, (occ, amp) in enumerate(raw.terms.items())}
+        )
+        for mode in range(3):
+            for k in (1, 2, 3, 5):
+                direct = apply_fsf(state, mode, k)
+                circuit = fsf_circuit(state, mode, k)
+                assert_same_bits(direct.state, circuit.state)
+                assert direct.herald_probability == circuit.herald_probability
+
+    def test_herald_probability_matches_detection(self):
+        # Against the circuit's own detection, which measures the probability
+        # against the splitter's output: equal up to roundoff in that norm.
+        rng = np.random.default_rng(4200)
+        state = random_state(rng, 4, max_terms=10)
+        theta = math.atan(1.0)
+        mixed = apply_element(
+            tensor(state, make_fock(1, [1])), BeamSplitter(2, 4, theta)
+        )
+        detected = project_photons(mixed, 4, 1).herald_probability
+        assert apply_fsf(state, 2, 1).herald_probability == pytest.approx(
+            detected, rel=1e-13
+        )
 
 
 class TestTwoPhotonHerald:

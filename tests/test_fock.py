@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_terms_close, random_state
+from conftest import assert_same_bits, assert_terms_close, fsf_circuit, random_state
 from noongen import (
     BeamSplitter,
     CrossKerr,
@@ -251,6 +251,10 @@ class TestTrustedConstruction:
         ]
         for out in outputs:
             _assert_trusted_invariants(out, state)
+        filtered = apply_fsf(state, 0, 2)
+        circuit = fsf_circuit(state, 0, 2)
+        assert_same_bits(filtered.state, circuit.state)
+        assert filtered.herald_probability == circuit.herald_probability
 
     def test_trusted_copies_and_prunes(self):
         terms = {(1, 0): 0.5 + 0j, (0, 1): PRUNE_THRESHOLD / 10 + 0j}

@@ -7,13 +7,14 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import assert_terms_close
+from conftest import assert_terms_close, random_state
 from noongen import pipelines
 from noongen import (
     FockState,
     MethodConfig,
     amplitude,
     apply_fsf,
+    bs_matrix_element,
     closed_form_component_magnitude,
     closed_form_probability,
     collapse_polarization,
@@ -374,6 +375,73 @@ class TestEmptyInput:
         outcome = generator_kerr(FockState(1, {}), 0)
         assert not outcome.state and outcome.state.mode_count == 2
         assert outcome.herald_probability == 0.0
+
+
+def _max_deviation(a: FockState, b: FockState) -> float:
+    keys = set(a.terms) | set(b.terms)
+    return max((abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) for k in keys), default=0.0)
+
+
+class TestGeneratorRoutes:
+    """Each generator's transfer tables reproduce its circuit on whole states."""
+
+    CASES = [
+        (generator_even, pipelines._generator_even_circuit, 1, (2,)),
+        (generator_even, pipelines._generator_even_circuit, 1, (4,)),
+        (generator_odd, pipelines._generator_odd_circuit, 2, (1,)),
+        (generator_odd, pipelines._generator_odd_circuit, 2, (3,)),
+        (generator_kerr, pipelines._generator_kerr_circuit, 1, ()),
+    ]
+
+    @pytest.mark.parametrize("public, circuit, submodes, args", CASES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tables_match_circuit(self, public, circuit, submodes, args, seed):
+        # Three paths: spectators around path_a, whose occupation varies from
+        # term to term (both submodes of a polarized path included).
+        rng = np.random.default_rng(7000 + seed)
+        state = random_state(rng, 3 * submodes, max_photons=3, max_terms=8)
+        for path_a in range(3):
+            direct = public(state, path_a, *args)
+            oracle = circuit(state, path_a, *args)
+            scale = max(abs(amp) for amp in oracle.state.terms.values())
+            assert direct.state.mode_count == oracle.state.mode_count
+            assert _max_deviation(direct.state, oracle.state) <= 1e-12 * scale
+            assert direct.herald_probability == pytest.approx(
+                oracle.herald_probability, rel=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            MethodConfig(method=1, d=3, N=4),
+            MethodConfig(method=2, d=4, N=6),
+            MethodConfig(method=3, d=4, N=4),
+            MethodConfig(method=3, d=4, N=5),
+            MethodConfig(method=4, d=8, N=3),
+        ],
+    )
+    def test_cold_and_warm_tables_agree(self, cfg):
+        pipelines._transfer_table.cache_clear()
+        bs_matrix_element.cache_clear()
+        cold = repr(run_method(cfg).to_dict())
+        assert cold == repr(run_method(cfg).to_dict())
+
+    GENERATORS = [
+        (generator_even, (2,), FockState(1, {(2,): 1.0}), FockState(1, {}), "1 modes"),
+        (generator_odd, (3,), FockState(2, {(3, 0): 1.0}), FockState(2, {}), "1 paths"),
+        (generator_kerr, (), FockState(1, {(2,): 1.0}), FockState(1, {}), "1 modes"),
+    ]
+
+    @pytest.mark.parametrize("generator, args, populated, empty, count", GENERATORS)
+    @pytest.mark.parametrize("path_a", [5, -1, 1])
+    def test_path_validated_on_the_input(
+        self, generator, args, populated, empty, count, path_a
+    ):
+        # The message counts the input's own modes, not the ancilla and taps
+        # a circuit would append, and an empty input is checked too.
+        for state in (populated, empty):
+            with pytest.raises(ValueError, match=f"path index {path_a} out of range for {count}"):
+                generator(state, path_a, *args)
 
 
 class TestMethod4:
