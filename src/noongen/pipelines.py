@@ -40,7 +40,7 @@ from .elements import (
     apply_element,
     apply_fsf,
     herald,
-    two_photon_herald,
+    two_photon_projector,
 )
 from .fock import (
     PRUNE_THRESHOLD,
@@ -175,52 +175,60 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
 
 
 def split_evenly(n_photons: int, d: int) -> FockState:
-    """Split |N> evenly over d modes.
+    """Split |N> evenly over d modes: amplitude sqrt(N!/(n_1!...n_d!)) / d^(N/2).
 
-    Chain of d-1 beam splitters, the j-th (1-based) with transmissivity
-    1/(d+1-j), followed by per-mode phase shifters exp[-i*(pi/2)*(j-1)*n_j]
-    that cancel the reflection phases. The result carries amplitude
-    sqrt(N!/(n_1!...n_d!)) / d^(N/2) on every occupation summing to N.
+    That real amplitude on every occupation summing to N is the output of d-1
+    beam splitters, the j-th (1-based) of transmissivity 1/(d+1-j), and phase
+    shifters exp[-i*(pi/2)*(j-1)*n_j]. It is built as the :func:`_sector` of
+    factors d^(-n/2)/sqrt(n!) from sqrt(N!) on: no factor exceeds 1, so pruning
+    drops only terms below the floor. Square roots are correctly rounded, and
+    sqrt(N!) fits a float up to N = 300.
     """
-    if n_photons < 1:
-        raise ValueError(f"photon number must be at least 1, got {n_photons}")
+    if not 1 <= n_photons <= 300:
+        raise ValueError(f"photon number must be 1 to 300, got {n_photons}")
     if d < 2:
         raise ValueError(f"mode count must be at least 2, got {d}")
-    state = make_fock(d, (n_photons,) + (0,) * (d - 1))
-    for j in range(1, d):
-        transmissivity = 1.0 / (d + 1 - j)
-        theta = math.acos(math.sqrt(transmissivity))
-        state = apply_element(state, BeamSplitter(j - 1, j, theta))
-    for mode in range(1, d):
-        state = apply_element(state, PhaseShifter(mode, -0.5 * math.pi * mode))
-    return state
+    one = 1 << 106  # isqrt(m * one * one) / one: sqrt(m) correctly rounded
+    factors = {
+        n: complex(one / math.isqrt(d**n * math.factorial(n) * one * one))
+        for n in range(n_photons + 1)
+    }
+    scale = math.isqrt(math.factorial(n_photons) * one * one) / one
+    return _sector(factors, d, n_photons, scale)
 
 
-def _coherent_sector(single: FockState, d: int, n_photons: int) -> FockState:
-    """N-photon sector of the d-fold tensor power of a single-mode state.
+def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
+    """N-photon sector of the d-fold product of one single-mode state.
 
-    Enumerates the compositions of N into d parts drawn from the occupations
-    of ``single`` in lexicographic order and multiplies amplitudes left to
-    right, dropping a partial product below the pruning threshold just as
-    :func:`tensor` does. The terms, their order and every amplitude are
-    therefore those of restricting the full product to N photons, so every
-    later accumulation sums in the same order.
+    ``factors`` maps that state's photon numbers, ascending, to amplitudes.
+    Compositions of N are enumerated in lexicographic order and amplitudes
+    multiply left to right from ``first``, if given, dropping a partial product
+    below the pruning threshold as :func:`tensor` does. The terms, their order
+    and every amplitude are therefore those of restricting the full product to
+    N photons. A mode's scan stops at the first factor past N, and the last
+    mode reads the one factor that completes N.
     """
-    factors = [(occ[0], amp) for occ, amp in single.terms.items()]
-    largest = max((n for n, _ in factors), default=0)
-    partial = {(): (0, None)}
-    for remaining in range(d - 1, -1, -1):
+    largest = max(factors, default=0)
+    partial = {(): (0, first)}
+    for remaining in range(d - 1, 0, -1):
         grown = {}
         for prefix, (used, amp) in partial.items():
-            for n, factor in factors:
+            for n, factor in factors.items():
                 total = used + n
-                if total > n_photons or n_photons - total > remaining * largest:
+                if total > n_photons:
+                    break
+                if n_photons - total > remaining * largest:
                     continue
                 value = factor if amp is None else amp * factor
                 if abs(value) >= PRUNE_THRESHOLD:
                     grown[prefix + (n,)] = (total, value)
         partial = grown
-    return FockState._trusted(d, {occ: amp for occ, (_, amp) in partial.items()})
+    terms = {
+        prefix + (n_photons - used,): factor if amp is None else amp * factor
+        for prefix, (used, amp) in partial.items()
+        if (factor := factors.get(n_photons - used)) is not None
+    }
+    return FockState._trusted(d, terms)
 
 
 def _filtrate(cfg: MethodConfig, state: FockState) -> NoonReport:
@@ -251,7 +259,8 @@ def run_method1(cfg: MethodConfig) -> NoonReport:
         raise ValueError("run_method1 requires method=1")
     alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(cfg.N / cfg.d)
     single = make_coherent_truncated(alpha, cfg.N)
-    return _filtrate(cfg, _coherent_sector(single, cfg.d, cfg.N))
+    factors = {n: amp for (n,), amp in single.terms.items()}
+    return _filtrate(cfg, _sector(factors, cfg.d, cfg.N))
 
 
 def run_method2(cfg: MethodConfig) -> NoonReport:
@@ -335,7 +344,7 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
 def _generator_even_circuit(
     state: FockState, path_a: int, n_photons: int
 ) -> HeraldedOutcome:
-    """Circuit of :func:`generator_even`; taps are created and removed per sub-block."""
+    """Circuit of :func:`generator_even`; each sub-block ends in its tap projector."""
     internal = state.mode_count
     work = tensor(state, make_fock(1, (n_photons,)))
     for k in range(1, n_photons // 2 + 1):
@@ -346,7 +355,7 @@ def _generator_even_circuit(
         work = tensor(work, make_fock(2, (0, 0)))
         work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
         work = apply_element(work, BeamSplitter(tap_c, internal, theta))
-        work = two_photon_herald(work, tap_b, tap_c, psi).state
+        work = two_photon_projector(work, tap_b, tap_c, psi).state
     return HeraldedOutcome.relative(work, state)
 
 

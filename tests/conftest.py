@@ -11,10 +11,12 @@ from noongen import (
     BeamSplitter,
     FockState,
     HeraldedOutcome,
+    PhaseShifter,
     apply_element,
     make_fock,
     project_photons,
     tensor,
+    two_photon_herald,
 )
 
 
@@ -81,6 +83,46 @@ def fsf_circuit(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
         tensor(state, make_fock(1, (1,))), BeamSplitter(mode, ancilla, theta)
     )
     return HeraldedOutcome.relative(project_photons(mixed, ancilla, 1).state, state)
+
+
+def split_circuit(n_photons: int, d: int) -> FockState:
+    """Even split of |N> over d modes built as its circuit.
+
+    A chain of d-1 beam splitters, the j-th (1-based) with transmissivity
+    1/(d+1-j), then per-mode phase shifters exp[-i*(pi/2)*(j-1)*n_j] that
+    cancel the reflection phases.
+    """
+    state = make_fock(d, (n_photons,) + (0,) * (d - 1))
+    for j in range(1, d):
+        transmissivity = 1.0 / (d + 1 - j)
+        theta = math.acos(math.sqrt(transmissivity))
+        state = apply_element(state, BeamSplitter(j - 1, j, theta))
+    for mode in range(1, d):
+        state = apply_element(state, PhaseShifter(mode, -0.5 * math.pi * mode))
+    return state
+
+
+def generator_even_herald_circuit(
+    state: FockState, path_a: int, n_photons: int
+) -> HeraldedOutcome:
+    """Even-N generator circuit with each sub-block's coincidence detected.
+
+    The same taps as ``pipelines._generator_even_circuit``, but every
+    sub-block ends in ``two_photon_herald`` (tap phase, 50:50 recombiner,
+    (1,1) click) instead of the equivalent tap projector.
+    """
+    internal = state.mode_count
+    work = tensor(state, make_fock(1, (n_photons,)))
+    for k in range(1, n_photons // 2 + 1):
+        theta = math.acos(math.sqrt((n_photons - k) / (n_photons - k + 1)))
+        psi = 2.0 * math.pi * k / n_photons
+        tap_b = work.mode_count
+        tap_c = tap_b + 1
+        work = tensor(work, make_fock(2, (0, 0)))
+        work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
+        work = apply_element(work, BeamSplitter(tap_c, internal, theta))
+        work = two_photon_herald(work, tap_b, tap_c, psi).state
+    return HeraldedOutcome.relative(work, state)
 
 
 def assert_same_bits(a: FockState, b: FockState) -> None:

@@ -388,7 +388,7 @@ PINNED_OUTPUTS = [
         4
       ],
       0.00231481481481,
-      1.70089833215e-18
+      0.0
     ],
     [
       [
@@ -398,7 +398,7 @@ PINNED_OUTPUTS = [
         0
       ],
       0.00231481481481,
-      1.13393222143e-18
+      0.0
     ],
     [
       [
@@ -408,7 +408,7 @@ PINNED_OUTPUTS = [
         0
       ],
       0.00231481481481,
-      5.66966110716e-19
+      0.0
     ],
     [
       [
@@ -432,15 +432,15 @@ PINNED_OUTPUTS = [
       ],
       [
         0.00231481481481,
-        5.66966110716e-19
+        0.0
       ],
       [
         0.00231481481481,
-        1.13393222143e-18
+        0.0
       ],
       [
         0.00231481481481,
-        1.70089833215e-18
+        0.0
       ]
     ],
     "d": 4,

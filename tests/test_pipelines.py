@@ -7,7 +7,13 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import assert_terms_close, random_state
+from conftest import (
+    assert_same_bits,
+    assert_terms_close,
+    generator_even_herald_circuit,
+    random_state,
+    split_circuit,
+)
 from noongen import pipelines
 from noongen import (
     FockState,
@@ -111,11 +117,81 @@ class TestSplitEvenly:
         assert len(state) == count
         assert norm_sq(state) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n,d", [(1, 2), (3, 5), (4, 8), (8, 4), (6, 8), (8, 6), (16, 4)]
+    )
+    def test_matches_circuit(self, n, d):
+        state = split_evenly(n, d)
+        oracle = split_circuit(n, d)
+        assert state.mode_count == oracle.mode_count
+        assert set(state.terms) == set(oracle.terms)
+        scale = max(abs(amp) for amp in oracle.terms.values())
+        for occ, amp in state.terms.items():
+            assert abs(amp - oracle.terms[occ]) <= 1e-14 * scale, occ
+            assert repr(amp.imag) == "0.0", occ
+
+    @pytest.mark.parametrize("n,d", [(40, 2), (30, 3)])
+    def test_keeps_small_terms_a_late_scale_would_drop(self, n, d):
+        # Here the unscaled factor product of the outer occupations falls
+        # below the prune floor, while their amplitudes (down to 2^-20 and
+        # 3^-15) do not.
+        state = split_evenly(n, d)
+        for occ in itertools.product(range(n + 1), repeat=d):
+            if sum(occ) == n:
+                want = multinomial_amplitude(occ)
+                assert amplitude(state, occ) == pytest.approx(want, rel=1e-12)
+        assert norm_sq(state) == pytest.approx(1.0, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="photon number"):
             split_evenly(0, 2)
         with pytest.raises(ValueError, match="mode count"):
             split_evenly(2, 1)
+        with pytest.raises(ValueError, match="photon number"):
+            split_evenly(301, 2)
+
+
+class TestSector:
+    """``_sector`` equals restricting the d-fold product to N photons, bit for bit."""
+
+    @staticmethod
+    def product_sector(factors, d, n, first=None):
+        # The first mode carries ``first`` the way the builder starts from it.
+        single = FockState._trusted(1, {(k,): amp for k, amp in factors.items()})
+        state = FockState._trusted(
+            1, {(k,): amp if first is None else first * amp for k, amp in factors.items()}
+        )
+        for _ in range(d - 1):
+            state = tensor(state, single)
+        return restrict_total_photons(state, n)
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 7), (4, 9), (4, 1), (3, 3)])
+    def test_sparse_factors_with_gaps(self, d, n):
+        factors = {0: 0.6 + 0.1j, 2: -0.3j, 5: -0.45 + 0.2j}
+        got = pipelines._sector(factors, d, n)
+        assert_same_bits(got, self.product_sector(factors, d, n))
+
+    @pytest.mark.parametrize("d,n", [(3, 6), (4, 6), (5, 4)])
+    def test_pruned_coherent_factors(self, d, n):
+        # At alpha = 1e-4 the high photon numbers fall below the prune floor,
+        # in the single-mode state and in the partial products.
+        single = make_coherent_truncated(1e-4, n)
+        factors = {k: amp for (k,), amp in single.terms.items()}
+        assert len(factors) < n + 1
+        got = pipelines._sector(factors, d, n)
+        want = self.product_sector(factors, d, n)
+        assert len(got) < math.comb(n + d - 1, d - 1)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (4, 8), (3, 10)])
+    def test_split_factors_scaled_first(self, d, n):
+        factors = {
+            k: complex(d ** (-k / 2) / math.sqrt(factorial(k))) for k in range(n + 1)
+        }
+        scale = math.sqrt(factorial(n))
+        got = pipelines._sector(factors, d, n, scale)
+        assert_same_bits(got, self.product_sector(factors, d, n, scale))
+        assert len(got) == math.comb(n + d - 1, d - 1)
 
 
 class TestMethod1:
@@ -233,6 +309,14 @@ class TestMethod2:
                 assert k not in occ
                 assert (n - k) not in occ
 
+    @pytest.mark.parametrize("d,n", [(8, 8), (6, 10), (4, 16)])
+    def test_matches_closed_form_beyond_verify_grid(self, d, n):
+        report = run_method2(MethodConfig(method=2, d=d, N=n))
+        assert report.generation_probability == pytest.approx(
+            closed_form_probability(2, d, n), rel=1e-9
+        )
+        assert report.balanced
+
     def test_single_photon_degenerate_case(self):
         # N=1 has no filter blocks; the even split is already the target state.
         report = run_method2(MethodConfig(method=2, d=4, N=1))
@@ -319,6 +403,14 @@ class TestMethod3:
         assert report.balanced
         assert report.residual_norm < 1e-12
 
+    def test_even_photon_number_beyond_verify_grid(self):
+        pipelines._transfer_table.cache_clear()
+        report = run_method3(MethodConfig(method=3, d=2, N=20))
+        assert report.generation_probability == pytest.approx(
+            closed_form_probability(3, 2, 20), rel=1e-9
+        )
+        assert report.balanced
+
     @pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (4, 3), (4, 5)])
     def test_odd_photon_numbers(self, d, n):
         report = run_method3(MethodConfig(method=3, d=d, N=n))
@@ -388,6 +480,8 @@ class TestGeneratorRoutes:
     CASES = [
         (generator_even, pipelines._generator_even_circuit, 1, (2,)),
         (generator_even, pipelines._generator_even_circuit, 1, (4,)),
+        (generator_even, generator_even_herald_circuit, 1, (2,)),
+        (generator_even, generator_even_herald_circuit, 1, (4,)),
         (generator_odd, pipelines._generator_odd_circuit, 2, (1,)),
         (generator_odd, pipelines._generator_odd_circuit, 2, (3,)),
         (generator_kerr, pipelines._generator_kerr_circuit, 1, ()),
