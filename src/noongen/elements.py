@@ -11,7 +11,7 @@ patterns it is given on the measured modes, weights them, removes those modes
 and reports the herald probability through :meth:`HeraldedOutcome.relative`.
 The Fock-state filter is the one heralded block applied without a circuit:
 its ancilla has one surviving path, so :func:`apply_fsf` multiplies each term
-by that path's beam-splitter amplitude.
+by that path's beam-splitter amplitude, :func:`fsf_factor`.
 """
 
 from __future__ import annotations
@@ -252,32 +252,36 @@ def project_photons(state: FockState, mode: int, k: int) -> HeraldedOutcome:
     return herald(state, (mode,), {(k,): 1})
 
 
+@lru_cache(maxsize=None)
+def fsf_factor(n: int, k_filter: int) -> complex:
+    """Amplitude a ``k_filter``-filter gives a term with ``n`` photons in its mode.
+
+    The filter's ancilla photon reaches its detector by one path only, ``n``
+    photons staying in the mode and one in the ancilla, so the amplitude is
+    ``bs_matrix_element(n, 1, n, 1, theta)`` at theta = arctan(1/sqrt(k)):
+    cos^(n+1)(theta) * (1 - n*tan^2(theta)), which vanishes at n = k_filter.
+    """
+    return bs_matrix_element(n, 1, n, 1, math.atan(1.0 / math.sqrt(k_filter)))
+
+
 def apply_fsf(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
     """Fock state filter: remove the |k_filter> component from ``mode``.
 
     The circuit is a fresh single-photon ancilla, a beam splitter with
-    transmissivity k/(k+1) (theta = arctan(1/sqrt(k))), and a heralding
-    single-photon detection on the ancilla. A term with n photons in ``mode``
-    reaches that detection by one path only, n photons staying in ``mode``
-    and one in the ancilla, so the filter multiplies the term by that path's
-    amplitude ``bs_matrix_element(n, 1, n, 1, theta)``:
-    C_n -> C_n * cos^(n+1)(theta) * (1 - n*tan^2(theta)), which vanishes at
-    n = k_filter. Each product is summed into 0j as the circuit's splitter
-    sums it, so the terms, their order and every bit of their amplitudes are
-    those of the circuit. The herald probability is relative to ``state``.
+    transmissivity k/(k+1), and a heralding single-photon detection on the
+    ancilla. It multiplies each term by :func:`fsf_factor` of its photon
+    number in ``mode``. Each product is summed into 0j as the circuit's
+    splitter sums it, so the terms, their order and every bit of their
+    amplitudes are those of the circuit. The herald probability is relative
+    to ``state``.
     """
     _check_modes(state, mode)
     if k_filter < 1:
         raise ValueError(f"filter order must be at least 1, got {k_filter}")
-    theta = math.atan(1.0 / math.sqrt(k_filter))
-    factors: dict[int, complex] = {}
-    kept = {}
-    for occ, amp in state.terms.items():
-        n = occ[mode]
-        factor = factors.get(n)
-        if factor is None:
-            factor = factors[n] = bs_matrix_element(n, 1, n, 1, theta)
-        kept[occ] = 0j + amp * factor
+    kept = {
+        occ: 0j + amp * fsf_factor(occ[mode], k_filter)
+        for occ, amp in state.terms.items()
+    }
     return HeraldedOutcome.relative(FockState._trusted(state.mode_count, kept), state)
 
 

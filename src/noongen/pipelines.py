@@ -3,13 +3,12 @@
 Four schemes are simulated exactly on the sparse Fock representation:
 
 1. d coherent inputs pass through floor(N/2) Fock-state-filter blocks and the
-   N-photon sector is postselected. The filter preserves the photon number of
-   every mode it acts on, so sectors of different total photon number never
-   mix; the N-photon sector of the coherent product is therefore built up
-   front and filtered alone, which gives exactly the amplitudes of filtering
-   the full product and postselecting at the end.
-2. an evenly split N-photon input passes through the same filter blocks; no
-   postselection is needed because the photon number is fixed.
+   N-photon sector is postselected. The filter multiplies each term by a
+   factor of each mode's photon number, so the blocks are folded into the
+   single-mode factors of the product, and the N-photon sector of the folded
+   product, which holds only the d NOON terms, is built once.
+2. an evenly split N-photon input passes through the same folded filter
+   blocks; no postselection is needed because the photon number is fixed.
 3. a cascade of d-1 entanglement generators built from two-photon
    interference, fed by N-photon inputs (a polarization doubling of every
    path handles odd N).
@@ -38,17 +37,15 @@ from .elements import (
     PhaseShifter,
     PolarizingBS,
     apply_element,
-    apply_fsf,
+    fsf_factor,
     herald,
     two_photon_projector,
 )
 from .fock import (
     PRUNE_THRESHOLD,
     FockState,
-    amplitude,
     make_coherent_truncated,
     make_fock,
-    norm_sq,
     tensor,
 )
 
@@ -145,12 +142,12 @@ def _snap(value: complex, tolerance: float) -> complex:
 def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> NoonReport:
     """Read the d NOON component amplitudes out of a final state."""
     d = state.mode_count
-    components = []
-    for j in range(d):
-        occ = tuple(n_photons if i == j else 0 for i in range(d))
-        components.append(amplitude(state, occ))
+    noon = [(0,) * j + (n_photons,) + (0,) * (d - 1 - j) for j in range(d)]
+    terms = state.terms
+    components = [terms.get(occ, 0j) for occ in noon]
     probability = sum(abs(c) ** 2 for c in components)
-    residual = max(0.0, norm_sq(state) - probability)
+    skip = set(noon)
+    residual = math.fsum(abs(amp) ** 2 for occ, amp in terms.items() if occ not in skip)
     magnitudes = [abs(c) for c in components]
     threshold = tolerance * max(magnitudes)
     balanced = max(magnitudes) - min(magnitudes) <= threshold
@@ -180,9 +177,18 @@ def split_evenly(n_photons: int, d: int) -> FockState:
     That real amplitude on every occupation summing to N is the output of d-1
     beam splitters, the j-th (1-based) of transmissivity 1/(d+1-j), and phase
     shifters exp[-i*(pi/2)*(j-1)*n_j]. It is built as the :func:`_sector` of
-    factors d^(-n/2)/sqrt(n!) from sqrt(N!) on: no factor exceeds 1, so pruning
-    drops only terms below the floor. Square roots are correctly rounded, and
-    sqrt(N!) fits a float up to N = 300.
+    :func:`_split_factors`.
+    """
+    factors, scale = _split_factors(n_photons, d)
+    return _sector(factors, d, n_photons, scale)
+
+
+def _split_factors(n_photons: int, d: int) -> tuple[dict, float]:
+    """Single-mode factors d^(-n/2)/sqrt(n!) of the even split, and sqrt(N!).
+
+    The sector starts from sqrt(N!) as its first partial product: no factor
+    exceeds 1, so pruning drops only terms below the floor. Square roots are
+    correctly rounded, and sqrt(N!) fits a float up to N = 300.
     """
     if not 1 <= n_photons <= 300:
         raise ValueError(f"photon number must be 1 to 300, got {n_photons}")
@@ -193,8 +199,7 @@ def split_evenly(n_photons: int, d: int) -> FockState:
         n: complex(one / math.isqrt(d**n * math.factorial(n) * one * one))
         for n in range(n_photons + 1)
     }
-    scale = math.isqrt(math.factorial(n_photons) * one * one) / one
-    return _sector(factors, d, n_photons, scale)
+    return factors, math.isqrt(math.factorial(n_photons) * one * one) / one
 
 
 def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
@@ -231,17 +236,26 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
     return FockState._trusted(d, terms)
 
 
-def _filtrate(cfg: MethodConfig, state: FockState) -> NoonReport:
-    """Run the floor(N/2) filter blocks and read out the NOON components.
+def _filter_factors(factors: dict, n_photons: int) -> dict:
+    """Fold the floor(N/2) filter blocks into the single-mode ``factors``.
 
     Block k applies a k-filter to every mode (a d-fold single-photon
-    coincidence). The filter preserves each mode's photon number and removes
-    exactly the |k> component, so after the last block (M = floor(N/2)) every
-    surviving per-mode occupation lies in {0, M+1, M+2, ...}.
+    coincidence), which multiplies a term by :func:`fsf_factor` of each mode's
+    photon number. So each factor is multiplied by its filter amplitude and
+    n = k, the filter's exact zero, is dropped. The factors left lie in
+    {0, M+1, ..., N} (M = floor(N/2)); as 2(M+1) > N, their N-photon sector
+    holds only the d NOON terms. None exceeds 1 if none did before, so no
+    partial product of :func:`_sector` falls below the amplitude it becomes,
+    and pruning drops what the filtered full product would.
     """
-    for k in range(1, cfg.N // 2 + 1):
-        for mode in range(cfg.d):
-            state = apply_fsf(state, mode, k).state
+    for k in range(1, n_photons // 2 + 1):
+        factors = {n: c * fsf_factor(n, k) for n, c in factors.items() if n != k}
+    return factors
+
+
+def _filtrate(cfg: MethodConfig, factors: dict, first=None) -> NoonReport:
+    """Filter the sector of ``factors`` from ``first``; read out its NOON terms."""
+    state = _sector(_filter_factors(factors, cfg.N), cfg.d, cfg.N, first)
     return extract_noon(state, cfg.N, cfg.tolerance)
 
 
@@ -249,18 +263,16 @@ def run_method1(cfg: MethodConfig) -> NoonReport:
     """Coherent inputs, Fock-state filtration, and N-photon postselection.
 
     Each of the d modes starts in a coherent state truncated at N photons.
-    Only the N-photon sector of their product is built (C(N+d-1, d-1) terms
-    at most, instead of (N+1)^d): the filter preserves every mode's photon
-    number, so filtering the sector alone equals filtering the full product
-    and postselecting at the end. After filtration the sector contains only
-    the NOON components.
+    The filter blocks are folded into that single-mode state's amplitudes,
+    and only the N-photon sector of the filtered product is built: its d
+    NOON terms, instead of C(N+d-1, d-1) sector terms or (N+1)^d product
+    terms.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")
     alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(cfg.N / cfg.d)
     single = make_coherent_truncated(alpha, cfg.N)
-    factors = {n: amp for (n,), amp in single.terms.items()}
-    return _filtrate(cfg, _sector(factors, cfg.d, cfg.N))
+    return _filtrate(cfg, {n: amp for (n,), amp in single.terms.items()})
 
 
 def run_method2(cfg: MethodConfig) -> NoonReport:
@@ -268,11 +280,11 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
 
     Block k annihilates every component with k or N-k photons in any mode, so
     after floor(N/2) blocks only the NOON components survive; no final
-    postselection is needed.
+    postselection is needed. The blocks fold into :func:`_split_factors`.
     """
     if cfg.method != 2:
         raise ValueError("run_method2 requires method=2")
-    return _filtrate(cfg, split_evenly(cfg.N, cfg.d))
+    return _filtrate(cfg, *_split_factors(cfg.N, cfg.d))
 
 
 def _check_path(path_a: int, paths: int, unit: str) -> None:

@@ -13,6 +13,7 @@ from noongen import (
     HeraldedOutcome,
     PhaseShifter,
     apply_element,
+    apply_fsf,
     make_fock,
     project_photons,
     tensor,
@@ -83,6 +84,18 @@ def fsf_circuit(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
         tensor(state, make_fock(1, (1,))), BeamSplitter(mode, ancilla, theta)
     )
     return HeraldedOutcome.relative(project_photons(mixed, ancilla, 1).state, state)
+
+
+def filtrate_blocks(state: FockState, n_photons: int) -> FockState:
+    """The floor(N/2) Fock-state filter blocks as passes of ``apply_fsf``.
+
+    Block k filters every mode of ``state`` in turn. The pipelines fold the
+    same blocks into their single-mode factors instead.
+    """
+    for k in range(1, n_photons // 2 + 1):
+        for mode in range(state.mode_count):
+            state = apply_fsf(state, mode, k).state
+    return state
 
 
 def split_circuit(n_photons: int, d: int) -> FockState:

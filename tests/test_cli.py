@@ -594,7 +594,7 @@ M3,2,3,,0.00694444444444,true,0
         "sweep --vary d --N 3 --d-range 2,8 --methods 1,4 --alpha-sq 0.5",
         """\
 method,d,N,alpha_sq,p_closed,p_sim,rel_err
-M1,2,3,0.5,0.0019160387561,0.0019160387561,1.35805458302e-15
+M1,2,3,0.5,0.0019160387561,0.0019160387561,1.13171215252e-15
 M1,8,3,0.5,5.96212203409e-06,,
 M4,2,3,,0.5,0.5,0
 M4,8,3,,0.125,,
@@ -611,7 +611,7 @@ M4,8,3,,0.125,,
     "alpha_sq": 0.5,
     "p_closed": 0.0019160387561,
     "p_sim": 0.0019160387561,
-    "rel_err": 1.35805458302e-15
+    "rel_err": 1.13171215252e-15
   },
   {
     "method": "M1",

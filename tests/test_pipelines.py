@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     assert_same_bits,
     assert_terms_close,
+    filtrate_blocks,
     generator_even_herald_circuit,
     random_state,
     split_circuit,
@@ -230,14 +231,9 @@ class TestMethod1:
         # After the k=1..M filter blocks every per-mode occupation lies in
         # {0} or {M+1, ...}.
         cfg = MethodConfig(method=1, d=2, N=5, alpha=1.0)
-        from noongen import make_coherent_truncated, tensor
-
-        state = make_coherent_truncated(1.0, 5)
-        state = tensor(state, make_coherent_truncated(1.0, 5))
+        single = make_coherent_truncated(1.0, 5)
+        state = filtrate_blocks(tensor(single, single), cfg.N)
         m_blocks = cfg.N // 2
-        for k in range(1, m_blocks + 1):
-            for mode in range(cfg.d):
-                state = apply_fsf(state, mode, k).state
         allowed = {0} | set(range(m_blocks + 1, 6))
         for occ in state.terms:
             assert set(occ) <= allowed
@@ -248,7 +244,7 @@ class TestMethod1:
             closed_form_probability(1, 4, 4, 1.0), rel=1e-9
         )
 
-    @pytest.mark.parametrize("d,n", [(8, 4), (4, 8)])
+    @pytest.mark.parametrize("d,n", [(8, 4), (4, 8), (10, 10), (12, 8)])
     def test_matches_closed_form_beyond_verify_grid(self, d, n):
         report = run_method1(MethodConfig(method=1, d=d, N=n))
         assert report.generation_probability == pytest.approx(
@@ -266,9 +262,7 @@ class TestMethod1:
             state = single
             for _ in range(d - 1):
                 state = tensor(state, single)
-            for k in range(1, n // 2 + 1):
-                for mode in range(d):
-                    state = apply_fsf(state, mode, k).state
+            state = filtrate_blocks(state, n)
             want = extract_noon(restrict_total_photons(state, n), n)
             got = run_method1(cfg)
             for a, b in zip(got.component_amplitudes, want.component_amplitudes):
@@ -309,7 +303,7 @@ class TestMethod2:
                 assert k not in occ
                 assert (n - k) not in occ
 
-    @pytest.mark.parametrize("d,n", [(8, 8), (6, 10), (4, 16)])
+    @pytest.mark.parametrize("d,n", [(8, 8), (6, 10), (4, 16), (12, 12), (16, 8)])
     def test_matches_closed_form_beyond_verify_grid(self, d, n):
         report = run_method2(MethodConfig(method=2, d=d, N=n))
         assert report.generation_probability == pytest.approx(
@@ -321,6 +315,47 @@ class TestMethod2:
         # N=1 has no filter blocks; the even split is already the target state.
         report = run_method2(MethodConfig(method=2, d=4, N=1))
         assert report.generation_probability == pytest.approx(1.0, rel=1e-12)
+
+
+class TestFiltrationRoutes:
+    """Folded filter blocks against the ``apply_fsf`` passes they replace."""
+
+    @staticmethod
+    def check(got, oracle, factors, first=None):
+        """Compare a report with the filtered ``oracle`` state, and the fold itself."""
+        d, n = got.d, got.N
+        want = extract_noon(oracle, n)
+        scale = max(abs(c) for c in want.component_amplitudes)
+        for a, b in zip(got.component_amplitudes, want.component_amplitudes):
+            assert abs(a - b) <= 1e-14 * scale
+        assert got.balanced == want.balanced
+        assert (got.generation_probability == 0) == (want.generation_probability == 0)
+        # No folded factor exceeds 1, so no partial product of the sector
+        # builder is smaller than the amplitude it becomes: pruning drops only
+        # terms the filtered product loses as well.
+        folded = pipelines._filter_factors(factors, n)
+        assert set(folded) <= {0} | set(range(n // 2 + 1, n + 1))
+        assert all(abs(c) <= 1 for c in folded.values())
+        built = pipelines._sector(folded, d, n, first)
+        assert len(built) == (d if want.generation_probability else 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_method1_matches_block_passes(self, d, n):
+        for alpha in (None, 0.7, 1.1 + 0.4j, 1e-2, 1e-3):
+            amp = alpha if alpha is not None else math.sqrt(n / d)
+            single = make_coherent_truncated(amp, n)
+            factors = {k: c for (k,), c in single.terms.items()}
+            oracle = filtrate_blocks(pipelines._sector(factors, d, n), n)
+            got = run_method1(MethodConfig(method=1, d=d, N=n, alpha=alpha))
+            self.check(got, oracle, factors)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_method2_matches_block_passes(self, d, n):
+        oracle = filtrate_blocks(split_circuit(n, d), n)
+        got = run_method2(MethodConfig(method=2, d=d, N=n))
+        self.check(got, oracle, *pipelines._split_factors(n, d))
 
 
 class TestGeneratorEven:
@@ -592,6 +627,16 @@ class TestExtractNoon:
         state = FockState(2, {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.1})
         report = extract_noon(state, 2)
         assert report.residual_norm == pytest.approx(0.01, rel=1e-12)
+
+    def test_residual_is_read_from_the_other_terms(self):
+        # Terms stored out of component order: the squared norm sums them in
+        # another order than the probability, so a difference of the two
+        # would read 1.4e-17 here, and would lose a small extra term.
+        noon = {(0, 0, 3): 0.3, (3, 0, 0): 0.1, (0, 3, 0): 0.1}
+        assert extract_noon(FockState(3, noon), 3).residual_norm == 0.0
+        extra = 1e-9 + 2e-9j
+        report = extract_noon(FockState(3, {**noon, (1, 1, 1): extra}), 3)
+        assert report.residual_norm == abs(extra) ** 2
 
     def test_probability_is_d_times_component(self):
         report = run_method2(MethodConfig(method=2, d=3, N=4))
