@@ -157,36 +157,40 @@ def _apply_beam_splitter(state: FockState, e: BeamSplitter) -> FockState:
                 scattered[e.mode_i] = p
                 scattered[e.mode_j] = total - p
                 out[tuple(scattered)] += amp * coef
-    return FockState._trusted(state.mode_count, out)
+    return FockState._trusted(state.mode_count, out.items())
 
 
 def _apply_phase_shifter(state: FockState, e: PhaseShifter) -> FockState:
     _check_modes(state, e.mode)
-    terms = {
-        occ: amp * cmath.exp(1j * e.phi * occ[e.mode])
+    terms = (
+        (occ, amp * cmath.exp(1j * e.phi * occ[e.mode]))
         for occ, amp in state.terms.items()
-    }
+    )
     return FockState._trusted(state.mode_count, terms)
 
 
 def _apply_cross_kerr(state: FockState, e: CrossKerr) -> FockState:
     _check_modes(state, e.mode_i, e.mode_j)
-    terms = {
-        occ: amp * cmath.exp(1j * e.chi * occ[e.mode_i] * occ[e.mode_j])
+    terms = (
+        (occ, amp * cmath.exp(1j * e.chi * occ[e.mode_i] * occ[e.mode_j]))
         for occ, amp in state.terms.items()
-    }
+    )
     return FockState._trusted(state.mode_count, terms)
 
 
 def _apply_polarizing_bs(state: FockState, e: PolarizingBS) -> FockState:
     _check_modes(state, *e.path_i, *e.path_j)
     i_v, j_v = e.path_i[1], e.path_j[1]
-    terms = {}
-    for occ, amp in state.terms.items():
-        reflected = occ[i_v] + occ[j_v]
-        swapped = list(occ)
-        swapped[i_v], swapped[j_v] = occ[j_v], occ[i_v]
-        terms[tuple(swapped)] = amp * _I_POW[reflected % 4]
+
+    def swapped(occ):
+        out = list(occ)
+        out[i_v], out[j_v] = occ[j_v], occ[i_v]
+        return tuple(out)
+
+    terms = (
+        (swapped(occ), amp * _I_POW[(occ[i_v] + occ[j_v]) % 4])
+        for occ, amp in state.terms.items()
+    )
     return FockState._trusted(state.mode_count, terms)
 
 
@@ -232,15 +236,16 @@ def herald(
     if len(clicks) == 1 and next(iter(clicks.values())) == 1:
         # One fixed pattern: removal is injective, so nothing accumulates.
         (wanted,) = clicks
-        kept = {
-            rest(occ): amp for occ, amp in state.terms.items() if pattern(occ) == wanted
-        }
+        kept = (
+            (rest(occ), amp) for occ, amp in state.terms.items() if pattern(occ) == wanted
+        )
     else:
-        kept = defaultdict(complex)
+        summed = defaultdict(complex)
         for occ, amp in state.terms.items():
             weight = clicks.get(pattern(occ))
             if weight is not None:
-                kept[rest(occ)] += weight * amp
+                summed[rest(occ)] += weight * amp
+        kept = summed.items()
     outcome = FockState._trusted(state.mode_count - len(modes), kept)
     return HeraldedOutcome.relative(outcome, state)
 
@@ -278,10 +283,10 @@ def apply_fsf(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
     _check_modes(state, mode)
     if k_filter < 1:
         raise ValueError(f"filter order must be at least 1, got {k_filter}")
-    kept = {
-        occ: 0j + amp * fsf_factor(occ[mode], k_filter)
+    kept = (
+        (occ, 0j + amp * fsf_factor(occ[mode], k_filter))
         for occ, amp in state.terms.items()
-    }
+    )
     return HeraldedOutcome.relative(FockState._trusted(state.mode_count, kept), state)
 
 

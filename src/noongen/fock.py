@@ -32,9 +32,10 @@ class FockState:
     input: every occupation must have ``mode_count`` non-negative entries and
     every amplitude is converted with ``complex()``. Operations inside the
     package build their results through the trusted :meth:`_trusted` path
-    instead, which skips those checks because its occupations and amplitudes
-    are derived from states that already passed them. Both paths apply the same
-    pruning rule and copy the terms into a dict of their own.
+    instead, which takes (occupation, amplitude) pairs, often a generator over
+    another state's terms, and skips those checks because its occupations and
+    amplitudes are derived from states that already passed them. Both paths
+    apply the same pruning rule once, while building a dict of their own.
     """
 
     __slots__ = ("_mode_count", "_terms")
@@ -59,18 +60,20 @@ class FockState:
 
     @classmethod
     def _trusted(
-        cls, mode_count: int, terms: Mapping[Occupation, complex]
+        cls, mode_count: int, pairs: Iterable[tuple[Occupation, complex]]
     ) -> FockState:
-        """Build a state from package-derived terms without re-validating them.
+        """Build a state from package-derived pairs without re-validating them.
 
-        The caller guarantees tuple occupations of length ``mode_count`` with
-        non-negative ints and ``complex`` amplitudes.
+        ``pairs`` yields (occupation, amplitude) pairs with distinct
+        occupations: a dict's ``items()`` or a generator over another state's
+        terms. The caller guarantees tuple occupations of length
+        ``mode_count`` with non-negative ints and ``complex`` amplitudes. This
+        is the one place package-built terms are pruned, in the single pass
+        that builds the state's dict.
         """
         state = object.__new__(cls)
         state._mode_count = mode_count
-        state._terms = {
-            occ: amp for occ, amp in terms.items() if abs(amp) >= PRUNE_THRESHOLD
-        }
+        state._terms = {occ: amp for occ, amp in pairs if abs(amp) >= PRUNE_THRESHOLD}
         return state
 
     @property
@@ -122,11 +125,12 @@ def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
 
 def tensor(a: FockState, b: FockState) -> FockState:
     """Tensor product; occupations concatenate and amplitudes multiply."""
-    terms = {}
-    for occ_a, amp_a in a.terms.items():
-        for occ_b, amp_b in b.terms.items():
-            terms[occ_a + occ_b] = amp_a * amp_b
-    return FockState._trusted(a.mode_count + b.mode_count, terms)
+    pairs = (
+        (occ_a + occ_b, amp_a * amp_b)
+        for occ_a, amp_a in a.terms.items()
+        for occ_b, amp_b in b.terms.items()
+    )
+    return FockState._trusted(a.mode_count + b.mode_count, pairs)
 
 
 def norm_sq(state: FockState) -> float:
@@ -147,9 +151,7 @@ def amplitude(state: FockState, occupation: Iterable[int]) -> complex:
 
 def restrict_total_photons(state: FockState, n_total: int) -> FockState:
     """Keep only the terms whose occupations sum to ``n_total`` (unnormalized)."""
-    kept = {
-        occ: amp for occ, amp in state.terms.items() if sum(occ) == n_total
-    }
+    kept = ((occ, amp) for occ, amp in state.terms.items() if sum(occ) == n_total)
     return FockState._trusted(state.mode_count, kept)
 
 

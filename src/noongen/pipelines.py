@@ -29,6 +29,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .elements import (
     BeamSplitter,
@@ -228,11 +229,11 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
                 if abs(value) >= PRUNE_THRESHOLD:
                     grown[prefix + (n,)] = (total, value)
         partial = grown
-    terms = {
-        prefix + (n_photons - used,): factor if amp is None else amp * factor
+    terms = (
+        (prefix + (n_photons - used,), factor if amp is None else amp * factor)
         for prefix, (used, amp) in partial.items()
         if (factor := factors.get(n_photons - used)) is not None
-    }
+    )
     return FockState._trusted(d, terms)
 
 
@@ -318,15 +319,28 @@ def _apply_transfer(
     The generator ``circuit`` touches the path of ``width`` modes from
     ``start`` and appends one fresh path of the same width. It is linear, so
     each term expands by the transfer table of its occupation of the touched
-    modes, and terms that meet add coherently.
+    modes. The vacuum table is one entry ``(vacuum, pad, idle)``, so a term
+    whose touched path is empty passes through as ``(occ + pad, amp * idle)``;
+    in a cascade that is nearly every term. Only the other terms are expanded,
+    adding coherently where their outputs meet. Every table keeps the touched
+    path's photon number on the touched and fresh paths, so the two streams
+    never meet, and both feed one pruning pass in :meth:`FockState._trusted`.
     """
     stop = start + width
-    out: dict[tuple[int, ...], complex] = defaultdict(complex)
+    ((vacuum, pad, idle),) = _transfer_table(circuit, (0,) * width, *args)
+    idle_terms = []
+    moved: dict[tuple[int, ...], complex] = defaultdict(complex)
     for occ, amp in state.terms.items():
+        local = occ[start:stop]
+        if local == vacuum:
+            idle_terms.append((occ + pad, amp * idle))
+            continue
         head, tail = occ[:start], occ[stop:]
-        for touched, fresh, factor in _transfer_table(circuit, occ[start:stop], *args):
-            out[head + touched + tail + fresh] += amp * factor
-    outcome = FockState._trusted(state.mode_count + width, out)
+        for touched, fresh, factor in _transfer_table(circuit, local, *args):
+            moved[head + touched + tail + fresh] += amp * factor
+    outcome = FockState._trusted(
+        state.mode_count + width, chain(idle_terms, moved.items())
+    )
     return HeraldedOutcome.relative(outcome, state)
 
 
@@ -483,7 +497,7 @@ def collapse_polarization(state: FockState) -> FockState:
     for occ, amp in state.terms.items():
         collapsed = tuple(occ[2 * i] + occ[2 * i + 1] for i in range(paths))
         out[collapsed] += amp
-    return FockState._trusted(paths, out)
+    return FockState._trusted(paths, out.items())
 
 
 def _cascade(d: int, state: FockState, generator, *args) -> FockState:

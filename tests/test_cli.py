@@ -680,6 +680,213 @@ M3,2,3,9,3,3,2,0,true
 ]
 """,
     ),
+    # The cascades: 64 modes through the generator tables, and the odd-N
+    # polarized tree, whose residual real parts pin every bit of the sums.
+    (
+        "generate --method 4 --d 64 --N 8 --format csv",
+        """\
+method,d,N,alpha_sq,generation_probability,balanced,residual_norm
+M4,64,8,,0.015625,true,0
+""",
+    ),
+    (
+        "generate --method 3 --d 8 --N 5",
+        """\
+{
+  "method": "M3",
+  "noon_state_rows": [
+    [
+      [
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        5
+      ],
+      -1.68408306625e-27,
+      -3.30681115276e-13
+    ],
+    [
+      [
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        5,
+        0
+      ],
+      1.43818601353e-27,
+      3.30681115276e-13
+    ],
+    [
+      [
+        0,
+        0,
+        0,
+        0,
+        0,
+        5,
+        0,
+        0
+      ],
+      -1.19228896081e-27,
+      -3.30681115276e-13
+    ],
+    [
+      [
+        0,
+        0,
+        0,
+        0,
+        5,
+        0,
+        0,
+        0
+      ],
+      1.43818601353e-27,
+      3.30681115276e-13
+    ],
+    [
+      [
+        0,
+        0,
+        0,
+        5,
+        0,
+        0,
+        0,
+        0
+      ],
+      -1.68408306625e-27,
+      -3.30681115276e-13
+    ],
+    [
+      [
+        0,
+        0,
+        5,
+        0,
+        0,
+        0,
+        0,
+        0
+      ],
+      1.43818601353e-27,
+      3.30681115276e-13
+    ],
+    [
+      [
+        0,
+        5,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0
+      ],
+      -1.68408306625e-27,
+      -3.30681115276e-13
+    ],
+    [
+      [
+        5,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0
+      ],
+      1.92998011897e-27,
+      3.30681115276e-13
+    ]
+  ],
+  "report": {
+    "N": 5,
+    "alpha_sq": null,
+    "balanced": true,
+    "component_amplitudes": [
+      [
+        1.92998011897e-27,
+        3.30681115276e-13
+      ],
+      [
+        -1.68408306625e-27,
+        -3.30681115276e-13
+      ],
+      [
+        1.43818601353e-27,
+        3.30681115276e-13
+      ],
+      [
+        -1.68408306625e-27,
+        -3.30681115276e-13
+      ],
+      [
+        1.43818601353e-27,
+        3.30681115276e-13
+      ],
+      [
+        -1.19228896081e-27,
+        -3.30681115276e-13
+      ],
+      [
+        1.43818601353e-27,
+        3.30681115276e-13
+      ],
+      [
+        -1.68408306625e-27,
+        -3.30681115276e-13
+      ]
+    ],
+    "d": 8,
+    "generation_probability": 8.748e-25,
+    "residual_norm": 0.0,
+    "sign_pattern": [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        -1.0,
+        0.0
+      ],
+      [
+        1.0,
+        0.0
+      ],
+      [
+        -1.0,
+        0.0
+      ],
+      [
+        1.0,
+        0.0
+      ],
+      [
+        -1.0,
+        0.0
+      ],
+      [
+        1.0,
+        0.0
+      ],
+      [
+        -1.0,
+        0.0
+      ]
+    ]
+  }
+}
+""",
+    ),
 ]
 
 

@@ -258,6 +258,16 @@ class TestTrustedConstruction:
 
     def test_trusted_copies_and_prunes(self):
         terms = {(1, 0): 0.5 + 0j, (0, 1): PRUNE_THRESHOLD / 10 + 0j}
-        state = FockState._trusted(2, terms)
+        state = FockState._trusted(2, terms.items())
         terms[(2, 0)] = 1j
         assert dict(state.terms) == {(1, 0): 0.5 + 0j}
+
+    def test_trusted_prunes_a_single_pass_of_pairs(self):
+        # A one-shot iterator is read once; the floor itself is kept.
+        pairs = [
+            ((1, 0), 0.5 + 0j),
+            ((0, 1), PRUNE_THRESHOLD / 10 + 0j),
+            ((0, 2), -PRUNE_THRESHOLD + 0j),
+        ]
+        state = FockState._trusted(2, iter(pairs))
+        assert dict(state.terms) == {(1, 0): 0.5 + 0j, (0, 2): -PRUNE_THRESHOLD + 0j}

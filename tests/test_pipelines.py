@@ -158,9 +158,10 @@ class TestSector:
     @staticmethod
     def product_sector(factors, d, n, first=None):
         # The first mode carries ``first`` the way the builder starts from it.
-        single = FockState._trusted(1, {(k,): amp for k, amp in factors.items()})
+        single = FockState._trusted(1, (((k,), amp) for k, amp in factors.items()))
         state = FockState._trusted(
-            1, {(k,): amp if first is None else first * amp for k, amp in factors.items()}
+            1,
+            (((k,), amp if first is None else first * amp) for k, amp in factors.items()),
         )
         for _ in range(d - 1):
             state = tensor(state, single)
@@ -202,14 +203,14 @@ class TestMethod1:
         for comp in report.component_amplitudes:
             assert comp == pytest.approx(expected, rel=1e-9)
         assert report.generation_probability == pytest.approx(
-            closed_form_probability(1, 2, 2, 1.0), rel=1e-9
+            closed_form_probability(1, 2, 2, 1.0), rel=1e-9, abs=0.0
         )
 
     def test_headline_four_mode_four_photon(self):
         report = run_method1(MethodConfig(method=1, d=4, N=4, alpha=1.0))
         assert report.generation_probability == pytest.approx(4.2e-6, rel=0.03)
         assert report.generation_probability == pytest.approx(
-            closed_form_probability(1, 4, 4, 1.0), rel=1e-9
+            closed_form_probability(1, 4, 4, 1.0), rel=1e-9, abs=0.0
         )
 
     def test_vacuum_input_reports_zero(self):
@@ -241,14 +242,14 @@ class TestMethod1:
     def test_default_alpha_is_optimal(self):
         report = run_method1(MethodConfig(method=1, d=4, N=4))
         assert report.generation_probability == pytest.approx(
-            closed_form_probability(1, 4, 4, 1.0), rel=1e-9
+            closed_form_probability(1, 4, 4, 1.0), rel=1e-9, abs=0.0
         )
 
     @pytest.mark.parametrize("d,n", [(8, 4), (4, 8), (10, 10), (12, 8)])
     def test_matches_closed_form_beyond_verify_grid(self, d, n):
         report = run_method1(MethodConfig(method=1, d=d, N=n))
         assert report.generation_probability == pytest.approx(
-            closed_form_probability(1, d, n, n / d), rel=1e-9
+            closed_form_probability(1, d, n, n / d), rel=1e-9, abs=0.0
         )
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -307,7 +308,7 @@ class TestMethod2:
     def test_matches_closed_form_beyond_verify_grid(self, d, n):
         report = run_method2(MethodConfig(method=2, d=d, N=n))
         assert report.generation_probability == pytest.approx(
-            closed_form_probability(2, d, n), rel=1e-9
+            closed_form_probability(2, d, n), rel=1e-9, abs=0.0
         )
         assert report.balanced
 
@@ -433,7 +434,7 @@ class TestMethod3:
         report = run_method3(MethodConfig(method=3, d=4, N=4))
         assert report.generation_probability == pytest.approx(3.1e-9, rel=0.04)
         assert report.generation_probability == pytest.approx(
-            closed_form_probability(3, 4, 4), rel=1e-9
+            closed_form_probability(3, 4, 4), rel=1e-9, abs=0.0
         )
         assert report.balanced
         assert report.residual_norm < 1e-12
@@ -442,7 +443,7 @@ class TestMethod3:
         pipelines._transfer_table.cache_clear()
         report = run_method3(MethodConfig(method=3, d=2, N=20))
         assert report.generation_probability == pytest.approx(
-            closed_form_probability(3, 2, 20), rel=1e-9
+            closed_form_probability(3, 2, 20), rel=1e-9, abs=0.0
         )
         assert report.balanced
 
@@ -450,7 +451,7 @@ class TestMethod3:
     def test_odd_photon_numbers(self, d, n):
         report = run_method3(MethodConfig(method=3, d=d, N=n))
         assert report.generation_probability == pytest.approx(
-            closed_form_probability(3, d, n), rel=1e-9
+            closed_form_probability(3, d, n), rel=1e-9, abs=0.0
         )
         assert report.balanced
 
@@ -522,6 +523,17 @@ class TestGeneratorRoutes:
         (generator_kerr, pipelines._generator_kerr_circuit, 1, ()),
     ]
 
+    @staticmethod
+    def assert_route_matches(public, circuit, state, path_a, args):
+        direct = public(state, path_a, *args)
+        oracle = circuit(state, path_a, *args)
+        scale = max(abs(amp) for amp in oracle.state.terms.values())
+        assert direct.state.mode_count == oracle.state.mode_count
+        assert _max_deviation(direct.state, oracle.state) <= 1e-12 * scale
+        assert direct.herald_probability == pytest.approx(
+            oracle.herald_probability, rel=1e-12, abs=0.0
+        )
+
     @pytest.mark.parametrize("public, circuit, submodes, args", CASES)
     @pytest.mark.parametrize("seed", range(4))
     def test_tables_match_circuit(self, public, circuit, submodes, args, seed):
@@ -530,14 +542,67 @@ class TestGeneratorRoutes:
         rng = np.random.default_rng(7000 + seed)
         state = random_state(rng, 3 * submodes, max_photons=3, max_terms=8)
         for path_a in range(3):
-            direct = public(state, path_a, *args)
-            oracle = circuit(state, path_a, *args)
-            scale = max(abs(amp) for amp in oracle.state.terms.values())
-            assert direct.state.mode_count == oracle.state.mode_count
-            assert _max_deviation(direct.state, oracle.state) <= 1e-12 * scale
-            assert direct.herald_probability == pytest.approx(
-                oracle.herald_probability, rel=1e-12
-            )
+            self.assert_route_matches(public, circuit, state, path_a, args)
+
+    @staticmethod
+    def wide_state(rng, paths, submodes, path_a):
+        """Random state on many paths whose terms mostly leave ``path_a`` empty.
+
+        Twenty spectator patterns (mostly vacuum, at most two photons per
+        submode) each appear with ``path_a`` empty. Two of them also appear
+        with every occupation of one or two photons on ``path_a``, so some
+        terms differ only on the touched path.
+        """
+        start = path_a * submodes
+        occupied = [
+            local
+            for local in itertools.product(range(3), repeat=submodes)
+            if 0 < sum(local) <= 2
+        ]
+        terms = {}
+        for pattern in range(20):
+            occ = [int(n) for n in rng.choice(3, paths * submodes, p=(0.8, 0.15, 0.05))]
+            for local in [(0,) * submodes] + (occupied if pattern < 2 else []):
+                occ[start : start + submodes] = local
+                terms[tuple(occ)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return FockState(paths * submodes, terms)
+
+    @pytest.mark.parametrize("public, circuit, submodes, args", CASES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_tables_match_circuit_on_wide_states(
+        self, public, circuit, submodes, args, seed
+    ):
+        # 16 to 24 submodes, the touched path first, in the middle and last:
+        # most terms take the vacuum table's pass-through, the rest expand.
+        rng = np.random.default_rng(7100 + seed)
+        paths = int(rng.integers(16, 25)) // submodes
+        for path_a in (0, paths // 2, paths - 1):
+            state = self.wide_state(rng, paths, submodes, path_a)
+            self.assert_route_matches(public, circuit, state, path_a, args)
+
+    TABLE_CIRCUITS = [
+        (pipelines._generator_even_circuit, 1, (2,)),
+        (pipelines._generator_even_circuit, 1, (4,)),
+        (pipelines._generator_even_circuit, 1, (6,)),
+        (pipelines._generator_odd_circuit, 2, (1,)),
+        (pipelines._generator_odd_circuit, 2, (3,)),
+        (pipelines._generator_odd_circuit, 2, (5,)),
+        (pipelines._generator_kerr_circuit, 1, ()),
+    ]
+
+    @pytest.mark.parametrize("circuit, width, args", TABLE_CIRCUITS)
+    def test_tables_keep_the_touched_photon_number(self, circuit, width, args):
+        # The vacuum table is a single pass-through entry, and every entry
+        # keeps the touched path's photons on the touched and fresh paths:
+        # this keeps the pass-through and expanded terms of a generator apart.
+        vacuum = (0,) * width
+        ((touched, fresh, idle),) = pipelines._transfer_table(circuit, vacuum, *args)
+        assert (touched, fresh) == (vacuum, vacuum) and idle != 0
+        for local in itertools.product(range(7), repeat=width):
+            if sum(local) > 6:
+                continue
+            for touched, fresh, _ in pipelines._transfer_table(circuit, local, *args):
+                assert sum(touched) + sum(fresh) == sum(local)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -600,6 +665,41 @@ class TestMethod4:
         monkeypatch.setattr(pipelines, "generator_kerr", recording)
         run_method4(MethodConfig(method=4, d=8, N=2))
         assert paths == [0, 1, 0, 3, 2, 1, 0]
+
+
+class TestBeyondVerifyGrid:
+    """Closed-form agreement outside the default ``verify`` grid."""
+
+    @pytest.mark.parametrize("d,n", [(64, 8), (128, 4)])
+    def test_many_mode_method4(self, d, n):
+        report = run_method4(MethodConfig(method=4, d=d, N=n))
+        assert report.generation_probability == pytest.approx(
+            closed_form_probability(4, d, n), rel=1e-9, abs=0.0
+        )
+        assert report.balanced
+
+    # Every NOON amplitude falls below the absolute pruning floor here, so
+    # the run reports p = 0 against a positive closed form.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: absolute PRUNE_THRESHOLD")
+    @pytest.mark.parametrize(
+        "method,d,n",
+        [
+            (3, 8, 6),
+            (3, 4, 12),
+            (3, 16, 4),
+            (3, 32, 2),
+            (3, 2, 30),
+            (1, 12, 12),
+            (1, 16, 10),
+            (2, 16, 10),
+            (2, 16, 12),
+        ],
+    )
+    def test_underflow_domain(self, method, d, n):
+        report = run_method(MethodConfig(method=method, d=d, N=n))
+        assert report.generation_probability == pytest.approx(
+            closed_form_probability(method, d, n), rel=1e-9, abs=0.0
+        )
 
 
 class TestExtractNoon:
