@@ -9,13 +9,13 @@ cheap enough to simulate; sweeps and verification grids are both built on it.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from math import lgamma, log
 from typing import Sequence
 
 from . import pipelines
+from .fock import Record
 from .pipelines import check_domain
 
 # Ceilings for the simulation columns of sweeps and verification grids; the
@@ -26,30 +26,30 @@ SIM_MAX_N = 6
 SWEEP_CSV_HEADER = "method,d,N,alpha_sq,p_closed,p_sim,rel_err"
 
 
-@dataclass(frozen=True)
-class ResourceCount:
+class ResourceCount(
+    Record,
+    namedtuple(
+        "ResourceCount",
+        "beam_splitters phase_shifters spcd_detectors fock_inputs"
+        " single_photon_inputs odd_n_variant",
+        defaults=(False,),
+    ),
+):
     """Hardware tallies for one (method, d, N) configuration.
 
     ``odd_n_variant`` marks the odd-N flavor of method 3, which doubles the
     splitter and phase-shifter counts relative to the even-N flavor.
     """
 
-    beam_splitters: int
-    phase_shifters: int
-    spcd_detectors: int
-    fock_inputs: int
-    single_photon_inputs: int
-    odd_n_variant: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LossModel:
+class LossModel(Record, namedtuple("LossModel", "eta_detector eta_single_photon")):
     """Scalar component inefficiencies: detectors and single-photon sources."""
 
-    eta_detector: float
-    eta_single_photon: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         for name, value in (
             ("eta_detector", self.eta_detector),
             ("eta_single_photon", self.eta_single_photon),
@@ -243,22 +243,21 @@ def simulated_probability(
     return pipelines.run_method(cfg).generation_probability
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(
+    Record,
+    namedtuple("SweepSpec", "methods vary fixed values alpha_sq", defaults=(None,)),
+):
     """One sweep request: vary d at fixed N, or vary N at fixed d.
 
+    ``methods`` and ``values`` are tuples of ints and ``vary`` is "d" or "N".
     ``alpha_sq`` fixes the method-1 intensity; None means the optimal N/d at
     every grid point. Simulation columns are filled only within the
     (SIM_MAX_D, SIM_MAX_N) ceilings.
     """
 
-    methods: tuple[int, ...]
-    vary: str
-    fixed: int
-    values: tuple[int, ...]
-    alpha_sq: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.vary not in ("d", "N"):
             raise ValueError(f"vary must be 'd' or 'N', got {self.vary!r}")
         if not self.methods:
@@ -277,15 +276,13 @@ class SweepSpec:
         check_alpha_sq(self.alpha_sq)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    method: int
-    d: int
-    N: int
-    alpha_sq: float | None
-    p_closed: float
-    p_sim: float | None
-    rel_err: float | None
+class SweepRow(
+    Record,
+    namedtuple("SweepRow", "method d N alpha_sq p_closed p_sim rel_err"),
+):
+    """One grid point: closed form, and simulation where it was run (else None)."""
+
+    __slots__ = ()
 
 
 def compare_grid(
@@ -387,12 +384,17 @@ def to_csv(columns: Sequence[str], records: list[dict]) -> str:
 
 
 def to_json(payload, sort_keys: bool = False) -> str:
-    """Render as indented JSON with every float rounded by :func:`json_float`."""
+    """Render as indented JSON with every float rounded by :func:`json_float`.
+
+    ``json`` is imported here, so CSV output and ``verify`` never load it.
+    """
+    import json
+
     return json.dumps(_json_rounded(payload), indent=2, sort_keys=sort_keys) + "\n"
 
 
 def _sweep_records(rows: list[SweepRow]) -> list[dict]:
-    return [{**asdict(row), "method": f"M{row.method}"} for row in rows]
+    return [{**row._asdict(), "method": f"M{row.method}"} for row in rows]
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:

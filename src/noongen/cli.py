@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
 
 from . import analysis
 from .fock import FockState, state_rows
@@ -308,7 +307,7 @@ def cmd_resources(args) -> int:
             "method": f"M{method}",
             "d": args.d,
             "N": args.N,
-            **asdict(analysis.resource_counts(method, args.d, args.N)),
+            **analysis.resource_counts(method, args.d, args.N)._asdict(),
         }
         for method in sorted(set(_parse_methods(args.methods)))
     ]

@@ -20,6 +20,30 @@ Occupation = tuple[int, ...]
 PRUNE_THRESHOLD = 1e-14
 
 
+class Record:
+    """Mixin that turns a namedtuple into a value record of its own type.
+
+    A record class derives from ``Record`` and a ``collections.namedtuple``
+    and sets ``__slots__ = ()``: it keeps the namedtuple's fields, defaults,
+    keyword construction, repr, ``_asdict`` and read-only fields, and equals
+    only records of its own class with equal fields, never a plain tuple or a
+    record of another class. A record that checks its fields does so in
+    ``__init__``, which runs after the namedtuple's ``__new__`` stored them;
+    the namedtuple's ``_make`` and ``_replace`` skip ``__init__``, and the
+    package calls neither.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
 class FockState:
     """Sparse complex-amplitude expansion over occupation vectors.
 
@@ -147,12 +171,6 @@ def amplitude(state: FockState, occupation: Iterable[int]) -> complex:
             f"{state.mode_count} modes"
         )
     return state.terms.get(occ, 0j)
-
-
-def restrict_total_photons(state: FockState, n_total: int) -> FockState:
-    """Keep only the terms whose occupations sum to ``n_total`` (unnormalized)."""
-    kept = ((occ, amp) for occ, amp in state.terms.items() if sum(occ) == n_total)
-    return FockState._trusted(state.mode_count, kept)
 
 
 def state_rows(state: FockState) -> list[tuple[Occupation, float, float]]:

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import lru_cache
 from itertools import chain
 
@@ -45,6 +44,7 @@ from .elements import (
 from .fock import (
     PRUNE_THRESHOLD,
     FockState,
+    Record,
     make_coherent_truncated,
     make_fock,
     tensor,
@@ -70,8 +70,10 @@ def check_domain(method: int, d: int = 2, n_photons: int = 1) -> None:
         raise ValueError("d must be a power of two for methods 3 and 4")
 
 
-@dataclass(frozen=True)
-class MethodConfig:
+class MethodConfig(
+    Record,
+    namedtuple("MethodConfig", "method d N alpha tolerance", defaults=(None, 1e-10)),
+):
     """Configuration for one generation run.
 
     ``alpha`` is the coherent amplitude used by method 1 only; when omitted it
@@ -79,13 +81,9 @@ class MethodConfig:
     ``tolerance`` positive and finite.
     """
 
-    method: int
-    d: int
-    N: int
-    alpha: complex | None = None
-    tolerance: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         check_domain(self.method, self.d, self.N)
         if self.alpha is not None and not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
@@ -95,8 +93,14 @@ class MethodConfig:
             )
 
 
-@dataclass(frozen=True)
-class NoonReport:
+class NoonReport(
+    Record,
+    namedtuple(
+        "NoonReport",
+        "d N component_amplitudes generation_probability sign_pattern balanced"
+        " residual_norm",
+    ),
+):
     """Extracted NOON content of a final pipeline state.
 
     ``component_amplitudes[j]`` is the amplitude of the basis state with all N
@@ -105,18 +109,13 @@ class NoonReport:
     every scale of heralded amplitude. ``sign_pattern`` holds the component
     phases after factoring out the phase of the first component above the
     threshold; components at or below it get 0, and real or imaginary parts at
-    or below ``tolerance`` are exactly 0. ``balanced`` means the component
-    magnitudes differ by at most the threshold. ``residual_norm`` is the
-    squared norm of everything else left in the state.
+    or below ``tolerance`` are exactly 0. Both are tuples of complex numbers.
+    ``balanced`` means the component magnitudes differ by at most the
+    threshold. ``residual_norm`` is the squared norm of everything else left
+    in the state.
     """
 
-    d: int
-    N: int
-    component_amplitudes: tuple[complex, ...]
-    generation_probability: float
-    sign_pattern: tuple[complex, ...]
-    balanced: bool
-    residual_norm: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

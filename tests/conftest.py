@@ -14,10 +14,9 @@ from noongen import (
     PhaseShifter,
     apply_element,
     apply_fsf,
+    herald,
     make_fock,
-    project_photons,
     tensor,
-    two_photon_herald,
 )
 
 
@@ -69,6 +68,34 @@ def global_phase_spread(a: dict, b: dict, atol: float = 1e-10) -> float:
         return max(abs(a.get(k, 0j)) for k in keys)
     scale = a.get(anchor, 0j) / b[anchor]
     return max(abs(a.get(k, 0j) - scale * b.get(k, 0j)) for k in keys)
+
+
+def restrict_total_photons(state: FockState, n_total: int) -> FockState:
+    """Keep only the terms whose occupations sum to ``n_total`` (unnormalized)."""
+    kept = ((occ, amp) for occ, amp in state.terms.items() if sum(occ) == n_total)
+    return FockState._trusted(state.mode_count, kept)
+
+
+def project_photons(state: FockState, mode: int, k: int) -> HeraldedOutcome:
+    """Detect exactly ``k`` photons in ``mode`` and remove that mode."""
+    if k < 0:
+        raise ValueError("photon count must be non-negative")
+    return herald(state, (mode,), {(k,): 1})
+
+
+def two_photon_herald(
+    state: FockState, tap_b: int, tap_c: int, psi_k: float
+) -> HeraldedOutcome:
+    """Two-fold single-photon coincidence on the taps of a sub-block, as a circuit.
+
+    Phase psi_k on ``tap_c``, a 50:50 recombining splitter on the taps, then
+    one ``herald`` of a click in each tap. Equals, up to one global constant,
+    the direct projector ``two_photon_projector``.
+    """
+    work = apply_element(state, PhaseShifter(tap_c, psi_k))
+    work = apply_element(work, BeamSplitter(tap_b, tap_c, math.pi / 4))
+    work = herald(work, (tap_b, tap_c), {(1, 1): 1}).state
+    return HeraldedOutcome.relative(work, state)
 
 
 def fsf_circuit(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:

@@ -15,7 +15,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import global_phase_spread
+from conftest import global_phase_spread, two_photon_herald
 from noongen import (
     BeamSplitter,
     CrossKerr,
@@ -37,7 +37,6 @@ from noongen import (
     run_method,
     run_method1,
     split_evenly,
-    two_photon_herald,
     two_photon_projector,
 )
 from noongen.cli import main as cli_main

@@ -55,7 +55,7 @@ def direct_probability(method: int, d: int, n: int, alpha_sq: float | None = Non
 class TestClosedForms:
     def test_method1_headline(self):
         assert closed_form_probability(1, 4, 4, 1.0) == pytest.approx(
-            4.2e-6, rel=0.03
+            4.2e-6, rel=0.03, abs=0.0
         )
 
     def test_method4_exact(self):
@@ -63,7 +63,9 @@ class TestClosedForms:
         assert closed_form_probability(4, 8, 3) == 0.125
 
     def test_method3_small(self):
-        assert closed_form_probability(3, 2, 2) == pytest.approx(1 / 16, rel=1e-12)
+        assert closed_form_probability(3, 2, 2) == pytest.approx(
+            1 / 16, rel=1e-12, abs=0.0
+        )
 
     def test_method1_zero_alpha(self):
         assert closed_form_probability(1, 4, 4, 0.0) == 0.0
@@ -92,7 +94,7 @@ class TestClosedForms:
             for n in range(1, 16):
                 got = closed_form_probability(method, d, n)
                 want = direct_probability(method, d, n)
-                assert got == pytest.approx(want, rel=1e-12)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_large_n_does_not_overflow(self):
         value = closed_form_probability(2, 4, 40)
@@ -106,13 +108,13 @@ class TestClosedForms:
             for n in (2, 3, 4, 5, 6):
                 p = closed_form_probability(method, d, n)
                 c = closed_form_component_magnitude(method, d, n)
-                assert p == pytest.approx(d * c**2, rel=1e-12)
+                assert p == pytest.approx(d * c**2, rel=1e-12, abs=0.0)
 
     def test_probability_equals_d_component_sq_fixed_alpha(self):
         for alpha_sq in (0.4, 1.0, 2.3):
             p = closed_form_probability(1, 3, 4, alpha_sq)
             c = closed_form_component_magnitude(1, 3, 4, alpha_sq)
-            assert p == pytest.approx(3 * c**2, rel=1e-12)
+            assert p == pytest.approx(3 * c**2, rel=1e-12, abs=0.0)
 
     def test_probabilities_in_unit_interval(self):
         for method in (1, 2, 3, 4):
@@ -129,7 +131,7 @@ class TestClosedForms:
                 split, passthrough = generator_magnitudes(n)
                 composed = d * (split**levels * passthrough ** (d - 1 - levels)) ** 2
                 assert composed == pytest.approx(
-                    closed_form_probability(3, d, n), rel=1e-12
+                    closed_form_probability(3, d, n), rel=1e-12, abs=0.0
                 )
 
 
@@ -153,7 +155,7 @@ class TestOptimalAlpha:
                 )
             )
             got = closed_form_probability(1, d, n, optimal_alpha_sq(d, n))
-            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_grid_maximum_at_n_over_d(self):
         d, n = 4, 4
@@ -167,7 +169,7 @@ class TestOptimalAlpha:
 class TestAsymptotics:
     def test_small_n_value(self):
         assert asymptotic_ratio(4) == pytest.approx(
-            6 * math.exp(4) / 64, rel=1e-12
+            6 * math.exp(4) / 64, rel=1e-12, abs=0.0
         )
 
     def test_n20_close_to_gaussian_limit(self):
@@ -186,7 +188,7 @@ class TestAsymptotics:
             direct = closed_form_probability(2, 4, n) / closed_form_probability(
                 1, 4, n, optimal_alpha_sq(4, n)
             )
-            assert asymptotic_ratio(n) == pytest.approx(direct, rel=1e-10)
+            assert asymptotic_ratio(n) == pytest.approx(direct, rel=1e-10, abs=0.0)
 
 
 class TestResources:
@@ -221,7 +223,7 @@ class TestLosses:
     def test_method4_example(self):
         rc = resource_counts(4, 4, 4)
         adjusted = loss_adjusted_probability(0.25, rc, LossModel(0.9, 0.9))
-        assert adjusted == pytest.approx(0.25 * 0.9**6, rel=1e-12)
+        assert adjusted == pytest.approx(0.25 * 0.9**6, rel=1e-12, abs=0.0)
 
     def test_dead_detectors(self):
         rc = resource_counts(1, 2, 4)
@@ -307,12 +309,14 @@ class TestSweep:
             assert record["method"] == f"M{row.method}"
             assert int(record["d"]) == row.d
             assert float(record["p_closed"]) == pytest.approx(
-                row.p_closed, rel=1e-11
+                row.p_closed, rel=1e-11, abs=0.0
             )
             if row.p_sim is None:
                 assert record["p_sim"] == ""
             else:
-                assert float(record["p_sim"]) == pytest.approx(row.p_sim, rel=1e-11)
+                assert float(record["p_sim"]) == pytest.approx(
+                    row.p_sim, rel=1e-11, abs=0.0
+                )
 
     def test_json_shape(self):
         import json

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import noongen
 from noongen import analysis
 from noongen.cli import OUTPUT_DIR_ENV, main
 
@@ -259,6 +264,56 @@ class TestDeterminismAndIo:
         record = next(csv.DictReader(io.StringIO(out)))
         # scientific notation below 1e-4, 12 significant digits
         assert record["p_closed"] == "2.14334705075e-05"
+
+
+# Prints the modules a fresh interpreter loads to import the CLI and run ARGV.
+_LOADED_PROBE = """
+import sys
+pre = set(sys.modules)
+import noongen.cli
+code = noongen.cli.main(ARGV) if ARGV else 0
+print(*sorted(set(sys.modules) - pre))
+sys.exit(code)
+"""
+
+
+def loaded_modules(*argv) -> set[str]:
+    src = str(Path(noongen.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE.replace("ARGV", repr(list(argv)))],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+class TestStartUp:
+    """What a fresh ``noongen`` process loads: start-up is most of a request."""
+
+    def test_import_loads_neither_dataclasses_nor_json(self):
+        loaded = loaded_modules()
+        assert "noongen.cli" in loaded
+        assert not loaded & {"dataclasses", "json"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--method", "1", "--d", "3", "--N", "3", "--format", "csv"),
+            ("sweep", "--vary", "d", "--N", "2", "--d-range", "2:3"),
+            ("verify", "--d-values", "2", "--N-range", "2:3"),
+            ("resources", "--d", "4", "--N", "4"),
+        ],
+    )
+    def test_csv_and_verify_never_load_json(self, argv):
+        assert "json" not in loaded_modules(*argv)
+
+    def test_json_output_loads_json(self):
+        argv = ("generate", "--method", "1", "--d", "3", "--N", "3", "--format", "json")
+        assert "json" in loaded_modules(*argv)
 
 
 class TestRejectedInput:

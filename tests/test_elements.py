@@ -12,8 +12,10 @@ from conftest import (
     assert_terms_close,
     fsf_circuit,
     global_phase_spread,
+    project_photons,
     random_state,
     random_unit_state,
+    two_photon_herald,
 )
 from noongen import (
     BeamSplitter,
@@ -27,9 +29,7 @@ from noongen import (
     herald,
     make_fock,
     norm_sq,
-    project_photons,
     tensor,
-    two_photon_herald,
     two_photon_projector,
 )
 

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, assert_terms_close, fsf_circuit, random_state
+from conftest import (
+    assert_same_bits,
+    assert_terms_close,
+    fsf_circuit,
+    project_photons,
+    random_state,
+    restrict_total_photons,
+)
 from noongen import (
     BeamSplitter,
     CrossKerr,
@@ -22,8 +29,6 @@ from noongen import (
     make_coherent_truncated,
     make_fock,
     norm_sq,
-    project_photons,
-    restrict_total_photons,
     state_rows,
     tensor,
     two_photon_projector,

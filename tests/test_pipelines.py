@@ -13,6 +13,7 @@ from conftest import (
     filtrate_blocks,
     generator_even_herald_circuit,
     random_state,
+    restrict_total_photons,
     split_circuit,
 )
 from noongen import pipelines
@@ -33,7 +34,6 @@ from noongen import (
     make_coherent_truncated,
     make_fock,
     norm_sq,
-    restrict_total_photons,
     run_method,
     run_method1,
     run_method2,
