@@ -4,9 +4,9 @@
 Each generator turns one occupied mode plus a fresh |N> into a two-mode
 N-photon path-entangled pair by repeatedly tapping photons off both modes and
 erasing which mode they came from (two at a time through a 50:50 recombiner
-for even N; one at a time through a polarizing splitter for odd N, with every
-path doubled into H/V submodes). A balanced binary tree of d-1 generators
-yields the d-mode NOON state.
+for even N; one at a time through a polarizing splitter for odd N, whose
+polarization lives only in the generator's taps). A balanced binary tree of
+d-1 generators yields the d-mode NOON state.
 
 The two-mode output signs alternate with N mod 4; the script prints them for
 N = 2..5 along with the cascade probabilities.
@@ -15,7 +15,6 @@ N = 2..5 along with the cascade probabilities.
 from noongen import (
     MethodConfig,
     closed_form_probability,
-    collapse_polarization,
     extract_noon,
     generator_even,
     generator_odd,
@@ -25,13 +24,9 @@ from noongen import (
 
 
 def two_mode_output(n):
-    if n % 2 == 0:
-        outcome = generator_even(make_fock(1, (n,)), 0, n)
-        state = outcome.state
-    else:
-        outcome = generator_odd(make_fock(2, (n, 0)), 0, n)
-        state = collapse_polarization(outcome.state)
-    return extract_noon(state, n), outcome.herald_probability
+    generator = generator_odd if n % 2 else generator_even
+    outcome = generator(make_fock(1, (n,)), 0, n)
+    return extract_noon(outcome.state, n), outcome.herald_probability
 
 
 def main():
@@ -50,7 +45,7 @@ def main():
         report = run_method3(MethodConfig(method=3, d=d, N=n))
         closed = closed_form_probability(3, d, n)
         print(f"  {d:>2} {n:>2} {report.generation_probability:>16.6e} {closed:>16.6e}")
-    print("\nodd N runs on polarization-doubled paths yet lands on the same")
+    print("\nodd N runs through polarizing taps yet lands on the same")
     print("efficiency formula as even N")
 
 

@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import analysis
-from .fock import FockState, state_rows
 from .pipelines import METHODS, MethodConfig, check_domain, run_method
 
 OUTPUT_DIR_ENV = "NOONGEN_OUTPUT_DIR"
@@ -216,17 +215,15 @@ def cmd_generate(args) -> int:
         }
         _emit(analysis.to_csv(list(record), [record]), args.output)
         return 0
-    noon_state = FockState(
-        report.d,
-        {
-            tuple(report.N if i == j else 0 for i in range(report.d)): amp
-            for j, amp in enumerate(report.component_amplitudes)
-        },
+    noon_state_rows = sorted(
+        ((0,) * j + (report.N,) + (0,) * (report.d - 1 - j), amp.real, amp.imag)
+        for j, amp in enumerate(report.component_amplitudes)
+        if amp
     )
     payload = {
         "method": f"M{args.method}",
         "report": {**report.to_dict(), "alpha_sq": alpha_sq},
-        "noon_state_rows": state_rows(noon_state),
+        "noon_state_rows": noon_state_rows,
     }
     _emit(analysis.to_json(payload, sort_keys=True), args.output)
     return 0

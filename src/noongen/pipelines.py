@@ -10,8 +10,9 @@ Four schemes are simulated exactly on the sparse Fock representation:
 2. an evenly split N-photon input passes through the same folded filter
    blocks; no postselection is needed because the photon number is fixed.
 3. a cascade of d-1 entanglement generators built from two-photon
-   interference, fed by N-photon inputs (a polarization doubling of every
-   path handles odd N).
+   interference, fed by N-photon inputs; for odd N each generator merges its
+   taps in a polarizing splitter and erases the polarization at detection,
+   so the paths between generators stay single modes.
 4. a cascade of d-1 cross-Kerr interferometer generators, each heralded on a
    single-photon detection.
 
@@ -110,9 +111,9 @@ class NoonReport(
     phases after factoring out the phase of the first component above the
     threshold; components at or below it get 0, and real or imaginary parts at
     or below ``tolerance`` are exactly 0. Both are tuples of complex numbers.
-    ``balanced`` means the component magnitudes differ by at most the
-    threshold. ``residual_norm`` is the squared norm of everything else left
-    in the state.
+    ``balanced`` means some component is non-zero and the component
+    magnitudes differ by at most the threshold. ``residual_norm`` is the
+    squared norm of everything else left in the state.
     """
 
     __slots__ = ()
@@ -149,8 +150,9 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     skip = set(noon)
     residual = math.fsum(abs(amp) ** 2 for occ, amp in terms.items() if occ not in skip)
     magnitudes = [abs(c) for c in components]
-    threshold = tolerance * max(magnitudes)
-    balanced = max(magnitudes) - min(magnitudes) <= threshold
+    largest = max(magnitudes)
+    threshold = tolerance * largest
+    balanced = 0.0 < largest and largest - min(magnitudes) <= threshold
     reference = next((c for c in components if abs(c) > threshold), None)
     if reference is None:
         signs = tuple(1 + 0j for _ in components)
@@ -287,58 +289,54 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
     return _filtrate(cfg, *_split_factors(cfg.N, cfg.d))
 
 
-def _check_path(path_a: int, paths: int, unit: str) -> None:
-    """Raise ValueError unless ``path_a`` indexes one of the input's ``paths``."""
-    if not 0 <= path_a < paths:
-        raise ValueError(f"path index {path_a} out of range for {paths} {unit}")
+def _check_path(path_a: int, modes: int) -> None:
+    """Raise ValueError unless ``path_a`` indexes one of the input's ``modes``."""
+    if not 0 <= path_a < modes:
+        raise ValueError(f"path index {path_a} out of range for {modes} modes")
 
 
 @lru_cache(maxsize=None)
-def _transfer_table(circuit, local: tuple[int, ...], *args) -> tuple:
-    """Output map of a generator circuit on one basis input of the touched modes.
+def _transfer_table(circuit, n: int, *args) -> tuple:
+    """Output map of a generator circuit on ``n`` photons in the touched mode.
 
-    Runs ``circuit`` once on the basis state ``local`` (path 0) and returns its
-    terms as ``(touched, appended, amplitude)`` triples: the new occupation of
-    the touched modes, that of the modes the circuit appends, and the
-    amplitude. Cached per circuit, occupation and arguments; tuples all the way
-    down, so no caller can change a table.
+    Runs ``circuit`` once on the basis state |n> (path 0) and returns its
+    terms as ``(touched, fresh, amplitude)`` triples: the photon numbers the
+    touched mode and the appended mode end with, and the amplitude. Cached per
+    circuit, photon number and arguments; tuples all the way down, so no
+    caller can change a table.
     """
-    width = len(local)
-    outcome = circuit(make_fock(width, local), 0, *args).state
+    outcome = circuit(make_fock(1, (n,)), 0, *args).state
     return tuple(
-        (occ[:width], occ[width:], amp) for occ, amp in outcome.terms.items()
+        (touched, fresh, amp) for (touched, fresh), amp in outcome.terms.items()
     )
 
 
-def _apply_transfer(
-    state: FockState, start: int, width: int, circuit, *args
-) -> HeraldedOutcome:
+def _apply_transfer(state: FockState, path: int, circuit, *args) -> HeraldedOutcome:
     """Apply a heralded generator to ``state`` in one pass over its terms.
 
-    The generator ``circuit`` touches the path of ``width`` modes from
-    ``start`` and appends one fresh path of the same width. It is linear, so
-    each term expands by the transfer table of its occupation of the touched
-    modes. The vacuum table is one entry ``(vacuum, pad, idle)``, so a term
-    whose touched path is empty passes through as ``(occ + pad, amp * idle)``;
-    in a cascade that is nearly every term. Only the other terms are expanded,
-    adding coherently where their outputs meet. Every table keeps the touched
-    path's photon number on the touched and fresh paths, so the two streams
-    never meet, and both feed one pruning pass in :meth:`FockState._trusted`.
+    The generator ``circuit`` touches mode ``path`` and appends one fresh
+    mode. It is linear, so each term expands by the transfer table of its
+    photon number in ``path``. The vacuum table is one entry ``(0, 0, idle)``,
+    so a term whose touched mode is empty passes through as
+    ``(occ + (0,), amp * idle)``; in a cascade that is nearly every term. Only
+    the other terms are expanded, adding coherently where their outputs meet.
+    Every table keeps the touched mode's photon number on the touched and
+    fresh modes, so the two streams never meet, and both feed one pruning
+    pass in :meth:`FockState._trusted`.
     """
-    stop = start + width
-    ((vacuum, pad, idle),) = _transfer_table(circuit, (0,) * width, *args)
+    ((_, _, idle),) = _transfer_table(circuit, 0, *args)
     idle_terms = []
     moved: dict[tuple[int, ...], complex] = defaultdict(complex)
     for occ, amp in state.terms.items():
-        local = occ[start:stop]
-        if local == vacuum:
-            idle_terms.append((occ + pad, amp * idle))
+        n = occ[path]
+        if not n:
+            idle_terms.append((occ + (0,), amp * idle))
             continue
-        head, tail = occ[:start], occ[stop:]
-        for touched, fresh, factor in _transfer_table(circuit, local, *args):
-            moved[head + touched + tail + fresh] += amp * factor
+        head, tail = occ[:path], occ[path + 1 :]
+        for touched, fresh, factor in _transfer_table(circuit, n, *args):
+            moved[(*head, touched, *tail, fresh)] += amp * factor
     outcome = FockState._trusted(
-        state.mode_count + width, chain(idle_terms, moved.items())
+        state.mode_count + 1, chain(idle_terms, moved.items())
     )
     return HeraldedOutcome.relative(outcome, state)
 
@@ -362,8 +360,8 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
         raise ValueError(
             f"even-N generator requires even N >= 2, got {n_photons}"
         )
-    _check_path(path_a, state.mode_count, "modes")
-    return _apply_transfer(state, path_a, 1, _generator_even_circuit, n_photons)
+    _check_path(path_a, state.mode_count)
+    return _apply_transfer(state, path_a, _generator_even_circuit, n_photons)
 
 
 def _generator_even_circuit(
@@ -385,38 +383,34 @@ def _generator_even_circuit(
 
 
 def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
-    """Entanglement generator for odd N using polarization doubling.
+    """Entanglement generator for odd N: reduce one photon per sub-block.
 
-    Every path is a consecutive (H, V) submode pair; ``path_a`` is a path
-    index. The incoming content must be H-polarized; the generator appends a
-    fresh path whose internal |N> input is V-polarized and runs N sub-blocks,
-    each reducing one photon: taps with transmissivity (2N-k)/(2N-k+1), tap
-    phase 2*pi*k/N, a polarizing splitter merging the taps, and a
-    polarization-erasing single-photon detection on the port that can receive
-    both tap routes. That detection is one :func:`herald` over the four tap
-    submodes (b_H, b_V, c_H, c_V) with the click patterns (1,0,0,0) and
-    (0,1,0,0): one photon at port b in either polarization, summed
-    coherently, and none at port c.
+    Paths are single modes, as for the other generators; polarization lives
+    only in the taps. The generator appends a fresh mode holding |N> and runs
+    N sub-blocks, each reducing one photon: ``path_a`` feeds tap b's H
+    submode and the fresh mode feeds tap c's V submode through splitters of
+    transmissivity (2N-k)/(2N-k+1), tap c takes the phase 2*pi*k/N, a
+    polarizing splitter merges the taps, and a polarization-erasing
+    single-photon detection sits on the port that can receive both tap
+    routes. That detection is one :func:`herald` over the four tap submodes
+    (b_H, b_V, c_H, c_V) with the click patterns (1,0,0,0) and (0,1,0,0): one
+    photon at port b in either polarization, summed coherently, and none at
+    port c. So the erased click leaves no which-path trace, and every path
+    between generators needs one mode only.
 
     The detection basis carries a fixed relative phase pi/(2N) on the V click;
     together with the i-reflection convention of the polarizing splitter this
     pins the relative sign of the two output components to +1 for
-    N = 3 (mod 4) and -1 for N = 1 (mod 4). After the sub-blocks the fresh
-    path's polarization is relabelled V -> H (an ideal half-wave plate) so
-    cascaded generators always see H-polarized content. The relabelling moves
-    no amplitude: the fresh path's first submode, which cascaded generators
-    read as H, serves as its V submode during the sub-blocks.
+    N = 3 (mod 4) and -1 for N = 1 (mod 4).
 
-    The circuit (:func:`_generator_odd_circuit`) runs once per (H, V)
-    occupation of ``path_a`` and N to build a transfer table; each call
-    applies the tables to its terms in one pass.
+    The circuit (:func:`_generator_odd_circuit`) runs once per occupation of
+    ``path_a`` and N to build a transfer table; each call applies the tables
+    to its terms in one pass.
     """
     if n_photons < 1 or n_photons % 2 == 0:
         raise ValueError(f"odd-N generator requires odd N >= 1, got {n_photons}")
-    if state.mode_count % 2:
-        raise ValueError("polarized states need an even number of submodes")
-    _check_path(path_a, state.mode_count // 2, "paths")
-    return _apply_transfer(state, 2 * path_a, 2, _generator_odd_circuit, n_photons)
+    _check_path(path_a, state.mode_count)
+    return _apply_transfer(state, path_a, _generator_odd_circuit, n_photons)
 
 
 def _generator_odd_circuit(
@@ -424,13 +418,12 @@ def _generator_odd_circuit(
 ) -> HeraldedOutcome:
     """Circuit of :func:`generator_odd`.
 
-    The internal H submode and tap c's H submode stay vacuum throughout (the
-    polarizing splitter passes H straight through), so the splitter and phase
-    that would act on them alone are left out.
+    Tap b's V submode is vacuum until the polarizing splitter, and tap c's H
+    submode stays vacuum throughout (the splitter passes H straight through),
+    so no splitter or phase acts on them alone.
     """
-    path_h, path_v = 2 * path_a, 2 * path_a + 1
-    internal_v = state.mode_count
-    work = tensor(state, make_fock(2, (n_photons, 0)))
+    internal = state.mode_count
+    work = tensor(state, make_fock(1, (n_photons,)))
     v_click_weight = cmath.exp(0.5j * math.pi / n_photons)
     clicks = {(1, 0, 0, 0): 1, (0, 1, 0, 0): v_click_weight}
     for k in range(1, n_photons + 1):
@@ -441,9 +434,8 @@ def _generator_odd_circuit(
         tap = work.mode_count
         b_h, b_v, c_h, c_v = tap, tap + 1, tap + 2, tap + 3
         work = tensor(work, make_fock(4, (0, 0, 0, 0)))
-        work = apply_element(work, BeamSplitter(path_h, b_h, theta))
-        work = apply_element(work, BeamSplitter(path_v, b_v, theta))
-        work = apply_element(work, BeamSplitter(c_v, internal_v, theta))
+        work = apply_element(work, BeamSplitter(path_a, b_h, theta))
+        work = apply_element(work, BeamSplitter(c_v, internal, theta))
         work = apply_element(work, PhaseShifter(c_v, psi))
         work = apply_element(work, PolarizingBS((b_h, b_v), (c_h, c_v)))
         work = herald(work, (b_h, b_v, c_h, c_v), clicks).state
@@ -466,8 +458,8 @@ def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
     build a transfer table; each call applies the tables to its terms in one
     pass.
     """
-    _check_path(path_a, state.mode_count, "modes")
-    return _apply_transfer(state, path_a, 1, _generator_kerr_circuit)
+    _check_path(path_a, state.mode_count)
+    return _apply_transfer(state, path_a, _generator_kerr_circuit)
 
 
 def _generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
@@ -485,18 +477,6 @@ def _generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
     work = apply_element(work, PhaseShifter(partner, -0.5 * math.pi))
     work = herald(work, (herald_mode, kerr_arm), {(1, 0): 1}).state
     return HeraldedOutcome.relative(work, state)
-
-
-def collapse_polarization(state: FockState) -> FockState:
-    """Merge each (H, V) submode pair into one path occupation."""
-    if state.mode_count % 2:
-        raise ValueError("polarized states need an even number of submodes")
-    paths = state.mode_count // 2
-    out: dict[tuple[int, ...], complex] = defaultdict(complex)
-    for occ, amp in state.terms.items():
-        collapsed = tuple(occ[2 * i] + occ[2 * i + 1] for i in range(paths))
-        out[collapsed] += amp
-    return FockState._trusted(paths, out.items())
 
 
 def _cascade(d: int, state: FockState, generator, *args) -> FockState:
@@ -518,16 +498,13 @@ def run_method3(cfg: MethodConfig) -> NoonReport:
     Generators are arranged as a balanced binary tree: level by level, every
     path created so far, last first, is paired with a fresh path (for d=4 the
     pairings are (1,2), then (2,3) and (1,4)). Even and odd N dispatch to the
-    matching generator; odd N runs on polarization-doubled paths which are
-    summed for the final readout.
+    matching generator; both act on single-mode paths, so one cascade over
+    one layout serves every N.
     """
     if cfg.method != 3:
         raise ValueError("run_method3 requires method=3")
-    if cfg.N % 2 == 0:
-        state = _cascade(cfg.d, make_fock(1, (cfg.N,)), generator_even, cfg.N)
-    else:
-        state = _cascade(cfg.d, make_fock(2, (cfg.N, 0)), generator_odd, cfg.N)
-        state = collapse_polarization(state)
+    generator = generator_odd if cfg.N % 2 else generator_even
+    state = _cascade(cfg.d, make_fock(1, (cfg.N,)), generator, cfg.N)
     return extract_noon(state, cfg.N, cfg.tolerance)
 
 

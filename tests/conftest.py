@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from noongen import (
     FockState,
     HeraldedOutcome,
     PhaseShifter,
+    PolarizingBS,
     apply_element,
     apply_fsf,
     herald,
@@ -163,6 +165,63 @@ def generator_even_herald_circuit(
         work = apply_element(work, BeamSplitter(tap_c, internal, theta))
         work = two_photon_herald(work, tap_b, tap_c, psi).state
     return HeraldedOutcome.relative(work, state)
+
+
+def polarized_generator_odd_circuit(
+    state: FockState, path_a: int, n_photons: int
+) -> HeraldedOutcome:
+    """Odd-N generator circuit on paths doubled into (H, V) submode pairs.
+
+    Every path is a consecutive submode pair and ``path_a`` is a path index.
+    The fresh path's internal |N> sits in its first submode, which couples to
+    tap c's V submode during the sub-blocks and is read as H afterwards (an
+    ideal V -> H half-wave plate). ``pipelines._generator_odd_circuit`` runs
+    the same sub-blocks on single-mode paths; :func:`collapse_polarization`
+    of this circuit's output must equal that route's.
+    """
+    path_h, path_v = 2 * path_a, 2 * path_a + 1
+    internal_v = state.mode_count
+    work = tensor(state, make_fock(2, (n_photons, 0)))
+    v_click_weight = cmath.exp(0.5j * math.pi / n_photons)
+    clicks = {(1, 0, 0, 0): 1, (0, 1, 0, 0): v_click_weight}
+    for k in range(1, n_photons + 1):
+        theta = math.acos(
+            math.sqrt((2 * n_photons - k) / (2 * n_photons - k + 1))
+        )
+        psi = 2.0 * math.pi * k / n_photons
+        tap = work.mode_count
+        b_h, b_v, c_h, c_v = tap, tap + 1, tap + 2, tap + 3
+        work = tensor(work, make_fock(4, (0, 0, 0, 0)))
+        work = apply_element(work, BeamSplitter(path_h, b_h, theta))
+        work = apply_element(work, BeamSplitter(path_v, b_v, theta))
+        work = apply_element(work, BeamSplitter(c_v, internal_v, theta))
+        work = apply_element(work, PhaseShifter(c_v, psi))
+        work = apply_element(work, PolarizingBS((b_h, b_v), (c_h, c_v)))
+        work = herald(work, (b_h, b_v, c_h, c_v), clicks).state
+    return HeraldedOutcome.relative(work, state)
+
+
+def polarize(state: FockState) -> FockState:
+    """Double every mode into an (H, V) pair holding the mode's photons in H."""
+    return FockState(
+        2 * state.mode_count,
+        {
+            tuple(n for path in occ for n in (path, 0)): amp
+            for occ, amp in state.terms.items()
+        },
+    )
+
+
+def collapse_polarization(state: FockState) -> FockState:
+    """Merge each (H, V) submode pair into one path occupation."""
+    if state.mode_count % 2:
+        raise ValueError("polarized states need an even number of submodes")
+    paths = state.mode_count // 2
+    out: dict[tuple[int, ...], complex] = defaultdict(complex)
+    for occ, amp in state.terms.items():
+        collapsed = tuple(occ[2 * i] + occ[2 * i + 1] for i in range(paths))
+        out[collapsed] += amp
+    return FockState._trusted(paths, out.items())
 
 
 def assert_same_bits(a: FockState, b: FockState) -> None:

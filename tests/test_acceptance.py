@@ -28,7 +28,6 @@ from noongen import (
     apply_fsf,
     bs_matrix_element,
     closed_form_probability,
-    collapse_polarization,
     extract_noon,
     generator_even,
     generator_odd,
@@ -183,13 +182,9 @@ def test_acceptance_7_structural_invariants():
     # two-mode generator sign rules over N mod 4
     expected_sign = {2: 1.0, 3: 1.0, 4: -1.0, 5: -1.0}
     for n, sign in expected_sign.items():
-        if n % 2 == 0:
-            outcome = generator_even(make_fock(1, (n,)), 0, n)
-            generated = outcome.state
-        else:
-            outcome = generator_odd(make_fock(2, (n, 0)), 0, n)
-            generated = collapse_polarization(outcome.state)
-        pattern = extract_noon(generated, n).sign_pattern
+        generator = generator_odd if n % 2 else generator_even
+        outcome = generator(make_fock(1, (n,)), 0, n)
+        pattern = extract_noon(outcome.state, n).sign_pattern
         assert pattern[0] == pytest.approx(1.0 + 0j, abs=1e-10)
         assert pattern[1] == pytest.approx(sign + 0j, abs=1e-10)
     # the same rules through whole method-3 cascades whose components lie far

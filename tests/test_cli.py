@@ -62,6 +62,21 @@ class TestGenerate:
         assert float(rows[0]["generation_probability"]) == pytest.approx(0.5)
         assert rows[0]["balanced"] == "true"
 
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (("--d", "12", "--N", "12"), "M1,12,12,1,0,false,0"),
+            (("--d", "3", "--N", "3", "--alpha-sq", "0"), "M1,3,3,0,0,false,0"),
+        ],
+    )
+    def test_all_zero_report_is_not_balanced(self, capsys, argv, row):
+        # Every NOON component is 0: at (12,12) the absolute amplitude floor
+        # prunes them (a known underflow), at alpha 0 there are no photons.
+        # Equal zeros are no balanced state.
+        code, out, _ = run_cli(capsys, "generate", "--method", "1", *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == row
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--method", "4", "--d", "4")
         assert code == 1

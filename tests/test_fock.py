@@ -25,7 +25,9 @@ from noongen import (
     amplitude,
     apply_element,
     apply_fsf,
-    collapse_polarization,
+    generator_even,
+    generator_kerr,
+    generator_odd,
     make_coherent_truncated,
     make_fock,
     norm_sq,
@@ -252,7 +254,9 @@ class TestTrustedConstruction:
             apply_fsf(state, 3, 1).state,
             tensor(state, random_state(rng, 2)),
             restrict_total_photons(state, sum(next(iter(state.terms)))),
-            collapse_polarization(state),
+            generator_even(state, 0, 2).state,
+            generator_odd(state, 1, 3).state,
+            generator_kerr(state, 2).state,
         ]
         for out in outputs:
             _assert_trusted_invariants(out, state)

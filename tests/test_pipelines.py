@@ -10,8 +10,11 @@ import pytest
 from conftest import (
     assert_same_bits,
     assert_terms_close,
+    collapse_polarization,
     filtrate_blocks,
     generator_even_herald_circuit,
+    polarize,
+    polarized_generator_odd_circuit,
     random_state,
     restrict_total_photons,
     split_circuit,
@@ -25,7 +28,6 @@ from noongen import (
     bs_matrix_element,
     closed_form_component_magnitude,
     closed_form_probability,
-    collapse_polarization,
     extract_noon,
     generator_even,
     generator_kerr,
@@ -398,8 +400,8 @@ class TestGeneratorEven:
 class TestGeneratorOdd:
     @staticmethod
     def _report(n):
-        outcome = generator_odd(make_fock(2, (n, 0)), 0, n)
-        return extract_noon(collapse_polarization(outcome.state), n)
+        outcome = generator_odd(make_fock(1, (n,)), 0, n)
+        return extract_noon(outcome.state, n)
 
     def test_three_photon_magnitude(self):
         report = self._report(3)
@@ -416,13 +418,47 @@ class TestGeneratorOdd:
         assert report.sign_pattern[1] == pytest.approx(-1.0 + 0j, abs=1e-10)
 
     def test_vacuum_passthrough(self):
-        outcome = generator_odd(make_fock(2, (0, 0)), 0, 3)
-        amp = amplitude(outcome.state, (0, 0, 0, 0))
+        outcome = generator_odd(make_fock(1, (0,)), 0, 3)
+        amp = amplitude(outcome.state, (0, 0))
         assert abs(amp) == pytest.approx(1 / 6, rel=1e-9)
 
     def test_rejects_even(self):
         with pytest.raises(ValueError, match="odd"):
-            generator_odd(make_fock(2, (2, 0)), 0, 2)
+            generator_odd(make_fock(1, (2,)), 0, 2)
+
+
+class TestGeneratorOddMatchesPolarizedCircuit:
+    """Single-mode paths give what the paths doubled into (H, V) pairs give.
+
+    The oracle runs the odd generator's circuit on polarized paths whose
+    content is H only, and merges each (H, V) pair of its output.
+    """
+
+    @staticmethod
+    def assert_matches(state, path_a, n_photons):
+        direct = generator_odd(state, path_a, n_photons)
+        oracle = polarized_generator_odd_circuit(polarize(state), path_a, n_photons)
+        merged = collapse_polarization(oracle.state)
+        assert direct.state.mode_count == merged.mode_count == state.mode_count + 1
+        scale = max(abs(amp) for amp in merged.terms.values())
+        assert _max_deviation(direct.state, merged) <= 1e-12 * scale
+        assert direct.herald_probability == pytest.approx(
+            oracle.herald_probability, rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize("n_photons", [1, 3, 5, 7])
+    def test_basis_inputs(self, n_photons):
+        for n in range(n_photons + 3):
+            self.assert_matches(make_fock(1, (n,)), 0, n_photons)
+
+    @pytest.mark.parametrize("n_photons", [1, 3, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multi_path_states(self, n_photons, seed):
+        # H-only spectators on three paths around the touched one.
+        rng = np.random.default_rng(7300 + seed)
+        state = random_state(rng, 3, max_photons=3, max_terms=8)
+        for path_a in range(3):
+            self.assert_matches(state, path_a, n_photons)
 
 
 class TestMethod3:
@@ -495,8 +531,8 @@ class TestEmptyInput:
         assert outcome.herald_probability == 0.0
 
     def test_generator_odd(self):
-        outcome = generator_odd(FockState(2, {}), 0, 3)
-        assert not outcome.state and outcome.state.mode_count == 4
+        outcome = generator_odd(FockState(1, {}), 0, 3)
+        assert not outcome.state and outcome.state.mode_count == 2
         assert outcome.herald_probability == 0.0
 
     def test_generator_kerr(self):
@@ -514,13 +550,13 @@ class TestGeneratorRoutes:
     """Each generator's transfer tables reproduce its circuit on whole states."""
 
     CASES = [
-        (generator_even, pipelines._generator_even_circuit, 1, (2,)),
-        (generator_even, pipelines._generator_even_circuit, 1, (4,)),
-        (generator_even, generator_even_herald_circuit, 1, (2,)),
-        (generator_even, generator_even_herald_circuit, 1, (4,)),
-        (generator_odd, pipelines._generator_odd_circuit, 2, (1,)),
-        (generator_odd, pipelines._generator_odd_circuit, 2, (3,)),
-        (generator_kerr, pipelines._generator_kerr_circuit, 1, ()),
+        (generator_even, pipelines._generator_even_circuit, (2,)),
+        (generator_even, pipelines._generator_even_circuit, (4,)),
+        (generator_even, generator_even_herald_circuit, (2,)),
+        (generator_even, generator_even_herald_circuit, (4,)),
+        (generator_odd, pipelines._generator_odd_circuit, (1,)),
+        (generator_odd, pipelines._generator_odd_circuit, (3,)),
+        (generator_kerr, pipelines._generator_kerr_circuit, ()),
     ]
 
     @staticmethod
@@ -534,75 +570,65 @@ class TestGeneratorRoutes:
             oracle.herald_probability, rel=1e-12, abs=0.0
         )
 
-    @pytest.mark.parametrize("public, circuit, submodes, args", CASES)
+    @pytest.mark.parametrize("public, circuit, args", CASES)
     @pytest.mark.parametrize("seed", range(4))
-    def test_tables_match_circuit(self, public, circuit, submodes, args, seed):
+    def test_tables_match_circuit(self, public, circuit, args, seed):
         # Three paths: spectators around path_a, whose occupation varies from
-        # term to term (both submodes of a polarized path included).
+        # term to term.
         rng = np.random.default_rng(7000 + seed)
-        state = random_state(rng, 3 * submodes, max_photons=3, max_terms=8)
+        state = random_state(rng, 3, max_photons=3, max_terms=8)
         for path_a in range(3):
             self.assert_route_matches(public, circuit, state, path_a, args)
 
     @staticmethod
-    def wide_state(rng, paths, submodes, path_a):
+    def wide_state(rng, paths, path_a):
         """Random state on many paths whose terms mostly leave ``path_a`` empty.
 
         Twenty spectator patterns (mostly vacuum, at most two photons per
-        submode) each appear with ``path_a`` empty. Two of them also appear
-        with every occupation of one or two photons on ``path_a``, so some
-        terms differ only on the touched path.
+        path) each appear with ``path_a`` empty. Two of them also appear
+        with one and with two photons on ``path_a``, so some terms differ
+        only on the touched path.
         """
-        start = path_a * submodes
-        occupied = [
-            local
-            for local in itertools.product(range(3), repeat=submodes)
-            if 0 < sum(local) <= 2
-        ]
         terms = {}
         for pattern in range(20):
-            occ = [int(n) for n in rng.choice(3, paths * submodes, p=(0.8, 0.15, 0.05))]
-            for local in [(0,) * submodes] + (occupied if pattern < 2 else []):
-                occ[start : start + submodes] = local
+            occ = [int(n) for n in rng.choice(3, paths, p=(0.8, 0.15, 0.05))]
+            for n in (0, 1, 2) if pattern < 2 else (0,):
+                occ[path_a] = n
                 terms[tuple(occ)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        return FockState(paths * submodes, terms)
+        return FockState(paths, terms)
 
-    @pytest.mark.parametrize("public, circuit, submodes, args", CASES)
+    @pytest.mark.parametrize("public, circuit, args", CASES)
     @pytest.mark.parametrize("seed", range(2))
-    def test_tables_match_circuit_on_wide_states(
-        self, public, circuit, submodes, args, seed
-    ):
-        # 16 to 24 submodes, the touched path first, in the middle and last:
+    def test_tables_match_circuit_on_wide_states(self, public, circuit, args, seed):
+        # 16 to 24 paths, the touched path first, in the middle and last:
         # most terms take the vacuum table's pass-through, the rest expand.
         rng = np.random.default_rng(7100 + seed)
-        paths = int(rng.integers(16, 25)) // submodes
+        paths = int(rng.integers(16, 25))
         for path_a in (0, paths // 2, paths - 1):
-            state = self.wide_state(rng, paths, submodes, path_a)
+            state = self.wide_state(rng, paths, path_a)
             self.assert_route_matches(public, circuit, state, path_a, args)
 
     TABLE_CIRCUITS = [
-        (pipelines._generator_even_circuit, 1, (2,)),
-        (pipelines._generator_even_circuit, 1, (4,)),
-        (pipelines._generator_even_circuit, 1, (6,)),
-        (pipelines._generator_odd_circuit, 2, (1,)),
-        (pipelines._generator_odd_circuit, 2, (3,)),
-        (pipelines._generator_odd_circuit, 2, (5,)),
-        (pipelines._generator_kerr_circuit, 1, ()),
+        (pipelines._generator_even_circuit, (2,)),
+        (pipelines._generator_even_circuit, (4,)),
+        (pipelines._generator_even_circuit, (6,)),
+        (pipelines._generator_odd_circuit, (1,)),
+        (pipelines._generator_odd_circuit, (3,)),
+        (pipelines._generator_odd_circuit, (5,)),
+        (pipelines._generator_kerr_circuit, ()),
     ]
 
-    @pytest.mark.parametrize("circuit, width, args", TABLE_CIRCUITS)
-    def test_tables_keep_the_touched_photon_number(self, circuit, width, args):
+    @pytest.mark.parametrize("circuit, args", TABLE_CIRCUITS)
+    def test_tables_keep_the_touched_photon_number(self, circuit, args):
         # The vacuum table is a single pass-through entry, and every entry
         # keeps the touched path's photons on the touched and fresh paths:
         # this keeps the pass-through and expanded terms of a generator apart.
-        vacuum = (0,) * width
-        ((touched, fresh, idle),) = pipelines._transfer_table(circuit, vacuum, *args)
-        assert (touched, fresh) == (vacuum, vacuum) and idle != 0
-        for local in itertools.product(range(7), repeat=width):
-            if sum(local) > 6:
-                continue
-            for touched, fresh, _ in pipelines._transfer_table(circuit, local, *args):
-                assert sum(touched) + sum(fresh) == sum(local)
+        ((touched, fresh, idle),) = pipelines._transfer_table(circuit, 0, *args)
+        assert (touched, fresh) == (0, 0) and idle != 0
+        for n in range(7):
+            for touched, fresh, _ in pipelines._transfer_table(circuit, n, *args):
+                assert type(touched) is int and type(fresh) is int
+                assert touched + fresh == n
 
     @pytest.mark.parametrize(
         "cfg",
@@ -620,21 +646,15 @@ class TestGeneratorRoutes:
         cold = repr(run_method(cfg).to_dict())
         assert cold == repr(run_method(cfg).to_dict())
 
-    GENERATORS = [
-        (generator_even, (2,), FockState(1, {(2,): 1.0}), FockState(1, {}), "1 modes"),
-        (generator_odd, (3,), FockState(2, {(3, 0): 1.0}), FockState(2, {}), "1 paths"),
-        (generator_kerr, (), FockState(1, {(2,): 1.0}), FockState(1, {}), "1 modes"),
-    ]
+    GENERATORS = [(generator_even, (2,)), (generator_odd, (3,)), (generator_kerr, ())]
 
-    @pytest.mark.parametrize("generator, args, populated, empty, count", GENERATORS)
+    @pytest.mark.parametrize("generator, args", GENERATORS)
     @pytest.mark.parametrize("path_a", [5, -1, 1])
-    def test_path_validated_on_the_input(
-        self, generator, args, populated, empty, count, path_a
-    ):
+    def test_path_validated_on_the_input(self, generator, args, path_a):
         # The message counts the input's own modes, not the ancilla and taps
         # a circuit would append, and an empty input is checked too.
-        for state in (populated, empty):
-            with pytest.raises(ValueError, match=f"path index {path_a} out of range for {count}"):
+        for state in (FockState(1, {(2,): 1.0}), FockState(1, {})):
+            with pytest.raises(ValueError, match=f"path index {path_a} out of range for 1 modes"):
                 generator(state, path_a, *args)
 
 
@@ -709,6 +729,12 @@ class TestExtractNoon:
         assert report.generation_probability == pytest.approx(0.5)
         assert report.balanced
         assert report.sign_pattern == (1 + 0j, 1 + 0j)
+
+    def test_empty_state_is_not_balanced(self):
+        report = extract_noon(FockState(2, {}), 2)
+        assert report.component_amplitudes == (0j, 0j)
+        assert report.generation_probability == 0.0
+        assert not report.balanced
 
     def test_sign_pattern_minus(self):
         state = FockState(2, {(2, 0): 0.3, (0, 2): -0.3})
