@@ -201,22 +201,10 @@ def resource_counts(method: int, d: int, n_photons: int) -> ResourceCount:
     if method == 2:
         return ResourceCount(d * m + d - 1, d, d * m, 1, d * m)
     if method == 3:
-        blocks = d - 1
-        if n_photons % 2 == 0:
-            return ResourceCount(
-                3 * n_photons * blocks // 2,
-                n_photons * blocks // 2,
-                n_photons * blocks,
-                d,
-                0,
-            )
+        odd = n_photons % 2 == 1
+        sub_blocks = (d - 1) * (n_photons if odd else m)
         return ResourceCount(
-            3 * n_photons * blocks,
-            n_photons * blocks,
-            n_photons * blocks,
-            d,
-            0,
-            odd_n_variant=True,
+            3 * sub_blocks, sub_blocks, n_photons * (d - 1), d, 0, odd_n_variant=odd
         )
     return ResourceCount(4 * (d - 1), d - 1, d - 1, 1, d - 1)
 

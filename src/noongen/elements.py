@@ -3,7 +3,11 @@
 Beam-splitter convention: U(theta) = exp[i*theta*(a_i^dag a_j + a_i a_j^dag)],
 so transmitted amplitudes scale by cos(theta) and reflected amplitudes pick up
 a factor i*sin(theta). Every sign elsewhere in the package is validated against
-this single convention; there are no per-element sign flags.
+this single convention; there are no per-element sign flags. The elements
+are the beam splitter, the phase shifter and the cross-Kerr medium. The
+odd-N generator's polarizing splitter is not one of them: at its detection
+it only moves one V photon, so its reflection factor i is folded into that
+click's weight.
 
 Detectors are ideal and photon-number resolving and destructive. Every
 detection in a circuit is one call to :func:`herald`: it keeps the click
@@ -50,18 +54,7 @@ class CrossKerr(Record, namedtuple("CrossKerr", "mode_i mode_j chi")):
     __slots__ = ()
 
 
-class PolarizingBS(Record, namedtuple("PolarizingBS", "path_i path_j")):
-    """Polarizing splitter over two (H, V) submode pairs, each a tuple of modes.
-
-    H submodes pass straight through. The V submodes of the two paths are
-    exchanged, and each reflected V photon picks up the same factor i as a
-    fully reflecting beam splitter.
-    """
-
-    __slots__ = ()
-
-
-Element = BeamSplitter | PhaseShifter | CrossKerr | PolarizingBS
+Element = BeamSplitter | PhaseShifter | CrossKerr
 
 
 class HeraldedOutcome(Record, namedtuple("HeraldedOutcome", "state before")):
@@ -85,9 +78,6 @@ class HeraldedOutcome(Record, namedtuple("HeraldedOutcome", "state before")):
         """Squared-norm ratio of ``state`` to ``before``; 0 for a zero-norm input."""
         reference = norm_sq(self.before)
         return norm_sq(self.state) / reference if reference > 0.0 else 0.0
-
-
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 @lru_cache(maxsize=None)
@@ -165,22 +155,6 @@ def _apply_cross_kerr(state: FockState, e: CrossKerr) -> FockState:
     return FockState._trusted(state.mode_count, terms)
 
 
-def _apply_polarizing_bs(state: FockState, e: PolarizingBS) -> FockState:
-    _check_modes(state, *e.path_i, *e.path_j)
-    i_v, j_v = e.path_i[1], e.path_j[1]
-
-    def swapped(occ):
-        out = list(occ)
-        out[i_v], out[j_v] = occ[j_v], occ[i_v]
-        return tuple(out)
-
-    terms = (
-        (swapped(occ), amp * _I_POW[(occ[i_v] + occ[j_v]) % 4])
-        for occ, amp in state.terms.items()
-    )
-    return FockState._trusted(state.mode_count, terms)
-
-
 def apply_element(state: FockState, element: Element) -> FockState:
     """Apply one optical element exactly, returning a new state."""
     if isinstance(element, BeamSplitter):
@@ -189,8 +163,6 @@ def apply_element(state: FockState, element: Element) -> FockState:
         return _apply_phase_shifter(state, element)
     if isinstance(element, CrossKerr):
         return _apply_cross_kerr(state, element)
-    if isinstance(element, PolarizingBS):
-        return _apply_polarizing_bs(state, element)
     raise TypeError(f"unknown element {element!r}")
 
 
@@ -202,38 +174,38 @@ def herald(
     """Detect the click patterns ``clicks`` on ``modes`` and remove those modes.
 
     A term survives when its occupation of ``modes``, read in the order given,
-    is a key of ``clicks``; it is multiplied by that key's weight. Terms that
-    coincide once the measured modes are removed add coherently. Surviving
-    amplitudes stay relative to whatever reference the input carried, and an
-    empty outcome is a valid zero state with herald probability 0.
+    is a key of ``clicks``; it is multiplied by that key's weight. Every key
+    holds one count per measured mode. Terms that coincide once the measured
+    modes are removed add coherently. Surviving amplitudes stay relative to
+    whatever reference the input carried, and an empty outcome is a valid
+    zero state with herald probability 0.
     """
     _check_modes(state, *modes)
     if not 0 < len(modes) < state.mode_count:
         raise ValueError(
             "herald needs a mode and cannot remove the only remaining modes"
         )
+    for key in clicks:
+        if len(key) != len(modes):
+            raise ValueError(
+                f"click pattern {key} has {len(key)} counts for {len(modes)} modes"
+            )
     pattern = itemgetter(*modes)
     if len(modes) == 1:  # itemgetter then returns the bare count, not a 1-tuple
         clicks = {key[0]: weight for key, weight in clicks.items()}
     keep = [i for i in range(state.mode_count) if i not in modes]
-    if keep[-1] - keep[0] == len(keep) - 1:  # contiguous: one slice copies fastest
+    # A contiguous rest is one slice: it copies fastest, and unlike itemgetter
+    # of a single index it still returns a tuple.
+    if keep[-1] - keep[0] == len(keep) - 1:
         rest = itemgetter(slice(keep[0], keep[-1] + 1))
     else:
         rest = itemgetter(*keep)
-    if len(clicks) == 1 and next(iter(clicks.values())) == 1:
-        # One fixed pattern: removal is injective, so nothing accumulates.
-        (wanted,) = clicks
-        kept = (
-            (rest(occ), amp) for occ, amp in state.terms.items() if pattern(occ) == wanted
-        )
-    else:
-        summed = defaultdict(complex)
-        for occ, amp in state.terms.items():
-            weight = clicks.get(pattern(occ))
-            if weight is not None:
-                summed[rest(occ)] += weight * amp
-        kept = summed.items()
-    outcome = FockState._trusted(state.mode_count - len(modes), kept)
+    summed = defaultdict(complex)
+    for occ, amp in state.terms.items():
+        weight = clicks.get(pattern(occ))
+        if weight is not None:
+            summed[rest(occ)] += weight * amp
+    outcome = FockState._trusted(state.mode_count - len(modes), summed.items())
     return HeraldedOutcome.relative(outcome, state)
 
 

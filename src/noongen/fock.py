@@ -8,6 +8,7 @@ read off as squared norms; nothing is renormalized mid-pipeline.
 
 from __future__ import annotations
 
+import cmath
 import math
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -44,6 +45,15 @@ class Record:
     __hash__ = tuple.__hash__
 
 
+def _counts(occupation: Iterable[int]) -> Occupation:
+    """``occupation`` as a tuple of ints; ValueError on a non-integral count."""
+    given = tuple(occupation)
+    counts = tuple(int(n) for n in given)
+    if counts != given:
+        raise ValueError(f"occupation {given} has a non-integral photon count")
+    return counts
+
+
 class FockState:
     """Sparse complex-amplitude expansion over occupation vectors.
 
@@ -53,13 +63,14 @@ class FockState:
     :func:`norm_sq` reads the squared norm off when it is needed.
 
     There are two construction paths. The public constructor validates its
-    input: every occupation must have ``mode_count`` non-negative entries and
-    every amplitude is converted with ``complex()``. Operations inside the
-    package build their results through the trusted :meth:`_trusted` path
-    instead, which takes (occupation, amplitude) pairs, often a generator over
-    another state's terms, and skips those checks because its occupations and
-    amplitudes are derived from states that already passed them. Both paths
-    apply the same pruning rule once, while building a dict of their own.
+    input: every occupation must have ``mode_count`` non-negative integral
+    entries, and every amplitude is converted with ``complex()`` and must be
+    finite. Operations inside the package build their results through the
+    trusted :meth:`_trusted` path instead, which takes (occupation, amplitude)
+    pairs, often a generator over another state's terms, and skips those
+    checks because its occupations and amplitudes are derived from states
+    that already passed them. Both paths apply the same pruning rule once,
+    while building a dict of their own.
     """
 
     __slots__ = ("_mode_count", "_terms")
@@ -69,7 +80,7 @@ class FockState:
             raise ValueError(f"mode_count must be positive, got {mode_count}")
         pruned: dict[Occupation, complex] = {}
         for occ, amp in terms.items():
-            occ = tuple(int(n) for n in occ)
+            occ = _counts(occ)
             if len(occ) != mode_count:
                 raise ValueError(
                     f"occupation {occ} has {len(occ)} modes, expected {mode_count}"
@@ -77,6 +88,8 @@ class FockState:
             if any(n < 0 for n in occ):
                 raise ValueError(f"occupation {occ} has a negative photon count")
             value = complex(amp)
+            if not cmath.isfinite(value):
+                raise ValueError(f"amplitude {value} of {occ} is not finite")
             if abs(value) >= PRUNE_THRESHOLD:
                 pruned[occ] = value
         self._mode_count = mode_count
@@ -121,7 +134,7 @@ class FockState:
 
 def make_fock(mode_count: int, occupation: Iterable[int]) -> FockState:
     """Single-term basis state |n_1, ..., n_d> with amplitude 1."""
-    occ = tuple(int(n) for n in occupation)
+    occ = tuple(occupation)
     if len(occ) != mode_count:
         raise ValueError(
             f"occupation has {len(occ)} entries but mode_count is {mode_count}"
@@ -135,10 +148,13 @@ def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
     Amplitudes follow the Poisson law exp(-|alpha|^2/2) * alpha^n / sqrt(n!).
     The Gaussian prefactor is kept exactly, so the stored amplitudes are the
     true coherent-state amplitudes and the truncated norm is below one.
+    ``alpha`` must be finite.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     amp = complex(math.exp(-0.5 * abs(alpha) ** 2))
     terms = {(0,): amp}
     for n in range(1, cutoff + 1):
@@ -164,7 +180,7 @@ def norm_sq(state: FockState) -> float:
 
 def amplitude(state: FockState, occupation: Iterable[int]) -> complex:
     """Stored amplitude of ``occupation``, or exactly zero when absent."""
-    occ = tuple(int(n) for n in occupation)
+    occ = _counts(occupation)
     if len(occ) != state.mode_count:
         raise ValueError(
             f"occupation has {len(occ)} entries but the state has "

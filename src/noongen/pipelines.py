@@ -11,8 +11,9 @@ Four schemes are simulated exactly on the sparse Fock representation:
    blocks; no postselection is needed because the photon number is fixed.
 3. a cascade of d-1 entanglement generators built from two-photon
    interference, fed by N-photon inputs; for odd N each generator merges its
-   taps in a polarizing splitter and erases the polarization at detection,
-   so the paths between generators stay single modes.
+   two taps in a polarizing splitter and erases the polarization at
+   detection, which is one click weight on the taps, so the paths between
+   generators stay single modes.
 4. a cascade of d-1 cross-Kerr interferometer generators, each heralded on a
    single-photon detection.
 
@@ -36,7 +37,6 @@ from .elements import (
     CrossKerr,
     HeraldedOutcome,
     PhaseShifter,
-    PolarizingBS,
     apply_element,
     fsf_factor,
     herald,
@@ -289,12 +289,6 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
     return _filtrate(cfg, *_split_factors(cfg.N, cfg.d))
 
 
-def _check_path(path_a: int, modes: int) -> None:
-    """Raise ValueError unless ``path_a`` indexes one of the input's ``modes``."""
-    if not 0 <= path_a < modes:
-        raise ValueError(f"path index {path_a} out of range for {modes} modes")
-
-
 @lru_cache(maxsize=None)
 def _transfer_table(circuit, n: int, *args) -> tuple:
     """Output map of a generator circuit on ``n`` photons in the touched mode.
@@ -324,6 +318,10 @@ def _apply_transfer(state: FockState, path: int, circuit, *args) -> HeraldedOutc
     fresh modes, so the two streams never meet, and both feed one pruning
     pass in :meth:`FockState._trusted`.
     """
+    if not 0 <= path < state.mode_count:
+        raise ValueError(
+            f"path index {path} out of range for {state.mode_count} modes"
+        )
     ((_, _, idle),) = _transfer_table(circuit, 0, *args)
     idle_terms = []
     moved: dict[tuple[int, ...], complex] = defaultdict(complex)
@@ -360,7 +358,6 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
         raise ValueError(
             f"even-N generator requires even N >= 2, got {n_photons}"
         )
-    _check_path(path_a, state.mode_count)
     return _apply_transfer(state, path_a, _generator_even_circuit, n_photons)
 
 
@@ -385,23 +382,20 @@ def _generator_even_circuit(
 def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
     """Entanglement generator for odd N: reduce one photon per sub-block.
 
-    Paths are single modes, as for the other generators; polarization lives
-    only in the taps. The generator appends a fresh mode holding |N> and runs
-    N sub-blocks, each reducing one photon: ``path_a`` feeds tap b's H
-    submode and the fresh mode feeds tap c's V submode through splitters of
-    transmissivity (2N-k)/(2N-k+1), tap c takes the phase 2*pi*k/N, a
-    polarizing splitter merges the taps, and a polarization-erasing
-    single-photon detection sits on the port that can receive both tap
-    routes. That detection is one :func:`herald` over the four tap submodes
-    (b_H, b_V, c_H, c_V) with the click patterns (1,0,0,0) and (0,1,0,0): one
-    photon at port b in either polarization, summed coherently, and none at
-    port c. So the erased click leaves no which-path trace, and every path
-    between generators needs one mode only.
+    Appends a fresh mode holding |N> and runs N sub-blocks, each reducing one
+    photon: ``path_a`` feeds tap b and the fresh mode feeds tap c through
+    splitters of transmissivity (2N-k)/(2N-k+1), and tap c takes the phase
+    2*pi*k/N. In the paper's circuit tap b is H-polarized and tap c
+    V-polarized; a polarizing splitter merges them and a polarization-erasing
+    single-photon detection sits on the port that can receive both. Tap b's
+    photon passes the splitter, tap c's is reflected with the factor i, so
+    the detection is one :func:`herald` on the two taps with the click
+    patterns (1, 0) and (0, 1), summed coherently. The erased click leaves no
+    which-path trace, and every path between generators is a single mode.
 
     The detection basis carries a fixed relative phase pi/(2N) on the V click;
-    together with the i-reflection convention of the polarizing splitter this
-    pins the relative sign of the two output components to +1 for
-    N = 3 (mod 4) and -1 for N = 1 (mod 4).
+    together with the splitter's factor i this pins the relative sign of the
+    two output components to +1 for N = 3 (mod 4) and -1 for N = 1 (mod 4).
 
     The circuit (:func:`_generator_odd_circuit`) runs once per occupation of
     ``path_a`` and N to build a transfer table; each call applies the tables
@@ -409,36 +403,28 @@ def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutc
     """
     if n_photons < 1 or n_photons % 2 == 0:
         raise ValueError(f"odd-N generator requires odd N >= 1, got {n_photons}")
-    _check_path(path_a, state.mode_count)
     return _apply_transfer(state, path_a, _generator_odd_circuit, n_photons)
 
 
 def _generator_odd_circuit(
     state: FockState, path_a: int, n_photons: int
 ) -> HeraldedOutcome:
-    """Circuit of :func:`generator_odd`.
-
-    Tap b's V submode is vacuum until the polarizing splitter, and tap c's H
-    submode stays vacuum throughout (the splitter passes H straight through),
-    so no splitter or phase acts on them alone.
-    """
+    """Circuit of :func:`generator_odd`; the V click weight holds the splitter's i."""
     internal = state.mode_count
     work = tensor(state, make_fock(1, (n_photons,)))
-    v_click_weight = cmath.exp(0.5j * math.pi / n_photons)
-    clicks = {(1, 0, 0, 0): 1, (0, 1, 0, 0): v_click_weight}
+    clicks = {(1, 0): 1, (0, 1): 1j * cmath.exp(0.5j * math.pi / n_photons)}
     for k in range(1, n_photons + 1):
         theta = math.acos(
             math.sqrt((2 * n_photons - k) / (2 * n_photons - k + 1))
         )
         psi = 2.0 * math.pi * k / n_photons
-        tap = work.mode_count
-        b_h, b_v, c_h, c_v = tap, tap + 1, tap + 2, tap + 3
-        work = tensor(work, make_fock(4, (0, 0, 0, 0)))
-        work = apply_element(work, BeamSplitter(path_a, b_h, theta))
-        work = apply_element(work, BeamSplitter(c_v, internal, theta))
-        work = apply_element(work, PhaseShifter(c_v, psi))
-        work = apply_element(work, PolarizingBS((b_h, b_v), (c_h, c_v)))
-        work = herald(work, (b_h, b_v, c_h, c_v), clicks).state
+        tap_b = work.mode_count
+        tap_c = tap_b + 1
+        work = tensor(work, make_fock(2, (0, 0)))
+        work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
+        work = apply_element(work, BeamSplitter(tap_c, internal, theta))
+        work = apply_element(work, PhaseShifter(tap_c, psi))
+        work = herald(work, (tap_b, tap_c), clicks).state
     return HeraldedOutcome.relative(work, state)
 
 
@@ -458,7 +444,6 @@ def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
     build a transfer table; each call applies the tables to its terms in one
     pass.
     """
-    _check_path(path_a, state.mode_count)
     return _apply_transfer(state, path_a, _generator_kerr_circuit)
 
 

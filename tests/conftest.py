@@ -13,7 +13,6 @@ from noongen import (
     FockState,
     HeraldedOutcome,
     PhaseShifter,
-    PolarizingBS,
     apply_element,
     apply_fsf,
     herald,
@@ -167,6 +166,25 @@ def generator_even_herald_circuit(
     return HeraldedOutcome.relative(work, state)
 
 
+def polarizing_bs(
+    state: FockState, path_i: tuple[int, int], path_j: tuple[int, int]
+) -> FockState:
+    """Polarizing splitter over two (H, V) submode pairs, each a tuple of modes.
+
+    H submodes pass straight through. The V submodes of the two paths are
+    exchanged, and each reflected V photon picks up the same factor i as a
+    fully reflecting beam splitter.
+    """
+    i_v, j_v = path_i[1], path_j[1]
+    i_pow = (1 + 0j, 1j, -1 + 0j, -1j)
+    terms = []
+    for occ, amp in state.terms.items():
+        out = list(occ)
+        out[i_v], out[j_v] = occ[j_v], occ[i_v]
+        terms.append((tuple(out), amp * i_pow[(occ[i_v] + occ[j_v]) % 4]))
+    return FockState._trusted(state.mode_count, terms)
+
+
 def polarized_generator_odd_circuit(
     state: FockState, path_a: int, n_photons: int
 ) -> HeraldedOutcome:
@@ -175,9 +193,12 @@ def polarized_generator_odd_circuit(
     Every path is a consecutive submode pair and ``path_a`` is a path index.
     The fresh path's internal |N> sits in its first submode, which couples to
     tap c's V submode during the sub-blocks and is read as H afterwards (an
-    ideal V -> H half-wave plate). ``pipelines._generator_odd_circuit`` runs
-    the same sub-blocks on single-mode paths; :func:`collapse_polarization`
-    of this circuit's output must equal that route's.
+    ideal V -> H half-wave plate). Each sub-block merges its four tap
+    submodes in :func:`polarizing_bs` and detects one photon at port b in
+    either polarization. ``pipelines._generator_odd_circuit`` runs the same
+    sub-blocks on single-mode paths and two tap modes, with the splitter
+    folded into the V click's weight; :func:`collapse_polarization` of this
+    circuit's output must equal that route's.
     """
     path_h, path_v = 2 * path_a, 2 * path_a + 1
     internal_v = state.mode_count
@@ -196,7 +217,7 @@ def polarized_generator_odd_circuit(
         work = apply_element(work, BeamSplitter(path_v, b_v, theta))
         work = apply_element(work, BeamSplitter(c_v, internal_v, theta))
         work = apply_element(work, PhaseShifter(c_v, psi))
-        work = apply_element(work, PolarizingBS((b_h, b_v), (c_h, c_v)))
+        work = polarizing_bs(work, (b_h, b_v), (c_h, c_v))
         work = herald(work, (b_h, b_v, c_h, c_v), clicks).state
     return HeraldedOutcome.relative(work, state)
 

@@ -22,7 +22,6 @@ from noongen import (
     FockState,
     MethodConfig,
     PhaseShifter,
-    PolarizingBS,
     analysis,
     apply_element,
     apply_fsf,
@@ -161,7 +160,6 @@ def test_acceptance_7_structural_invariants():
         BeamSplitter(0, 3, 0.83),
         PhaseShifter(2, 1.1),
         CrossKerr(1, 2, 2.2),
-        PolarizingBS((0, 1), (2, 3)),
     ):
         out = apply_element(state, element)
         assert {sum(occ) for occ in out.terms} <= {sum(occ) for occ in state.terms}

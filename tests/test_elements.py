@@ -12,6 +12,7 @@ from conftest import (
     assert_terms_close,
     fsf_circuit,
     global_phase_spread,
+    polarizing_bs,
     project_photons,
     random_state,
     random_unit_state,
@@ -22,7 +23,6 @@ from noongen import (
     CrossKerr,
     FockState,
     PhaseShifter,
-    PolarizingBS,
     apply_element,
     apply_fsf,
     bs_matrix_element,
@@ -112,13 +112,9 @@ class TestApplyElement:
 
     def test_polarizing_bs(self):
         # paths (0,1) and (2,3); H passes, V swaps with factor i per photon
-        state = apply_element(
-            make_fock(4, [2, 1, 0, 0]), PolarizingBS((0, 1), (2, 3))
-        )
+        state = polarizing_bs(make_fock(4, [2, 1, 0, 0]), (0, 1), (2, 3))
         assert_terms_close(state, {(2, 0, 0, 1): 1j})
-        state = apply_element(
-            make_fock(4, [0, 1, 0, 1]), PolarizingBS((0, 1), (2, 3))
-        )
+        state = polarizing_bs(make_fock(4, [0, 1, 0, 1]), (0, 1), (2, 3))
         assert_terms_close(state, {(0, 1, 0, 1): -1.0})
 
     def test_invalid_mode_index(self):
@@ -136,10 +132,10 @@ class TestApplyElement:
             BeamSplitter(0, 2, rng.uniform(0, math.pi)),
             PhaseShifter(1, rng.uniform(0, 2 * math.pi)),
             CrossKerr(1, 3, rng.uniform(0, 2 * math.pi)),
-            PolarizingBS((0, 1), (2, 3)),
         ]
-        for element in elements:
-            out = apply_element(state, element)
+        outputs = [apply_element(state, element) for element in elements]
+        outputs.append(polarizing_bs(state, (0, 1), (2, 3)))
+        for out in outputs:
             assert {sum(occ) for occ in out.terms} <= totals
 
     @pytest.mark.parametrize("seed", range(6))
@@ -151,12 +147,11 @@ class TestApplyElement:
             BeamSplitter(1, 3, rng.uniform(0, math.pi)),
             PhaseShifter(2, rng.uniform(0, 2 * math.pi)),
             CrossKerr(0, 2, rng.uniform(0, 2 * math.pi)),
-            PolarizingBS((0, 1), (2, 3)),
         ]
-        for element in elements:
-            assert norm_sq(apply_element(state, element)) == pytest.approx(
-                before, rel=1e-12
-            )
+        outputs = [apply_element(state, element) for element in elements]
+        outputs.append(polarizing_bs(state, (0, 1), (2, 3)))
+        for out in outputs:
+            assert norm_sq(out) == pytest.approx(before, rel=1e-12)
 
 
 class TestHerald:
@@ -193,6 +188,16 @@ class TestHerald:
             herald(self.STATE, (0, 1, 2, 3), {(0, 0, 2, 1): 1})
         with pytest.raises(ValueError, match="needs a mode"):
             herald(self.STATE, (), {(): 1})
+
+    def test_click_pattern_length_must_match_modes(self):
+        # A pattern longer than the measured modes is not cut to its first
+        # count, and a shorter one is not read as an empty outcome.
+        with pytest.raises(ValueError, match="2 counts for 1 modes"):
+            herald(self.STATE, (0,), {(1, 7): 1})
+        with pytest.raises(ValueError, match="1 counts for 2 modes"):
+            herald(self.STATE, (0, 2), {(1,): 1})
+        with pytest.raises(ValueError, match="click pattern"):
+            herald(self.STATE, (3, 1), {**self.CLICKS, (1, 0, 0): 1})
 
 
 class TestProjectPhotons:

@@ -21,7 +21,6 @@ from noongen import (
     FockState,
     PRUNE_THRESHOLD,
     PhaseShifter,
-    PolarizingBS,
     amplitude,
     apply_element,
     apply_fsf,
@@ -59,6 +58,11 @@ class TestMakeFock:
         with pytest.raises(ValueError, match="negative"):
             make_fock(2, [1, -1])
 
+    def test_non_integral_occupation(self):
+        with pytest.raises(ValueError, match="non-integral"):
+            make_fock(2, (1.7, 0))
+        assert dict(make_fock(2, (1.0, 0)).terms) == {(1, 0): 1 + 0j}
+
 
 class TestCoherent:
     def test_vacuum_alpha(self):
@@ -84,6 +88,13 @@ class TestCoherent:
     def test_negative_cutoff(self):
         with pytest.raises(ValueError, match="cutoff"):
             make_coherent_truncated(1.0, -1)
+
+    @pytest.mark.parametrize(
+        "alpha", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)]
+    )
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            make_coherent_truncated(alpha, 3)
 
     @given(
         re=st.floats(-1.5, 1.5),
@@ -219,6 +230,20 @@ class TestStateInvariants:
         with pytest.raises(ValueError, match="negative"):
             FockState(2, {(1, -1): 1.0})
 
+    def test_non_integral_occupation_rejected(self):
+        with pytest.raises(ValueError, match="non-integral"):
+            FockState(2, {(0.5, 1): 1.0})
+        with pytest.raises(ValueError, match="non-integral"):
+            amplitude(make_fock(2, (1, 0)), (1.2, 0))
+
+    @pytest.mark.parametrize(
+        "amp", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 0.0)]
+    )
+    def test_non_finite_amplitude_rejected(self, amp):
+        # A NaN amplitude fails the pruning comparison, so it would vanish unseen.
+        with pytest.raises(ValueError, match="not finite"):
+            FockState(1, {(0,): amp})
+
 
 def _assert_trusted_invariants(out: FockState, source: FockState) -> None:
     assert out._terms is not source._terms
@@ -244,7 +269,6 @@ class TestTrustedConstruction:
             BeamSplitter(0, 1, angle),
             PhaseShifter(2, angle),
             CrossKerr(1, 3, angle),
-            PolarizingBS((0, 1), (2, 3)),
         )
         outputs = [apply_element(state, element) for element in elements]
         detected = next(iter(state.terms))[1]

@@ -491,6 +491,50 @@ class TestMethod3:
         )
         assert report.balanced
 
+    # Odd-N reports bit for bit: N = 7 is 3 (mod 4), with sign +1, and
+    # N = 5 and 21 are 1 (mod 4), with sign -1.
+    PINNED_ODD = {
+        (4, 7): (
+            "{'d': 4, 'N': 7, 'component_amplitudes': "
+            "[[7.874886624318138e-24, 2.582804059892372e-09], "
+            "[5.354876622180321e-24, 2.5828040598923707e-09], "
+            "[2.8348666200425055e-24, 2.58280405989237e-09], "
+            "[5.354876622180321e-24, 2.5828040598923707e-09]], "
+            "'generation_probability': 2.668350724718605e-17, "
+            "'sign_pattern': [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], "
+            "'balanced': True, 'residual_norm': 0.0}"
+        ),
+        (8, 5): (
+            "{'d': 8, 'N': 5, 'component_amplitudes': "
+            "[[1.9299801189721343e-27, 3.3068111527573005e-13], "
+            "[-1.684083066252421e-27, -3.3068111527573005e-13], "
+            "[1.4381860135327078e-27, 3.306811152757301e-13], "
+            "[-1.684083066252421e-27, -3.3068111527573005e-13], "
+            "[1.4381860135327078e-27, 3.3068111527573015e-13], "
+            "[-1.192288960812995e-27, -3.306811152757301e-13], "
+            "[1.4381860135327082e-27, 3.306811152757301e-13], "
+            "[-1.684083066252421e-27, -3.306811152757301e-13]], "
+            "'generation_probability': 8.748000000000056e-25, "
+            "'sign_pattern': [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], "
+            "[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], "
+            "'balanced': True, 'residual_norm': 0.0}"
+        ),
+        (2, 21): (
+            "{'d': 2, 'N': 21, 'component_amplitudes': "
+            "[[-1.2884307392793742e-25, -4.4590203271684544e-11], "
+            "[0.0, 4.4590203271684544e-11]], "
+            "'generation_probability': 3.976572455620294e-21, "
+            "'sign_pattern': [[1.0, 0.0], [-1.0, 0.0]], "
+            "'balanced': True, 'residual_norm': 0.0}"
+        ),
+    }
+
+    @pytest.mark.parametrize("d,n", sorted(PINNED_ODD))
+    def test_odd_reports_pinned(self, d, n):
+        pipelines._transfer_table.cache_clear()  # tables built by this run's circuit
+        report = run_method3(MethodConfig(method=3, d=d, N=n))
+        assert repr(report.to_dict()) == self.PINNED_ODD[(d, n)]
+
     def test_component_magnitude_pattern(self):
         report = run_method3(MethodConfig(method=3, d=4, N=4))
         split, passthrough = generator_magnitudes(4)

@@ -13,7 +13,6 @@ from noongen import (
     MethodConfig,
     NoonReport,
     PhaseShifter,
-    PolarizingBS,
     ResourceCount,
     SweepRow,
     SweepSpec,
@@ -32,7 +31,6 @@ RECORDS = [
     ),
     (PhaseShifter(mode=3, phi=-1.0), "PhaseShifter(mode=3, phi=-1.0)"),
     (CrossKerr(0, 1, 0.5), "CrossKerr(mode_i=0, mode_j=1, chi=0.5)"),
-    (PolarizingBS((0, 1), (2, 3)), "PolarizingBS(path_i=(0, 1), path_j=(2, 3))"),
     (
         OUTCOME,
         "HeraldedOutcome(state=FockState(mode_count=2, terms=1), "
@@ -87,7 +85,6 @@ CHANGES = {
     BeamSplitter: ("theta", 0.25),
     PhaseShifter: ("phi", 0.25),
     CrossKerr: ("chi", 0.25),
-    PolarizingBS: ("path_j", (4, 5)),
     HeraldedOutcome: ("before", make_fock(1, (0,))),
     MethodConfig: ("N", 4),
     NoonReport: ("balanced", False),
