@@ -142,19 +142,29 @@ def make_fock(mode_count: int, occupation: Iterable[int]) -> FockState:
     return FockState(mode_count, {occ: 1.0})
 
 
+def check_alpha(alpha: complex) -> complex:
+    """``alpha`` as a complex; ValueError unless it and |alpha|^2 are finite."""
+    value = complex(alpha)
+    if not cmath.isfinite(value):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    try:
+        abs(value) ** 2  # as make_coherent_truncated evaluates it
+    except OverflowError:
+        raise ValueError(f"|alpha|^2 must be finite, got alpha={alpha}") from None
+    return value
+
+
 def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
     """Single-mode coherent state truncated at photon number ``cutoff``.
 
     Amplitudes follow the Poisson law exp(-|alpha|^2/2) * alpha^n / sqrt(n!).
     The Gaussian prefactor is kept exactly, so the stored amplitudes are the
     true coherent-state amplitudes and the truncated norm is below one.
-    ``alpha`` must be finite.
+    ``alpha`` and |alpha|^2 must be finite.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha = check_alpha(alpha)
     amp = complex(math.exp(-0.5 * abs(alpha) ** 2))
     terms = {(0,): amp}
     for n in range(1, cutoff + 1):

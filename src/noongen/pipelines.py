@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from functools import lru_cache
-from itertools import chain
 
 from .elements import (
     BeamSplitter,
@@ -46,6 +45,7 @@ from .fock import (
     PRUNE_THRESHOLD,
     FockState,
     Record,
+    check_alpha,
     make_coherent_truncated,
     make_fock,
     tensor,
@@ -78,16 +78,16 @@ class MethodConfig(
     """Configuration for one generation run.
 
     ``alpha`` is the coherent amplitude used by method 1 only; when omitted it
-    defaults to the optimal value sqrt(N/d). ``alpha`` must be finite and
-    ``tolerance`` positive and finite.
+    defaults to the optimal value sqrt(N/d). ``alpha`` and |alpha|^2 must be
+    finite and ``tolerance`` positive and finite.
     """
 
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
         check_domain(self.method, self.d, self.N)
-        if self.alpha is not None and not cmath.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if self.alpha is not None:
+            check_alpha(self.alpha)
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError(
                 f"tolerance must be positive and finite, got {self.tolerance}"
@@ -305,41 +305,92 @@ def _transfer_table(circuit, n: int, *args) -> tuple:
     )
 
 
-def _apply_transfer(state: FockState, path: int, circuit, *args) -> HeraldedOutcome:
-    """Apply a heralded generator to ``state`` in one pass over its terms.
+def _level_paths(paths, mode_count: int) -> tuple[int, ...]:
+    """``paths``, an int or a tuple of ints, as a tuple of distinct mode indices.
 
-    The generator ``circuit`` touches mode ``path`` and appends one fresh
-    mode. It is linear, so each term expands by the transfer table of its
-    photon number in ``path``. The vacuum table is one entry ``(0, 0, idle)``,
-    so a term whose touched mode is empty passes through as
-    ``(occ + (0,), amp * idle)``; in a cascade that is nearly every term. Only
-    the other terms are expanded, adding coherently where their outputs meet.
-    Every table keeps the touched mode's photon number on the touched and
-    fresh modes, so the two streams never meet, and both feed one pruning
-    pass in :meth:`FockState._trusted`.
+    Raises ValueError for an empty tuple, a non-int entry, a repeated index or
+    an index outside the ``mode_count`` modes of the input.
     """
-    if not 0 <= path < state.mode_count:
-        raise ValueError(
-            f"path index {path} out of range for {state.mode_count} modes"
-        )
+    if not isinstance(paths, tuple):
+        paths = (paths,)
+    if not paths:
+        raise ValueError("paths must name at least one mode")
+    for path in paths:
+        if not isinstance(path, int) or isinstance(path, bool):
+            raise ValueError(f"path index {path!r} is not an int")
+        if not 0 <= path < mode_count:
+            raise ValueError(f"path index {path} out of range for {mode_count} modes")
+    if len(set(paths)) != len(paths):
+        raise ValueError(f"paths {paths} repeat a mode")
+    return paths
+
+
+def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
+    """Apply a heralded generator to each of ``paths`` in one pass over the terms.
+
+    The generator ``circuit`` touches one path and appends one fresh mode. The
+    fresh mode of ``paths[i]`` gets index ``state.mode_count + i``, so the call
+    equals applying the generators one after another in the order of
+    ``paths``, and one call splits a whole cascade level. The generators are
+    linear, so each term walks the paths in that order: an empty path
+    multiplies its amplitude by the vacuum table's one factor ``idle``, and an
+    occupied path expands it by the transfer table of its photon number. The
+    term's output occupation is built once, at the end of its walk. Every
+    product is pruned below :data:`PRUNE_THRESHOLD` as soon as it is formed,
+    as applying the generators one at a time pruned it, so every amplitude is
+    bit for bit the same. Every table keeps the touched photon number on the
+    touched and fresh modes, so no two outputs meet and none are summed.
+    """
+    paths = _level_paths(paths, state.mode_count)
     ((_, _, idle),) = _transfer_table(circuit, 0, *args)
-    idle_terms = []
-    moved: dict[tuple[int, ...], complex] = defaultdict(complex)
-    for occ, amp in state.terms.items():
-        n = occ[path]
-        if not n:
-            idle_terms.append((occ + (0,), amp * idle))
-            continue
-        head, tail = occ[:path], occ[path + 1 :]
-        for touched, fresh, factor in _transfer_table(circuit, n, *args):
-            moved[(*head, touched, *tail, fresh)] += amp * factor
-    outcome = FockState._trusted(
-        state.mode_count + 1, chain(idle_terms, moved.items())
-    )
+    width = len(paths)
+    first_fresh = state.mode_count
+    fresh = [0] * width
+    pairs = []
+    for occ, amplitude in state.terms.items():
+        # Each branch is an amplitude and its (path, touched, fresh mode,
+        # fresh count) edits, one per occupied path walked so far.
+        branches = [(amplitude, ())]
+        done = 0
+        for index in [i for i, path in enumerate(paths) if occ[path]] + [width]:
+            # Paths done, ..., index - 1 are empty; the idle steps are the
+            # bulk of the work, so they get a tight loop.
+            steps = range(index - done)
+            kept = []
+            for amp, edits in branches:
+                for _ in steps:
+                    amp = amp * idle
+                    if abs(amp) < PRUNE_THRESHOLD:
+                        break
+                else:
+                    kept.append((amp, edits))
+            branches = kept
+            if index == width or not branches:
+                break
+            path = paths[index]
+            mode = first_fresh + index
+            # Summed from 0j, as into a zero-filled map: a -0.0 part of the
+            # product comes out +0.0, which the reports have always shown.
+            branches = [
+                (value, edits + ((path, touched, mode, moved),))
+                for amp, edits in branches
+                for touched, moved, factor in _transfer_table(circuit, occ[path], *args)
+                if abs(value := 0j + amp * factor) >= PRUNE_THRESHOLD
+            ]
+            done = index + 1
+        for amp, edits in branches:
+            out = [*occ, *fresh]
+            for path, touched, mode, moved in edits:
+                out[path] = touched
+                out[mode] = moved
+            pairs.append((tuple(out), amp))
+    outcome = FockState._trusted(state.mode_count + width, pairs)
     return HeraldedOutcome.relative(outcome, state)
 
 
-def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
+def generator_even(
+    state: FockState, paths: int | tuple[int, ...], n_photons: int
+) -> HeraldedOutcome:
     """Entanglement generator for even N: reduce two photons per sub-block.
 
     Appends a fresh mode holding |N> and runs N/2 sub-blocks. Sub-block k taps
@@ -349,8 +400,10 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
     on a vacuum input the internal |N> is fully consumed and the generator
     reduces to a scalar factor.
 
-    The fresh mode receives the next unused index. The circuit
-    (:func:`_generator_even_circuit`) runs once per occupation of ``path_a``
+    ``paths`` is one mode index or a tuple of distinct ones, such as a whole
+    cascade level; each path gets one generator and one fresh mode, with the
+    next unused indices in the order of ``paths``. The circuit
+    (:func:`_generator_even_circuit`) runs once per photon number of a path
     and N to build a transfer table; each call applies the tables to its terms
     in one pass.
     """
@@ -358,7 +411,7 @@ def generator_even(state: FockState, path_a: int, n_photons: int) -> HeraldedOut
         raise ValueError(
             f"even-N generator requires even N >= 2, got {n_photons}"
         )
-    return _apply_transfer(state, path_a, _generator_even_circuit, n_photons)
+    return _apply_transfer(state, paths, _generator_even_circuit, n_photons)
 
 
 def _generator_even_circuit(
@@ -379,11 +432,13 @@ def _generator_even_circuit(
     return HeraldedOutcome.relative(work, state)
 
 
-def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutcome:
+def generator_odd(
+    state: FockState, paths: int | tuple[int, ...], n_photons: int
+) -> HeraldedOutcome:
     """Entanglement generator for odd N: reduce one photon per sub-block.
 
     Appends a fresh mode holding |N> and runs N sub-blocks, each reducing one
-    photon: ``path_a`` feeds tap b and the fresh mode feeds tap c through
+    photon: the touched path feeds tap b and the fresh mode feeds tap c through
     splitters of transmissivity (2N-k)/(2N-k+1), and tap c takes the phase
     2*pi*k/N. In the paper's circuit tap b is H-polarized and tap c
     V-polarized; a polarizing splitter merges them and a polarization-erasing
@@ -397,13 +452,14 @@ def generator_odd(state: FockState, path_a: int, n_photons: int) -> HeraldedOutc
     together with the splitter's factor i this pins the relative sign of the
     two output components to +1 for N = 3 (mod 4) and -1 for N = 1 (mod 4).
 
-    The circuit (:func:`_generator_odd_circuit`) runs once per occupation of
-    ``path_a`` and N to build a transfer table; each call applies the tables
-    to its terms in one pass.
+    ``paths`` is one mode index or a tuple of distinct ones, as for
+    :func:`generator_even`. The circuit (:func:`_generator_odd_circuit`) runs
+    once per photon number of a path and N to build a transfer table; each
+    call applies the tables to its terms in one pass.
     """
     if n_photons < 1 or n_photons % 2 == 0:
         raise ValueError(f"odd-N generator requires odd N >= 1, got {n_photons}")
-    return _apply_transfer(state, path_a, _generator_odd_circuit, n_photons)
+    return _apply_transfer(state, paths, _generator_odd_circuit, n_photons)
 
 
 def _generator_odd_circuit(
@@ -428,7 +484,7 @@ def _generator_odd_circuit(
     return HeraldedOutcome.relative(work, state)
 
 
-def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
+def generator_kerr(state: FockState, paths: int | tuple[int, ...]) -> HeraldedOutcome:
     """Cross-Kerr entanglement generator heralded on one single photon.
 
     Appends a fresh partner mode (vacuum), a single-photon mode and a fourth
@@ -439,12 +495,13 @@ def generator_kerr(state: FockState, path_a: int) -> HeraldedOutcome:
     input yields (|N,0> + |0,N>)/2 and a vacuum input passes through with
     amplitude 1 while the photon still exits at the heralding detector.
 
-    Of the three appended modes only the partner is kept. The circuit
-    (:func:`_generator_kerr_circuit`) runs once per occupation of ``path_a`` to
-    build a transfer table; each call applies the tables to its terms in one
-    pass.
+    Of the three appended modes only the partner is kept. ``paths`` is one
+    mode index or a tuple of distinct ones, as for :func:`generator_even`.
+    The circuit (:func:`_generator_kerr_circuit`) runs once per photon number
+    of a path to build a transfer table; each call applies the tables to its
+    terms in one pass.
     """
-    return _apply_transfer(state, path_a, _generator_kerr_circuit)
+    return _apply_transfer(state, paths, _generator_kerr_circuit)
 
 
 def _generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
@@ -468,12 +525,12 @@ def _cascade(d: int, state: FockState, generator, *args) -> FockState:
     """Run d-1 generators as a balanced binary tree over d = 2^L paths.
 
     At level l the paths 2^l - 1, ..., 1, 0 are each split in turn, and every
-    generator appends a fresh path with the next unused index. For d=8 the
-    generator paths are 0; 1, 0; 3, 2, 1, 0.
+    generator appends a fresh path with the next unused index. One generator
+    call splits a whole level; for d=8 the calls take the paths (0,), (1, 0)
+    and (3, 2, 1, 0).
     """
     for level in range(d.bit_length() - 1):
-        for path in reversed(range(2**level)):
-            state = generator(state, path, *args).state
+        state = generator(state, tuple(reversed(range(2**level))), *args).state
     return state
 
 

@@ -12,9 +12,15 @@ from noongen import (
     BeamSplitter,
     FockState,
     HeraldedOutcome,
+    MethodConfig,
+    NoonReport,
     PhaseShifter,
     apply_element,
     apply_fsf,
+    extract_noon,
+    generator_even,
+    generator_kerr,
+    generator_odd,
     herald,
     make_fock,
     tensor,
@@ -249,3 +255,21 @@ def assert_same_bits(a: FockState, b: FockState) -> None:
     """Assert two states hold the same terms in the same order, bit for bit."""
     assert a.mode_count == b.mode_count
     assert repr(list(a.terms.items())) == repr(list(b.terms.items()))
+
+
+def cascade_one_path_at_a_time(cfg: MethodConfig) -> NoonReport:
+    """Method 3 or 4 with every generator of the balanced tree called alone.
+
+    The same tree as ``pipelines._cascade``: at level l the paths 2^l - 1,
+    ..., 1, 0 are split in turn. Here each path is its own int call of the
+    public generator, where the pipelines split a whole level in one call.
+    """
+    if cfg.method == 4:
+        generator, args = generator_kerr, ()
+    else:
+        generator, args = (generator_odd if cfg.N % 2 else generator_even), (cfg.N,)
+    state = make_fock(1, (cfg.N,))
+    for level in range(cfg.d.bit_length() - 1):
+        for path in reversed(range(2**level)):
+            state = generator(state, path, *args).state
+    return extract_noon(state, cfg.N, cfg.tolerance)

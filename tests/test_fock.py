@@ -96,6 +96,19 @@ class TestCoherent:
         with pytest.raises(ValueError, match="alpha must be finite"):
             make_coherent_truncated(alpha, 3)
 
+    @pytest.mark.parametrize(
+        "alpha", [1e200, -1e200, complex(0.0, 1e200), complex(1.7e308, 1.7e308)]
+    )
+    def test_alpha_whose_square_overflows(self, alpha):
+        # Finite alpha, but |alpha|^2 is past the float range.
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 must be finite"):
+            make_coherent_truncated(alpha, 3)
+
+    def test_large_alpha_with_finite_square(self):
+        # Accepted: its Gaussian prefactor underflows, so no term survives.
+        state = make_coherent_truncated(1e150, 2)
+        assert dict(state.terms) == {}
+
     @given(
         re=st.floats(-1.5, 1.5),
         im=st.floats(-1.5, 1.5),

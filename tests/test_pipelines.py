@@ -1,5 +1,6 @@
 """Tests for the four generation pipelines and their building blocks."""
 
+import cmath
 import itertools
 import math
 from math import factorial
@@ -10,6 +11,7 @@ import pytest
 from conftest import (
     assert_same_bits,
     assert_terms_close,
+    cascade_one_path_at_a_time,
     collapse_polarization,
     filtrate_blocks,
     generator_even_herald_circuit,
@@ -21,6 +23,7 @@ from conftest import (
 )
 from noongen import pipelines
 from noongen import (
+    PRUNE_THRESHOLD,
     FockState,
     MethodConfig,
     amplitude,
@@ -84,6 +87,11 @@ class TestMethodConfig:
     def test_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite"):
             MethodConfig(method=1, d=2, N=2, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e200, 1.0)])
+    def test_rejects_alpha_whose_square_overflows(self, alpha):
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 must be finite"):
+            MethodConfig(method=1, d=2, N=3, alpha=alpha)
 
 
 class TestSplitEvenly:
@@ -701,6 +709,115 @@ class TestGeneratorRoutes:
             with pytest.raises(ValueError, match=f"path index {path_a} out of range for 1 modes"):
                 generator(state, path_a, *args)
 
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            ((), "paths must name at least one mode"),
+            ((1, 0, 1), r"paths \(1, 0, 1\) repeat a mode"),
+            ((0, 1.0), "path index 1.0 is not an int"),
+            ((0, "1"), "path index '1' is not an int"),
+            (True, "path index True is not an int"),
+            ((2, 3), "path index 3 out of range for 3 modes"),
+            ((0, -1), "path index -1 out of range for 3 modes"),
+        ],
+    )
+    def test_level_paths_validated_on_the_input(self, generator, args, paths, message):
+        for state in (FockState(3, {(1, 0, 2): 1.0}), FockState(3, {})):
+            with pytest.raises(ValueError, match=message):
+                generator(state, paths, *args)
+
+
+def _level_state(rng, modes: int) -> FockState:
+    """Random state on ``modes`` paths with several paths occupied per term.
+
+    Each term puts 1 to 3 photons on each of 1 to 3 paths; one draw in eight
+    is the vacuum. About one amplitude in three lies within a factor 100 of
+    :data:`PRUNE_THRESHOLD`, so idle steps and expansions prune some
+    products mid-walk, and one in two has a real or imaginary part of 0.0 or
+    -0.0.
+    """
+    terms = {}
+    for _ in range(int(rng.integers(4, 13))):
+        occ = [0] * modes
+        if rng.random() >= 1 / 8:
+            touched = rng.choice(modes, size=int(rng.integers(1, 4)), replace=False)
+            for mode in touched:
+                occ[int(mode)] = int(rng.integers(1, 4))
+        if rng.random() < 1 / 3:
+            magnitude = PRUNE_THRESHOLD * 10 ** rng.uniform(0, 2)
+        else:
+            magnitude = rng.uniform(0.1, 1.0)
+        amp = magnitude * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        zero = float(rng.choice([0.0, -0.0]))
+        amp = [amp, amp, complex(amp.real, zero), complex(zero, amp.imag)][rng.integers(4)]
+        terms[tuple(occ)] = amp
+    return FockState(modes, terms)
+
+
+class TestLevelPass:
+    """One call on a tuple of paths equals one int call per path, bit for bit."""
+
+    GENERATORS = [
+        (generator_even, (2,)),
+        (generator_even, (4,)),
+        (generator_odd, (1,)),
+        (generator_odd, (3,)),
+        (generator_kerr, ()),
+    ]
+
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tuple_call_equals_int_calls(self, generator, args, seed):
+        rng = np.random.default_rng(7400 + seed)
+        modes = int(rng.integers(3, 9))
+        state = _level_state(rng, modes)
+        count = int(rng.integers(2, modes + 1))
+        paths = tuple(int(p) for p in rng.permutation(modes)[:count])
+        level = generator(state, paths, *args)
+        one_at_a_time = state
+        for path in paths:
+            one_at_a_time = generator(one_at_a_time, path, *args).state
+        assert level.state.mode_count == modes + count
+        assert level.before is state
+        assert repr(sorted(level.state.terms.items())) == repr(
+            sorted(one_at_a_time.terms.items())
+        )
+
+    def test_expanded_amplitudes_are_sums_from_zero(self):
+        # An expanded amplitude is 0j + amp * factor, the sum a zero-filled
+        # map gave when each generator ran alone: amp * factor's -0.0
+        # imaginary part comes out +0.0.
+        amp = complex(-0.5, -0.0)
+        out = generator_kerr(FockState(1, {(1,): amp}), 0).state
+        table = pipelines._transfer_table(pipelines._generator_kerr_circuit, 1)
+        assert all(str((amp * factor).imag) == "-0.0" for _, _, factor in table)
+        expected = sorted(((t, f), 0j + amp * factor) for t, f, factor in table)
+        assert repr(sorted(out.terms.items())) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "method, d, n",
+        [
+            (3, 2, 2),
+            (3, 4, 4),
+            (3, 8, 6),
+            (3, 16, 4),
+            (3, 2, 21),
+            (3, 4, 7),
+            (3, 8, 5),
+            (3, 16, 3),
+            (4, 2, 5),
+            (4, 8, 3),
+            (4, 64, 8),
+            (4, 256, 4),
+        ],
+    )
+    def test_cascade_reports_match_one_path_at_a_time(self, method, d, n):
+        cfg = MethodConfig(method=method, d=d, N=n)
+        assert repr(run_method(cfg).to_dict()) == repr(
+            cascade_one_path_at_a_time(cfg).to_dict()
+        )
+
 
 class TestMethod4:
     def test_headline(self):
@@ -720,15 +837,16 @@ class TestMethod4:
         assert report.balanced
 
     def test_balanced_tree_path_order(self, monkeypatch):
-        paths = []
+        # One call per tree level, its paths last first.
+        calls = []
 
-        def recording(state, path_a):
-            paths.append(path_a)
-            return generator_kerr(state, path_a)
+        def recording(state, paths):
+            calls.append(paths)
+            return generator_kerr(state, paths)
 
         monkeypatch.setattr(pipelines, "generator_kerr", recording)
         run_method4(MethodConfig(method=4, d=8, N=2))
-        assert paths == [0, 1, 0, 3, 2, 1, 0]
+        assert calls == [(0,), (1, 0), (3, 2, 1, 0)]
 
 
 class TestBeyondVerifyGrid:
