@@ -21,15 +21,20 @@ All amplitudes stay relative to the original input, so generation
 probabilities are squared norms of the extracted NOON components. Methods 3
 and 4 require d to be a power of two; the cascade is a balanced binary tree
 (each occupied-or-superposed mode is paired with a fresh mode level by level),
-which is what makes the final component amplitudes equal.
+which is what makes the final component amplitudes equal. One generator call
+runs the whole tree, each term's branches kept as sparse maps of their
+occupied modes until their final occupation is built.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import mul
 
 from .elements import (
     BeamSplitter,
@@ -141,26 +146,37 @@ def _snap(value: complex, tolerance: float) -> complex:
 
 
 def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> NoonReport:
-    """Read the d NOON component amplitudes out of a final state."""
+    """Read the d NOON component amplitudes out of a final state.
+
+    One pass over the terms: a term is a NOON term when one mode holds all
+    ``n_photons`` and the other d-1 are empty. The residual is a correctly
+    rounded sum (``math.fsum``) of the other terms' squared magnitudes, so
+    their order does not matter. Raises ValueError for ``n_photons < 1``.
+    """
+    if n_photons < 1:
+        raise ValueError(f"N must be at least 1, got {n_photons}")
     d = state.mode_count
-    noon = [(0,) * j + (n_photons,) + (0,) * (d - 1 - j) for j in range(d)]
-    terms = state.terms
-    components = [terms.get(occ, 0j) for occ in noon]
-    probability = sum(abs(c) ** 2 for c in components)
-    skip = set(noon)
-    residual = math.fsum(abs(amp) ** 2 for occ, amp in terms.items() if occ not in skip)
+    components = [0j] * d
+    rest = []
+    for occ, amp in state.terms.items():
+        if occ.count(0) == d - 1 and n_photons in occ:
+            components[occ.index(n_photons)] = amp
+        else:
+            rest.append(abs(amp) ** 2)
     magnitudes = [abs(c) for c in components]
+    probability = sum(m**2 for m in magnitudes)
     largest = max(magnitudes)
     threshold = tolerance * largest
     balanced = 0.0 < largest and largest - min(magnitudes) <= threshold
-    reference = next((c for c in components if abs(c) > threshold), None)
+    reference = next(
+        (c / m for c, m in zip(components, magnitudes) if m > threshold), None
+    )
     if reference is None:
         signs = tuple(1 + 0j for _ in components)
     else:
-        ref_phase = reference / abs(reference)
         signs = tuple(
-            _snap((c / abs(c)) / ref_phase, tolerance) if abs(c) > threshold else 0j
-            for c in components
+            _snap((c / m) / reference, tolerance) if m > threshold else 0j
+            for c, m in zip(components, magnitudes)
         )
     return NoonReport(
         d=d,
@@ -169,7 +185,7 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
         generation_probability=probability,
         sign_pattern=signs,
         balanced=balanced,
-        residual_norm=residual,
+        residual_norm=math.fsum(rest),
     )
 
 
@@ -306,22 +322,23 @@ def _transfer_table(circuit, n: int, *args) -> tuple:
 
 
 def _level_paths(paths, mode_count: int) -> tuple[int, ...]:
-    """``paths``, an int or a tuple of ints, as a tuple of distinct mode indices.
+    """``paths``, an int or a tuple of ints, as a tuple of mode indices.
 
-    Raises ValueError for an empty tuple, a non-int entry, a repeated index or
-    an index outside the ``mode_count`` modes of the input.
+    Entry ``i`` may name any mode below ``mode_count + i``: an input mode or
+    the fresh mode an earlier entry appends. Raises ValueError for an empty
+    tuple, a non-int entry or an index outside that range.
     """
     if not isinstance(paths, tuple):
         paths = (paths,)
     if not paths:
         raise ValueError("paths must name at least one mode")
-    for path in paths:
+    for i, path in enumerate(paths):
         if not isinstance(path, int) or isinstance(path, bool):
             raise ValueError(f"path index {path!r} is not an int")
-        if not 0 <= path < mode_count:
-            raise ValueError(f"path index {path} out of range for {mode_count} modes")
-    if len(set(paths)) != len(paths):
-        raise ValueError(f"paths {paths} repeat a mode")
+        if not 0 <= path < mode_count + i:
+            raise ValueError(
+                f"path index {path} out of range for {mode_count + i} modes"
+            )
     return paths
 
 
@@ -329,62 +346,80 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     """Apply a heralded generator to each of ``paths`` in one pass over the terms.
 
     The generator ``circuit`` touches one path and appends one fresh mode. The
-    fresh mode of ``paths[i]`` gets index ``state.mode_count + i``, so the call
-    equals applying the generators one after another in the order of
-    ``paths``, and one call splits a whole cascade level. The generators are
-    linear, so each term walks the paths in that order: an empty path
-    multiplies its amplitude by the vacuum table's one factor ``idle``, and an
-    occupied path expands it by the transfer table of its photon number. The
-    term's output occupation is built once, at the end of its walk. Every
-    product is pruned below :data:`PRUNE_THRESHOLD` as soon as it is formed,
-    as applying the generators one at a time pruned it, so every amplitude is
-    bit for bit the same. Every table keeps the touched photon number on the
-    touched and fresh modes, so no two outputs meet and none are summed.
+    fresh mode of ``paths[i]`` gets index ``state.mode_count + i``, and a later
+    entry may name it, so the call equals applying the generators one after
+    another in the order of ``paths``, and one call runs a whole cascade.
+
+    The generators are linear, so each term walks them depth first. A branch
+    is an amplitude, a ``{mode: n}`` map of its occupied modes and the index
+    of its next generator; per-mode sorted step lists find the next generator
+    that touches an occupied mode. Every generator before it meets an empty
+    path and multiplies the amplitude by the vacuum table's one factor
+    ``idle``; the generator itself expands the branch by the transfer table
+    of its photon number. Each product is the one applying the generators one
+    at a time formed. That route pruned each below :data:`PRUNE_THRESHOLD`;
+    here an idle run is pruned at its end, which drops the same branches
+    because |idle| <= 1, so a magnitude never climbs back over the floor.
+    Every amplitude is therefore bit for bit the same. Branches finish in
+    that route's term order, and each builds its output occupation once.
+    Every table keeps the touched photon number on the touched and fresh
+    modes, so no two outputs meet and none are summed.
     """
     paths = _level_paths(paths, state.mode_count)
-    ((_, _, idle),) = _transfer_table(circuit, 0, *args)
+    vacuum = _transfer_table(circuit, 0, *args)
+    if not vacuum:
+        # Only the N-photon generators can get here: the Kerr pass-through is 1.
+        raise ValueError(
+            f"the generator's vacuum pass-through at N = {args[0]} is below"
+            f" PRUNE_THRESHOLD = {PRUNE_THRESHOLD}"
+        )
+    ((_, _, idle),) = vacuum
     width = len(paths)
     first_fresh = state.mode_count
-    fresh = [0] * width
+    size = first_fresh + width
+    steps = [[] for _ in range(size)]
+    for step, path in enumerate(paths):
+        steps[path].append(step)
     pairs = []
     for occ, amplitude in state.terms.items():
-        # Each branch is an amplitude and its (path, touched, fresh mode,
-        # fresh count) edits, one per occupied path walked so far.
-        branches = [(amplitude, ())]
-        done = 0
-        for index in [i for i, path in enumerate(paths) if occ[path]] + [width]:
-            # Paths done, ..., index - 1 are empty; the idle steps are the
-            # bulk of the work, so they get a tight loop.
-            steps = range(index - done)
-            kept = []
-            for amp, edits in branches:
-                for _ in steps:
-                    amp = amp * idle
-                    if abs(amp) < PRUNE_THRESHOLD:
-                        break
-                else:
-                    kept.append((amp, edits))
-            branches = kept
-            if index == width or not branches:
-                break
+        stack = [(amplitude, {mode: n for mode, n in enumerate(occ) if n}, 0)]
+        while stack:
+            amp, occupied, step = stack.pop()
+            index = width
+            for mode in occupied:
+                touches = steps[mode]
+                k = bisect_left(touches, step)
+                if k < len(touches) and touches[k] < index:
+                    index = touches[k]
+            if index > step:
+                amp = reduce(mul, repeat(idle, index - step), amp)
+                if abs(amp) < PRUNE_THRESHOLD:
+                    continue
+            if index == width:
+                out = [0] * size
+                for mode, n in occupied.items():
+                    out[mode] = n
+                pairs.append((tuple(out), amp))
+                continue
             path = paths[index]
-            mode = first_fresh + index
-            # Summed from 0j, as into a zero-filled map: a -0.0 part of the
-            # product comes out +0.0, which the reports have always shown.
-            branches = [
-                (value, edits + ((path, touched, mode, moved),))
-                for amp, edits in branches
-                for touched, moved, factor in _transfer_table(circuit, occ[path], *args)
-                if abs(value := 0j + amp * factor) >= PRUNE_THRESHOLD
-            ]
-            done = index + 1
-        for amp, edits in branches:
-            out = [*occ, *fresh]
-            for path, touched, mode, moved in edits:
-                out[path] = touched
-                out[mode] = moved
-            pairs.append((tuple(out), amp))
-    outcome = FockState._trusted(state.mode_count + width, pairs)
+            fresh = first_fresh + index
+            branches = []
+            for touched, moved, factor in _transfer_table(circuit, occupied[path], *args):
+                # Summed from 0j, as into a zero-filled map: a -0.0 part of
+                # the product comes out +0.0, which the reports have always
+                # shown.
+                value = 0j + amp * factor
+                if abs(value) >= PRUNE_THRESHOLD:
+                    branch = occupied.copy()
+                    if touched:
+                        branch[path] = touched
+                    else:
+                        del branch[path]
+                    if moved:
+                        branch[fresh] = moved
+                    branches.append((value, branch, index + 1))
+            stack += reversed(branches)
+    outcome = FockState._trusted(size, pairs)
     return HeraldedOutcome.relative(outcome, state)
 
 
@@ -400,9 +435,11 @@ def generator_even(
     on a vacuum input the internal |N> is fully consumed and the generator
     reduces to a scalar factor.
 
-    ``paths`` is one mode index or a tuple of distinct ones, such as a whole
-    cascade level; each path gets one generator and one fresh mode, with the
-    next unused indices in the order of ``paths``. The circuit
+    ``paths`` is one mode index or a tuple of them, such as a whole cascade;
+    each entry gets one generator and one fresh mode, with the next unused
+    indices in the order of ``paths``, and entry i may name any mode below
+    ``state.mode_count + i``, so a later entry can split an earlier one's
+    fresh mode. The call equals the int calls made in that order. The circuit
     (:func:`_generator_even_circuit`) runs once per photon number of a path
     and N to build a transfer table; each call applies the tables to its terms
     in one pass.
@@ -452,7 +489,7 @@ def generator_odd(
     together with the splitter's factor i this pins the relative sign of the
     two output components to +1 for N = 3 (mod 4) and -1 for N = 1 (mod 4).
 
-    ``paths`` is one mode index or a tuple of distinct ones, as for
+    ``paths`` is one mode index or a tuple of them, as for
     :func:`generator_even`. The circuit (:func:`_generator_odd_circuit`) runs
     once per photon number of a path and N to build a transfer table; each
     call applies the tables to its terms in one pass.
@@ -496,7 +533,7 @@ def generator_kerr(state: FockState, paths: int | tuple[int, ...]) -> HeraldedOu
     amplitude 1 while the photon still exits at the heralding detector.
 
     Of the three appended modes only the partner is kept. ``paths`` is one
-    mode index or a tuple of distinct ones, as for :func:`generator_even`.
+    mode index or a tuple of them, as for :func:`generator_even`.
     The circuit (:func:`_generator_kerr_circuit`) runs once per photon number
     of a path to build a transfer table; each call applies the tables to its
     terms in one pass.
@@ -526,12 +563,12 @@ def _cascade(d: int, state: FockState, generator, *args) -> FockState:
 
     At level l the paths 2^l - 1, ..., 1, 0 are each split in turn, and every
     generator appends a fresh path with the next unused index. One generator
-    call splits a whole level; for d=8 the calls take the paths (0,), (1, 0)
-    and (3, 2, 1, 0).
+    call runs the whole tree on the levels' paths in sequence: for d=8 they
+    are (0, 1, 0, 3, 2, 1, 0).
     """
-    for level in range(d.bit_length() - 1):
-        state = generator(state, tuple(reversed(range(2**level))), *args).state
-    return state
+    levels = range(d.bit_length() - 1)
+    paths = tuple(path for level in levels for path in reversed(range(2**level)))
+    return generator(state, paths, *args).state
 
 
 def run_method3(cfg: MethodConfig) -> NoonReport:

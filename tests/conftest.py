@@ -262,7 +262,7 @@ def cascade_one_path_at_a_time(cfg: MethodConfig) -> NoonReport:
 
     The same tree as ``pipelines._cascade``: at level l the paths 2^l - 1,
     ..., 1, 0 are split in turn. Here each path is its own int call of the
-    public generator, where the pipelines split a whole level in one call.
+    public generator, where the pipelines run the whole tree in one call.
     """
     if cfg.method == 4:
         generator, args = generator_kerr, ()

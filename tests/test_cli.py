@@ -77,6 +77,17 @@ class TestGenerate:
         assert code == 0
         assert out.splitlines()[1] == row
 
+    def test_pass_through_below_the_floor_is_an_error(self, capsys):
+        # At N = 40 the generator's vacuum pass-through (7.8e-15) is below
+        # the absolute amplitude floor, so its vacuum table is empty.
+        code, out, err = run_cli(capsys, "generate", "--method", "3", "--d", "2", "--N", "40")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: the generator's vacuum pass-through at N = 40 is below"
+            " PRUNE_THRESHOLD = 1e-14\n"
+        )
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--method", "4", "--d", "4")
         assert code == 1

@@ -714,15 +714,17 @@ class TestGeneratorRoutes:
         "paths, message",
         [
             ((), "paths must name at least one mode"),
-            ((1, 0, 1), r"paths \(1, 0, 1\) repeat a mode"),
+            ((3, 0), "path index 3 out of range for 3 modes"),
             ((0, 1.0), "path index 1.0 is not an int"),
             ((0, "1"), "path index '1' is not an int"),
             (True, "path index True is not an int"),
-            ((2, 3), "path index 3 out of range for 3 modes"),
-            ((0, -1), "path index -1 out of range for 3 modes"),
+            ((0, 4), "path index 4 out of range for 4 modes"),
+            ((0, -1), "path index -1 out of range for 4 modes"),
         ],
     )
     def test_level_paths_validated_on_the_input(self, generator, args, paths, message):
+        # Entry i may name a mode below mode_count + i: an input mode, or the
+        # fresh mode of an earlier entry, never one not appended yet.
         for state in (FockState(3, {(1, 0, 2): 1.0}), FockState(3, {})):
             with pytest.raises(ValueError, match=message):
                 generator(state, paths, *args)
@@ -766,6 +768,16 @@ class TestLevelPass:
         (generator_kerr, ()),
     ]
 
+    @staticmethod
+    def assert_tuple_call_equals_int_calls(generator, args, state, paths):
+        whole = generator(state, paths, *args)
+        one_at_a_time = state
+        for path in paths:
+            one_at_a_time = generator(one_at_a_time, path, *args).state
+        assert whole.state.mode_count == state.mode_count + len(paths)
+        assert whole.before is state
+        assert_same_bits(whole.state, one_at_a_time)
+
     @pytest.mark.parametrize("generator, args", GENERATORS)
     @pytest.mark.parametrize("seed", range(8))
     def test_tuple_call_equals_int_calls(self, generator, args, seed):
@@ -773,27 +785,56 @@ class TestLevelPass:
         modes = int(rng.integers(3, 9))
         state = _level_state(rng, modes)
         count = int(rng.integers(2, modes + 1))
-        paths = tuple(int(p) for p in rng.permutation(modes)[:count])
-        level = generator(state, paths, *args)
-        one_at_a_time = state
-        for path in paths:
-            one_at_a_time = generator(one_at_a_time, path, *args).state
-        assert level.state.mode_count == modes + count
-        assert level.before is state
-        assert repr(sorted(level.state.terms.items())) == repr(
-            sorted(one_at_a_time.terms.items())
-        )
+        distinct = tuple(int(p) for p in rng.permutation(modes)[:count])
+        self.assert_tuple_call_equals_int_calls(generator, args, state, distinct)
+        # Entry i names any mode below modes + i, so modes repeat and fresh
+        # modes are split again, as in a cascade; at least one of each.
+        steps = int(rng.integers(4, 13))
+        paths = [int(rng.integers(0, modes)), modes]
+        paths += [int(rng.integers(0, modes + i)) for i in range(2, steps)]
+        paths.insert(int(rng.integers(2, steps)), paths[0])
+        self.assert_tuple_call_equals_int_calls(generator, args, state, tuple(paths))
+
+    @pytest.mark.parametrize(
+        "amplitude, kept", [(2e-14, False), (math.nextafter(2e-14, 1.0), True)]
+    )
+    def test_idle_run_pruned_at_the_floor_as_int_calls(self, amplitude, kept):
+        # Two empty paths of the N = 1 odd generator scale the amplitude by
+        # |idle|^2 ~ 1/2, to just below the floor or exactly onto it: the run
+        # is pruned once at its end and keeps the term exactly when the int
+        # calls, which prune after each step, keep it.
+        state = FockState(2, {(0, 0): amplitude})
+        whole = generator_odd(state, (0, 1), 1).state
+        self.assert_tuple_call_equals_int_calls(generator_odd, (1,), state, (0, 1))
+        assert bool(whole.terms) is kept
+
+    @pytest.mark.parametrize(
+        "circuit, args",
+        [
+            (pipelines._generator_odd_circuit, (n,))
+            if n % 2
+            else (pipelines._generator_even_circuit, (n,))
+            for n in range(1, 13)
+        ]
+        + [(pipelines._generator_kerr_circuit, ())],
+    )
+    def test_idle_factor_at_most_one(self, circuit, args):
+        # Pruning an idle run once at its end is exact only while no idle
+        # step can raise a magnitude.
+        ((_, _, idle),) = pipelines._transfer_table(circuit, 0, *args)
+        assert abs(idle) <= 1.0
 
     def test_expanded_amplitudes_are_sums_from_zero(self):
         # An expanded amplitude is 0j + amp * factor, the sum a zero-filled
         # map gave when each generator ran alone: amp * factor's -0.0
-        # imaginary part comes out +0.0.
+        # imaginary part comes out +0.0. The terms come out in table order,
+        # so a call's terms are in the order of the int calls it equals.
         amp = complex(-0.5, -0.0)
         out = generator_kerr(FockState(1, {(1,): amp}), 0).state
         table = pipelines._transfer_table(pipelines._generator_kerr_circuit, 1)
         assert all(str((amp * factor).imag) == "-0.0" for _, _, factor in table)
-        expected = sorted(((t, f), 0j + amp * factor) for t, f, factor in table)
-        assert repr(sorted(out.terms.items())) == repr(expected)
+        expected = [((t, f), 0j + amp * factor) for t, f, factor in table]
+        assert repr(list(out.terms.items())) == repr(expected)
 
     @pytest.mark.parametrize(
         "method, d, n",
@@ -837,7 +878,7 @@ class TestMethod4:
         assert report.balanced
 
     def test_balanced_tree_path_order(self, monkeypatch):
-        # One call per tree level, its paths last first.
+        # One call for the whole tree: its levels in turn, each last first.
         calls = []
 
         def recording(state, paths):
@@ -846,7 +887,7 @@ class TestMethod4:
 
         monkeypatch.setattr(pipelines, "generator_kerr", recording)
         run_method4(MethodConfig(method=4, d=8, N=2))
-        assert calls == [(0,), (1, 0), (3, 2, 1, 0)]
+        assert calls == [(0, 1, 0, 3, 2, 1, 0)]
 
 
 class TestBeyondVerifyGrid:
@@ -925,6 +966,23 @@ class TestExtractNoon:
         extra = 1e-9 + 2e-9j
         report = extract_noon(FockState(3, {**noon, (1, 1, 1): extra}), 3)
         assert report.residual_norm == abs(extra) ** 2
+
+    def test_n_photons_beside_other_photons_is_residual(self):
+        # A NOON term holds all N photons in one mode and none elsewhere;
+        # N photons in a mode beside other occupied modes is residual.
+        other = {(2, 2, 0): 0.1, (0, 2, 1): 0.2j}
+        state = FockState(3, {(2, 0, 0): 0.5, (0, 2, 0): -0.5, **other})
+        report = extract_noon(state, 2)
+        assert report.component_amplitudes == (0.5 + 0j, -0.5 + 0j, 0j)
+        assert report.residual_norm == math.fsum(abs(a) ** 2 for a in other.values())
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_photon_number_below_one(self, n):
+        # At N = 0 the vacuum term would count as every component: p = 0.75
+        # here, above the state's squared norm of 0.5.
+        state = FockState(3, {(0, 0, 0): 0.5, (2, 0, 0): 0.5})
+        with pytest.raises(ValueError, match=f"N must be at least 1, got {n}"):
+            extract_noon(state, n)
 
     def test_probability_is_d_times_component(self):
         report = run_method2(MethodConfig(method=2, d=3, N=4))
