@@ -160,17 +160,18 @@ def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
     Amplitudes follow the Poisson law exp(-|alpha|^2/2) * alpha^n / sqrt(n!).
     The Gaussian prefactor is kept exactly, so the stored amplitudes are the
     true coherent-state amplitudes and the truncated norm is below one.
-    ``alpha`` and |alpha|^2 must be finite.
+    ``alpha`` and |alpha|^2 must be finite. Both arguments are checked here,
+    so the terms are built through :meth:`FockState._trusted`.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     alpha = check_alpha(alpha)
     amp = complex(math.exp(-0.5 * abs(alpha) ** 2))
-    terms = {(0,): amp}
+    terms = [((0,), amp)]
     for n in range(1, cutoff + 1):
         amp = amp * alpha / math.sqrt(n)
-        terms[(n,)] = amp
-    return FockState(1, terms)
+        terms.append(((n,), amp))
+    return FockState._trusted(1, terms)
 
 
 def tensor(a: FockState, b: FockState) -> FockState:

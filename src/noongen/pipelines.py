@@ -5,8 +5,9 @@ Four schemes are simulated exactly on the sparse Fock representation:
 1. d coherent inputs pass through floor(N/2) Fock-state-filter blocks and the
    N-photon sector is postselected. The filter multiplies each term by a
    factor of each mode's photon number, so the blocks are folded into the
-   single-mode factors of the product, and the N-photon sector of the folded
-   product, which holds only the d NOON terms, is built once.
+   single-mode factors of the product. The N-photon sector of the folded
+   product holds only the d NOON terms, and its build extends only the
+   prefixes that can still complete, so it makes those terms and little else.
 2. an evenly split N-photon input passes through the same folded filter
    blocks; no postselection is needed because the photon number is fixed.
 3. a cascade of d-1 entanglement generators built from two-photon
@@ -137,21 +138,14 @@ class NoonReport(
         }
 
 
-def _snap(value: complex, tolerance: float) -> complex:
-    """``value`` with each real or imaginary part at or below ``tolerance`` set to 0."""
-    return complex(
-        0.0 if abs(value.real) <= tolerance else value.real,
-        0.0 if abs(value.imag) <= tolerance else value.imag,
-    )
-
-
 def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> NoonReport:
     """Read the d NOON component amplitudes out of a final state.
 
-    One pass over the terms: a term is a NOON term when one mode holds all
-    ``n_photons`` and the other d-1 are empty. The residual is a correctly
+    One pass over the terms: a term is a NOON term when d-1 modes are empty
+    and the other holds all ``n_photons``. The residual is a correctly
     rounded sum (``math.fsum``) of the other terms' squared magnitudes, so
-    their order does not matter. Raises ValueError for ``n_photons < 1``.
+    their order does not matter. One more pass over the components builds the
+    sign pattern. Raises ValueError for ``n_photons < 1``.
     """
     if n_photons < 1:
         raise ValueError(f"N must be at least 1, got {n_photons}")
@@ -159,31 +153,38 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     components = [0j] * d
     rest = []
     for occ, amp in state.terms.items():
-        if occ.count(0) == d - 1 and n_photons in occ:
-            components[occ.index(n_photons)] = amp
-        else:
-            rest.append(abs(amp) ** 2)
+        if occ.count(0) == d - 1:
+            try:
+                components[occ.index(n_photons)] = amp
+                continue
+            except ValueError:
+                pass
+        rest.append(abs(amp) ** 2)
     magnitudes = [abs(c) for c in components]
     probability = sum(m**2 for m in magnitudes)
     largest = max(magnitudes)
     threshold = tolerance * largest
     balanced = 0.0 < largest and largest - min(magnitudes) <= threshold
-    reference = next(
-        (c / m for c, m in zip(components, magnitudes) if m > threshold), None
-    )
+    signs = [0j] * d
+    reference = None
+    for j, (c, m) in enumerate(zip(components, magnitudes)):
+        if m > threshold:
+            phase = c / m
+            if reference is None:
+                reference = phase
+            sign = phase / reference
+            re, im = sign.real, sign.imag
+            signs[j] = complex(
+                0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im
+            )
     if reference is None:
-        signs = tuple(1 + 0j for _ in components)
-    else:
-        signs = tuple(
-            _snap((c / m) / reference, tolerance) if m > threshold else 0j
-            for c, m in zip(components, magnitudes)
-        )
+        signs = [1 + 0j] * d
     return NoonReport(
         d=d,
         N=n_photons,
         component_amplitudes=tuple(components),
         generation_probability=probability,
-        sign_pattern=signs,
+        sign_pattern=tuple(signs),
         balanced=balanced,
         residual_norm=math.fsum(rest),
     )
@@ -224,34 +225,75 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
     """N-photon sector of the d-fold product of one single-mode state.
 
     ``factors`` maps that state's photon numbers, ascending, to amplitudes.
-    Compositions of N are enumerated in lexicographic order and amplitudes
-    multiply left to right from ``first``, if given, dropping a partial product
-    below the pruning threshold as :func:`tensor` does. The terms, their order
-    and every amplitude are therefore those of restricting the full product to
-    N photons. A mode's scan stops at the first factor past N, and the last
-    mode reads the one factor that completes N.
+    The compositions of N are walked depth first, each mode's photon number
+    ascending, so the terms come out in lexicographic order. Amplitudes
+    multiply left to right from ``first``, if given, and a partial product
+    below the pruning threshold is dropped as :func:`tensor` drops it. The
+    terms, their order and every amplitude are therefore those of restricting
+    the full product to N photons.
+
+    The walk builds only prefixes that can complete. Bit t of ``reach[r]`` is
+    set when r modes can hold t photons in total (the sumset of the factor
+    keys, capped at N); once a level repeats the last, every later level
+    equals it, which on the package's factors takes a level or two. A child
+    whose remaining photons its remaining modes cannot reach is skipped. A
+    prefix that already holds N photons has one completion, all zeros, which
+    is multiplied out at once and pruned after each mode. The second-to-last
+    mode reads the one factor that completes N for the last. A skipped prefix
+    contributes no term, and every kept one meets the pruning test at the
+    same partial products as on a level-by-level build, so both drop the same
+    terms. On the filtered factors, which lie on {0, M+1, ..., N}, only the
+    all-zero prefixes and the d that end in N are built, each of the d
+    finished by its zero tail. ``n_photons`` must be at least 1.
     """
-    largest = max(factors, default=0)
-    partial = {(): (0, first)}
-    for remaining in range(d - 1, 0, -1):
-        grown = {}
-        for prefix, (used, amp) in partial.items():
-            for n, factor in factors.items():
-                total = used + n
-                if total > n_photons:
+    full = (1 << n_photons + 1) - 1
+    reach = [1]
+    while len(reach) < d:
+        grown = 0
+        for n in factors:
+            grown |= reach[-1] << n
+        grown &= full
+        if grown == reach[-1]:
+            break
+        reach.append(grown)
+    top = len(reach) - 1
+    zero = factors.get(0)
+    last = d - 1
+    pairs = []
+    stack = [((), 0, first)]
+    while stack:
+        prefix, used, amp = stack.pop()
+        mode = len(prefix)
+        left = n_photons - used
+        if not left:
+            for _ in range(mode, d):
+                amp *= zero
+                if abs(amp) < PRUNE_THRESHOLD:
                     break
-                if n_photons - total > remaining * largest:
-                    continue
+            else:
+                pairs.append((prefix + (0,) * (d - mode), amp))
+            continue
+        if mode == last - 1:
+            for n, factor in factors.items():
+                if n > left:
+                    break
+                end = factors.get(left - n)
+                if end is not None:
+                    value = factor if amp is None else amp * factor
+                    if abs(value) >= PRUNE_THRESHOLD:
+                        pairs.append((prefix + (n, left - n), value * end))
+            continue
+        reachable = reach[min(last - mode, top)]
+        children = []
+        for n, factor in factors.items():
+            if n > left:
+                break
+            if reachable >> left - n & 1:
                 value = factor if amp is None else amp * factor
                 if abs(value) >= PRUNE_THRESHOLD:
-                    grown[prefix + (n,)] = (total, value)
-        partial = grown
-    terms = (
-        (prefix + (n_photons - used,), factor if amp is None else amp * factor)
-        for prefix, (used, amp) in partial.items()
-        if (factor := factors.get(n_photons - used)) is not None
-    )
-    return FockState._trusted(d, terms)
+                    children.append((prefix + (n,), used + n, value))
+        stack += reversed(children)
+    return FockState._trusted(d, pairs)
 
 
 def _filter_factors(factors: dict, n_photons: int) -> dict:
@@ -262,9 +304,12 @@ def _filter_factors(factors: dict, n_photons: int) -> dict:
     photon number. So each factor is multiplied by its filter amplitude and
     n = k, the filter's exact zero, is dropped. The factors left lie in
     {0, M+1, ..., N} (M = floor(N/2)); as 2(M+1) > N, their N-photon sector
-    holds only the d NOON terms. None exceeds 1 if none did before, so no
-    partial product of :func:`_sector` falls below the amplitude it becomes,
-    and pruning drops what the filtered full product would.
+    holds only the d NOON terms, and a prefix of :func:`_sector` that can
+    complete holds 0 or N photons: its walk builds the all-zero prefixes and
+    the d that end in N, each finished by its zero tail. None exceeds 1 if
+    none did before, so no partial product of :func:`_sector` falls below
+    the amplitude it becomes, and pruning drops what the filtered full
+    product would.
     """
     for k in range(1, n_photons // 2 + 1):
         factors = {n: c * fsf_factor(n, k) for n, c in factors.items() if n != k}
@@ -284,7 +329,8 @@ def run_method1(cfg: MethodConfig) -> NoonReport:
     The filter blocks are folded into that single-mode state's amplitudes,
     and only the N-photon sector of the filtered product is built: its d
     NOON terms, instead of C(N+d-1, d-1) sector terms or (N+1)^d product
-    terms.
+    terms. The sector walk extends only the prefixes that can complete, so
+    the build costs O(d^2) multiplies: d zero tails of up to d modes.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")

@@ -9,6 +9,7 @@ from collections import defaultdict
 import numpy as np
 
 from noongen import (
+    PRUNE_THRESHOLD,
     BeamSplitter,
     FockState,
     HeraldedOutcome,
@@ -249,6 +250,39 @@ def collapse_polarization(state: FockState) -> FockState:
         collapsed = tuple(occ[2 * i] + occ[2 * i + 1] for i in range(paths))
         out[collapsed] += amp
     return FockState._trusted(paths, out.items())
+
+
+def sector_by_levels(factors: dict, d: int, n_photons: int, first=None) -> FockState:
+    """N-photon sector of the d-fold product of one single-mode state, level by level.
+
+    The breadth-first build ``pipelines._sector`` replaced: every prefix whose
+    remaining photons ``remaining * largest`` could still cover is kept, so
+    prefixes that cannot complete are built too. ``factors`` maps photon
+    numbers, ascending, to amplitudes; amplitudes multiply left to right from
+    ``first``, if given, and a partial product below the pruning threshold is
+    dropped. The last mode reads the one factor that completes N.
+    """
+    largest = max(factors, default=0)
+    partial = {(): (0, first)}
+    for remaining in range(d - 1, 0, -1):
+        grown = {}
+        for prefix, (used, amp) in partial.items():
+            for n, factor in factors.items():
+                total = used + n
+                if total > n_photons:
+                    break
+                if n_photons - total > remaining * largest:
+                    continue
+                value = factor if amp is None else amp * factor
+                if abs(value) >= PRUNE_THRESHOLD:
+                    grown[prefix + (n,)] = (total, value)
+        partial = grown
+    terms = (
+        (prefix + (n_photons - used,), factor if amp is None else amp * factor)
+        for prefix, (used, amp) in partial.items()
+        if (factor := factors.get(n_photons - used)) is not None
+    )
+    return FockState._trusted(d, terms)
 
 
 def assert_same_bits(a: FockState, b: FockState) -> None:

@@ -109,6 +109,17 @@ class TestCoherent:
         state = make_coherent_truncated(1e150, 2)
         assert dict(state.terms) == {}
 
+    @pytest.mark.parametrize("alpha", [0, 1e-4, 1, 0.3 + 0.4j, 1e150])
+    @pytest.mark.parametrize("cutoff", range(13))
+    def test_matches_public_construction(self, alpha, cutoff):
+        # The same Poisson recurrence through the validating constructor.
+        amp = complex(math.exp(-0.5 * abs(alpha) ** 2))
+        terms = {(0,): amp}
+        for n in range(1, cutoff + 1):
+            amp = amp * alpha / math.sqrt(n)
+            terms[(n,)] = amp
+        assert_same_bits(make_coherent_truncated(alpha, cutoff), FockState(1, terms))
+
     @given(
         re=st.floats(-1.5, 1.5),
         im=st.floats(-1.5, 1.5),

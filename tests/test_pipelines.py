@@ -19,6 +19,7 @@ from conftest import (
     polarized_generator_odd_circuit,
     random_state,
     restrict_total_photons,
+    sector_by_levels,
     split_circuit,
 )
 from noongen import pipelines
@@ -204,6 +205,50 @@ class TestSector:
         got = pipelines._sector(factors, d, n, scale)
         assert_same_bits(got, self.product_sector(factors, d, n, scale))
         assert len(got) == math.comb(n + d - 1, d - 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_level_by_level_build(self, seed):
+        # Random factor dicts with gaps, with and without key 0, magnitudes up
+        # to 1.5 or within 100x of the prune floor, and each kind of ``first``.
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            d = int(rng.integers(1, 9))
+            n = int(rng.integers(1, 13))
+            keys = rng.choice(n + 3, size=int(rng.integers(1, n + 4)), replace=False)
+            keys = sorted(int(k) for k in keys if k or rng.random() < 0.5)
+            top = rng.choice([1.5, 1.0, 100 * PRUNE_THRESHOLD])
+            factors = {
+                k: cmath.rect(top * rng.uniform(), rng.uniform(-math.pi, math.pi))
+                for k in keys
+            }
+            near_floor = PRUNE_THRESHOLD * float(rng.uniform(1, 3))
+            first = [None, float(rng.uniform(1, 1e3)), near_floor][rng.integers(3)]
+            assert_same_bits(
+                pipelines._sector(factors, d, n, first),
+                sector_by_levels(factors, d, n, first),
+            )
+
+    def test_partial_products_that_climb_back_stay_pruned(self):
+        # |zero| is 1 to rounding: a * zero rounds just below the floor and
+        # a * zero * zero back onto it. The product sector drops (2, 0, 0)
+        # and (0, 2, 0) at their pruned partial products; so must the zero
+        # tail and the last mode.
+        a = -2.098896194220593e-15 + 9.777250879766066e-15j
+        zero = -0.9639184244411627 + 0.266197804316389j
+        assert abs(a * zero) < PRUNE_THRESHOLD <= abs(a * zero * zero)
+        factors = {0: zero, 2: a}
+        got = pipelines._sector(factors, 3, 2)
+        assert_same_bits(got, sector_by_levels(factors, 3, 2))
+        assert list(got.terms) == [(0, 0, 2)]
+
+    def test_filtered_factors_at_64_modes(self):
+        # Filtered factors lie on {0, M+1, ..., N}: only the 64 NOON terms
+        # complete, in the order of the level-by-level build.
+        factors = {k: 0.9 + 0j for k in [0, *range(33, 65)]}
+        got = pipelines._sector(factors, 64, 64)
+        assert_same_bits(got, sector_by_levels(factors, 64, 64))
+        noon = [tuple(64 if m == j else 0 for m in range(64)) for j in range(64)]
+        assert sorted(got.terms) == sorted(noon)
 
 
 class TestMethod1:
