@@ -4,12 +4,13 @@ Four schemes are simulated exactly on the sparse Fock representation:
 
 1. d coherent inputs pass through floor(N/2) Fock-state-filter blocks and the
    N-photon sector is postselected. The filter multiplies each term by a
-   factor of each mode's photon number, so the blocks are folded into the
-   single-mode factors of the product. The N-photon sector of the folded
-   product holds only the d NOON terms, and its build extends only the
-   prefixes that can still complete, so it makes those terms and little else.
-2. an evenly split N-photon input passes through the same folded filter
-   blocks; no postselection is needed because the photon number is fixed.
+   factor of each mode's photon number, and after the blocks a mode holds 0
+   or more than N/2 photons, so the N-photon sector holds only the d NOON
+   terms. Only the single-mode factors at 0 and N photons are filtered, and
+   the d NOON terms are multiplied out from them directly.
+2. an evenly split N-photon input passes through the same filter blocks,
+   built the same way from two split factors; no postselection is needed
+   because the photon number is fixed.
 3. a cascade of d-1 entanglement generators built from two-photon
    interference, fed by N-photon inputs; for odd N each generator merges its
    two taps in a polarizing splitter and erases the polarization at
@@ -202,23 +203,41 @@ def split_evenly(n_photons: int, d: int) -> FockState:
     return _sector(factors, d, n_photons, scale)
 
 
-def _split_factors(n_photons: int, d: int) -> tuple[dict, float]:
-    """Single-mode factors d^(-n/2)/sqrt(n!) of the even split, and sqrt(N!).
+_ONE = 1 << 106  # isqrt(m * _ONE * _ONE) / _ONE: sqrt(m) correctly rounded
 
-    The sector starts from sqrt(N!) as its first partial product: no factor
-    exceeds 1, so pruning drops only terms below the floor. Square roots are
-    correctly rounded, and sqrt(N!) fits a float up to N = 300.
+
+def _split_scale(n_photons: int, d: int) -> float:
+    """sqrt(N!), correctly rounded: the first partial product of the even split.
+
+    No split factor exceeds 1, so pruning from it drops only terms below the
+    floor; sqrt(N!) fits a float up to N = 300. Raises ValueError outside
+    1 <= N <= 300 or for d < 2.
     """
     if not 1 <= n_photons <= 300:
         raise ValueError(f"photon number must be 1 to 300, got {n_photons}")
     if d < 2:
         raise ValueError(f"mode count must be at least 2, got {d}")
-    one = 1 << 106  # isqrt(m * one * one) / one: sqrt(m) correctly rounded
-    factors = {
-        n: complex(one / math.isqrt(d**n * math.factorial(n) * one * one))
-        for n in range(n_photons + 1)
-    }
-    return factors, math.isqrt(math.factorial(n_photons) * one * one) / one
+    return math.isqrt(math.factorial(n_photons) * _ONE * _ONE) / _ONE
+
+
+def _split_factor(weight: int) -> complex:
+    """Split factor d^(-n/2)/sqrt(n!) from ``weight`` = d^n * n!, correctly rounded."""
+    return complex(_ONE / math.isqrt(weight * _ONE * _ONE))
+
+
+def _split_factors(n_photons: int, d: int) -> tuple[dict, float]:
+    """Single-mode factors d^(-n/2)/sqrt(n!) of the even split, and sqrt(N!).
+
+    Each weight d^n * n! is the previous one times d*n: the same exact
+    integer as computing it afresh, at a fraction of the cost.
+    """
+    scale = _split_scale(n_photons, d)
+    factors = {0: _split_factor(1)}
+    weight = 1
+    for n in range(1, n_photons + 1):
+        weight *= d * n
+        factors[n] = _split_factor(weight)
+    return factors, scale
 
 
 def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
@@ -242,9 +261,8 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
     mode reads the one factor that completes N for the last. A skipped prefix
     contributes no term, and every kept one meets the pruning test at the
     same partial products as on a level-by-level build, so both drop the same
-    terms. On the filtered factors, which lie on {0, M+1, ..., N}, only the
-    all-zero prefixes and the d that end in N are built, each of the d
-    finished by its zero tail. ``n_photons`` must be at least 1.
+    terms. ``n_photons`` must be at least 1. It builds :func:`split_evenly`;
+    the filtration path builds its NOON terms with :func:`_noon_sector`.
     """
     full = (1 << n_photons + 1) - 1
     reach = [1]
@@ -296,47 +314,79 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
     return FockState._trusted(d, pairs)
 
 
-def _filter_factors(factors: dict, n_photons: int) -> dict:
-    """Fold the floor(N/2) filter blocks into the single-mode ``factors``.
+def _filtered(amp, n: int, n_photons: int):
+    """``amp`` times the filter amplitudes at ``n`` photons of the floor(N/2) blocks.
 
     Block k applies a k-filter to every mode (a d-fold single-photon
     coincidence), which multiplies a term by :func:`fsf_factor` of each mode's
-    photon number. So each factor is multiplied by its filter amplitude and
-    n = k, the filter's exact zero, is dropped. The factors left lie in
-    {0, M+1, ..., N} (M = floor(N/2)); as 2(M+1) > N, their N-photon sector
-    holds only the d NOON terms, and a prefix of :func:`_sector` that can
-    complete holds 0 or N photons: its walk builds the all-zero prefixes and
-    the d that end in N, each finished by its zero tail. None exceeds 1 if
-    none did before, so no partial product of :func:`_sector` falls below
-    the amplitude it becomes, and pruning drops what the filtered full
-    product would.
+    photon number: a single-mode factor is multiplied by
+    ``fsf_factor(n, k)`` for k = 1..floor(N/2), in block order. A missing factor
+    (None) stays missing.
     """
-    for k in range(1, n_photons // 2 + 1):
-        factors = {n: c * fsf_factor(n, k) for n, c in factors.items() if n != k}
-    return factors
+    if amp is not None:
+        for k in range(1, n_photons // 2 + 1):
+            amp = amp * fsf_factor(n, k)
+    return amp
 
 
-def _filtrate(cfg: MethodConfig, factors: dict, first=None) -> NoonReport:
-    """Filter the sector of ``factors`` from ``first``; read out its NOON terms."""
-    state = _sector(_filter_factors(factors, cfg.N), cfg.d, cfg.N, first)
-    return extract_noon(state, cfg.N, cfg.tolerance)
+def _noon_sector(zero, top, d: int, n_photons: int, first=None) -> FockState:
+    """N-photon sector of the d-fold product of filtered single-mode factors.
+
+    The filter blocks zero the factors at 1..M photons (M = floor(N/2)), and
+    2(M+1) > N, so the sector holds only the d NOON terms, built from
+    ``zero`` and ``top``, the factors at 0 and N photons; either being None
+    (pruned) leaves no term. The term with N photons in mode j is
+    ``first * zero^j * top * zero^(d-1-j)``, left to right (without ``first``
+    the first factor is taken as it is), over shared zero prefixes, and it is
+    dropped as soon as a partial product falls below :data:`PRUNE_THRESHOLD`.
+    These are the products, pruning tests and lexicographic term order of
+    :func:`_sector` on the filtered factors, whose walk builds the all-zero
+    prefixes and the d that end in N, each finished by its zero tail.
+    """
+    if zero is None or top is None:
+        return FockState._trusted(d, ())
+    heads = [first]
+    for _ in range(d - 1):
+        amp = zero if heads[-1] is None else heads[-1] * zero
+        if abs(amp) < PRUNE_THRESHOLD:
+            break
+        heads.append(amp)
+    empty = (0,) * (d - 1)
+    pairs = []
+    for j in reversed(range(len(heads))):
+        amp = top if heads[j] is None else heads[j] * top
+        for _ in range(j + 1, d):
+            if abs(amp) < PRUNE_THRESHOLD:
+                break
+            amp *= zero
+        else:
+            pairs.append((empty[:j] + (n_photons,) + empty[j:], amp))
+    return FockState._trusted(d, pairs)
+
+
+def _filtrate(cfg: MethodConfig, zero, top, first=None) -> NoonReport:
+    """Filter the 0- and N-photon factors, build the NOON terms, read them out."""
+    n = cfg.N
+    state = _noon_sector(_filtered(zero, 0, n), _filtered(top, n, n), cfg.d, n, first)
+    return extract_noon(state, n, cfg.tolerance)
 
 
 def run_method1(cfg: MethodConfig) -> NoonReport:
     """Coherent inputs, Fock-state filtration, and N-photon postselection.
 
     Each of the d modes starts in a coherent state truncated at N photons.
-    The filter blocks are folded into that single-mode state's amplitudes,
-    and only the N-photon sector of the filtered product is built: its d
-    NOON terms, instead of C(N+d-1, d-1) sector terms or (N+1)^d product
-    terms. The sector walk extends only the prefixes that can complete, so
-    the build costs O(d^2) multiplies: d zero tails of up to d modes.
+    After the floor(N/2) filter blocks a mode holds 0 or more than N/2
+    photons, so an N-photon term has one occupied mode. Only the state's 0-
+    and N-photon amplitudes are filtered, O(N) factor products, and the d
+    NOON terms are built from them directly (O(d^2) multiplies: d zero tails
+    of up to d modes) instead of C(N+d-1, d-1) sector terms or (N+1)^d
+    product terms.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")
     alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(cfg.N / cfg.d)
-    single = make_coherent_truncated(alpha, cfg.N)
-    return _filtrate(cfg, {n: amp for (n,), amp in single.terms.items()})
+    single = make_coherent_truncated(alpha, cfg.N).terms
+    return _filtrate(cfg, single.get((0,)), single.get((cfg.N,)))
 
 
 def run_method2(cfg: MethodConfig) -> NoonReport:
@@ -344,11 +394,16 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
 
     Block k annihilates every component with k or N-k photons in any mode, so
     after floor(N/2) blocks only the NOON components survive; no final
-    postselection is needed. The blocks fold into :func:`_split_factors`.
+    postselection is needed. As in method 1 only the split's 0- and N-photon
+    factors (:func:`_split_factor`) are filtered, and the NOON terms start
+    from sqrt(N!).
     """
     if cfg.method != 2:
         raise ValueError("run_method2 requires method=2")
-    return _filtrate(cfg, *_split_factors(cfg.N, cfg.d))
+    n, d = cfg.N, cfg.d
+    first = _split_scale(n, d)
+    top = _split_factor(d**n * math.factorial(n))
+    return _filtrate(cfg, _split_factor(1), top, first)
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,7 @@ from noongen import (
     make_fock,
     tensor,
 )
+from noongen.elements import fsf_factor
 
 
 def assert_terms_close(state: FockState, expected: dict, atol: float = 1e-12) -> None:
@@ -283,6 +284,20 @@ def sector_by_levels(factors: dict, d: int, n_photons: int, first=None) -> FockS
         if (factor := factors.get(n_photons - used)) is not None
     )
     return FockState._trusted(d, terms)
+
+
+def filter_factors(factors: dict, n_photons: int) -> dict:
+    """Fold the floor(N/2) filter blocks into every single-mode factor.
+
+    Block k multiplies each factor by ``fsf_factor(n, k)`` of its photon
+    number n and drops n = k, the filter's exact zero. The factors left lie
+    on {0, M+1, ..., N} (M = floor(N/2)), in the order of ``factors``. The
+    pipelines filter only the 0- and N-photon factors; ``_sector`` of this
+    fold is their oracle.
+    """
+    for k in range(1, n_photons // 2 + 1):
+        factors = {n: c * fsf_factor(n, k) for n, c in factors.items() if n != k}
+    return factors
 
 
 def assert_same_bits(a: FockState, b: FockState) -> None:

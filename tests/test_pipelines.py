@@ -13,6 +13,7 @@ from conftest import (
     assert_terms_close,
     cascade_one_path_at_a_time,
     collapse_polarization,
+    filter_factors,
     filtrate_blocks,
     generator_even_herald_circuit,
     polarize,
@@ -48,6 +49,7 @@ from noongen import (
     split_evenly,
     tensor,
 )
+from noongen.elements import fsf_factor
 
 
 def multinomial_amplitude(occ: tuple[int, ...]) -> float:
@@ -162,6 +164,19 @@ class TestSplitEvenly:
         with pytest.raises(ValueError, match="photon number"):
             split_evenly(301, 2)
 
+    @pytest.mark.parametrize("n,d", [(1, 2), (8, 8), (128, 64), (300, 2)])
+    def test_split_factors_match_per_n_formula(self, n, d):
+        # The running weight d^n * n! is the same integer as the per-n
+        # product, so every factor and sqrt(N!) are the same to the bit.
+        one = 1 << 106
+        want = {
+            k: complex(one / math.isqrt(d**k * factorial(k) * one * one))
+            for k in range(n + 1)
+        }
+        factors, scale = pipelines._split_factors(n, d)
+        assert repr(list(factors.items())) == repr(list(want.items()))
+        assert scale == math.isqrt(factorial(n) * one * one) / one
+
 
 class TestSector:
     """``_sector`` equals restricting the d-fold product to N photons, bit for bit."""
@@ -249,6 +264,76 @@ class TestSector:
         assert_same_bits(got, sector_by_levels(factors, 64, 64))
         noon = [tuple(64 if m == j else 0 for m in range(64)) for j in range(64)]
         assert sorted(got.terms) == sorted(noon)
+
+
+class TestNoonSector:
+    """``_noon_sector`` equals ``_sector`` of the folded factors, bit for bit."""
+
+    @staticmethod
+    def random_amplitude(rng):
+        # |c| up to 1.5, exactly 1, or within 100x of the prune floor, with
+        # a random phase or on an axis with a signed zero part.
+        magnitude = [
+            float(rng.uniform(0, 1.5)),
+            1.0,
+            PRUNE_THRESHOLD * float(10 ** rng.uniform(-2, 2)),
+        ][rng.integers(3)]
+        kind = rng.integers(3)
+        if kind == 0:
+            return cmath.rect(magnitude, rng.uniform(-math.pi, math.pi))
+        sign, zero = rng.choice([-1.0, 1.0]), rng.choice([-0.0, 0.0])
+        if kind == 1:
+            return complex(sign * magnitude, zero)
+        return complex(zero, sign * magnitude)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sector_of_the_fold(self, seed):
+        # Random factor dicts with gaps, with and without keys 0 and N, and
+        # each kind of ``first``; the fold's 0 and N factors feed the builder.
+        rng = np.random.default_rng(seed)
+        built = 0
+        for _ in range(500):
+            d = int(rng.integers(2, 10))
+            n = int(rng.integers(1, 13))
+            keys = [
+                k for k in range(n + 1) if rng.random() < (0.8 if k in (0, n) else 0.5)
+            ]
+            factors = {k: self.random_amplitude(rng) for k in keys}
+            near_floor = PRUNE_THRESHOLD * float(rng.uniform(1, 3))
+            firsts = [None, float(rng.uniform(1, 1e3)), near_floor, 1e10]
+            first = firsts[rng.integers(4)]
+            folded = filter_factors(factors, n)
+            got = pipelines._noon_sector(folded.get(0), folded.get(n), d, n, first)
+            assert_same_bits(got, pipelines._sector(folded, d, n, first))
+            built += bool(got)
+        assert built > 100
+
+    def test_partial_products_that_climb_back_stay_pruned(self):
+        # As for ``_sector``: a * zero rounds just below the floor, and a
+        # later factor would lift it back over it. Once in the shared zero
+        # prefix (a is ``first``, the N-photon factor 2 lifts it) and once in
+        # a zero tail (a is the N-photon factor, a second zero lifts it).
+        a = -2.098896194220593e-15 + 9.777250879766066e-15j
+        zero = -0.9639184244411627 + 0.266197804316389j
+        for top, first, kept in [(2 + 0j, a, [(2, 0, 0)]), (a, None, [(0, 0, 2)])]:
+            got = pipelines._noon_sector(zero, top, 3, 2, first)
+            assert_same_bits(got, pipelines._sector({0: zero, 2: top}, 3, 2, first))
+            assert list(got.terms) == kept
+
+    def test_missing_factor_leaves_no_term(self):
+        for zero, top in [(None, 0.5j), (0.5 + 0j, None), (None, None)]:
+            got = pipelines._noon_sector(zero, top, 3, 4)
+            assert got.mode_count == 3 and not got
+
+    @pytest.mark.parametrize(
+        "cfg", [MethodConfig(method=2, d=2, N=300), MethodConfig(method=1, d=4, N=64)]
+    )
+    def test_filter_work_is_linear_in_n(self, cfg):
+        # Only the 0- and N-photon factors pass the floor(N/2) blocks.
+        fsf_factor.cache_clear()
+        bs_matrix_element.cache_clear()
+        run_method(cfg)
+        assert fsf_factor.cache_info().currsize <= 2 * (cfg.N // 2)
 
 
 class TestMethod1:
@@ -378,7 +463,7 @@ class TestFiltrationRoutes:
 
     @staticmethod
     def check(got, oracle, factors, first=None):
-        """Compare a report with the filtered ``oracle`` state, and the fold itself."""
+        """Compare a report with the filtered ``oracle`` state and the full fold."""
         d, n = got.d, got.N
         want = extract_noon(oracle, n)
         scale = max(abs(c) for c in want.component_amplitudes)
@@ -386,14 +471,16 @@ class TestFiltrationRoutes:
             assert abs(a - b) <= 1e-14 * scale
         assert got.balanced == want.balanced
         assert (got.generation_probability == 0) == (want.generation_probability == 0)
-        # No folded factor exceeds 1, so no partial product of the sector
+        # No folded factor exceeds 1, so no partial product of the NOON
         # builder is smaller than the amplitude it becomes: pruning drops only
         # terms the filtered product loses as well.
-        folded = pipelines._filter_factors(factors, n)
+        folded = filter_factors(factors, n)
         assert set(folded) <= {0} | set(range(n // 2 + 1, n + 1))
         assert all(abs(c) <= 1 for c in folded.values())
-        built = pipelines._sector(folded, d, n, first)
+        built = pipelines._noon_sector(folded.get(0), folded.get(n), d, n, first)
+        assert_same_bits(built, pipelines._sector(folded, d, n, first))
         assert len(built) == (d if want.generation_probability else 0)
+        assert repr(got) == repr(extract_noon(built, n))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", range(1, 9))
