@@ -7,10 +7,11 @@ Four schemes are simulated exactly on the sparse Fock representation:
    factor of each mode's photon number, and after the blocks a mode holds 0
    or more than N/2 photons, so the N-photon sector holds only the d NOON
    terms. Only the single-mode factors at 0 and N photons are filtered, and
-   the d NOON terms are multiplied out from them directly.
+   the d NOON amplitudes are multiplied out from them directly into the
+   report: no state is built after the coherent input.
 2. an evenly split N-photon input passes through the same filter blocks,
-   built the same way from two split factors; no postselection is needed
-   because the photon number is fixed.
+   its d NOON amplitudes built the same way from two split factors; no
+   postselection is needed because the photon number is fixed.
 3. a cascade of d-1 entanglement generators built from two-photon
    interference, fed by N-photon inputs; for odd N each generator merges its
    two taps in a polarizing splitter and erases the polarization at
@@ -95,10 +96,13 @@ class MethodConfig(
         check_domain(self.method, self.d, self.N)
         if self.alpha is not None:
             check_alpha(self.alpha)
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(
-                f"tolerance must be positive and finite, got {self.tolerance}"
-            )
+        _check_tolerance(self.tolerance)
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless ``tolerance`` is positive and finite."""
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
 
 class NoonReport(
@@ -145,11 +149,13 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     One pass over the terms: a term is a NOON term when d-1 modes are empty
     and the other holds all ``n_photons``. The residual is a correctly
     rounded sum (``math.fsum``) of the other terms' squared magnitudes, so
-    their order does not matter. One more pass over the components builds the
-    sign pattern. Raises ValueError for ``n_photons < 1``.
+    their order does not matter. :func:`_noon_report` builds the report from
+    the components. Raises ValueError for ``n_photons < 1`` and for a
+    ``tolerance`` that is not positive and finite.
     """
     if n_photons < 1:
         raise ValueError(f"N must be at least 1, got {n_photons}")
+    _check_tolerance(tolerance)
     d = state.mode_count
     components = [0j] * d
     rest = []
@@ -161,6 +167,18 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
             except ValueError:
                 pass
         rest.append(abs(amp) ** 2)
+    return _noon_report(components, n_photons, tolerance, math.fsum(rest))
+
+
+def _noon_report(
+    components: list, n_photons: int, tolerance: float, residual_norm: float
+) -> NoonReport:
+    """Report on the NOON ``components``, one amplitude per mode, 0j where absent.
+
+    One pass over the components builds the sign pattern. ``tolerance`` must
+    already be checked.
+    """
+    d = len(components)
     magnitudes = [abs(c) for c in components]
     probability = sum(m**2 for m in magnitudes)
     largest = max(magnitudes)
@@ -187,7 +205,7 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
         generation_probability=probability,
         sign_pattern=tuple(signs),
         balanced=balanced,
-        residual_norm=math.fsum(rest),
+        residual_norm=residual_norm,
     )
 
 
@@ -251,45 +269,36 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
     terms, their order and every amplitude are therefore those of restricting
     the full product to N photons.
 
-    The walk builds only prefixes that can complete. Bit t of ``reach[r]`` is
-    set when r modes can hold t photons in total (the sumset of the factor
-    keys, capped at N); once a level repeats the last, every later level
-    equals it, which on the package's factors takes a level or two. A child
-    whose remaining photons its remaining modes cannot reach is skipped. A
-    prefix that already holds N photons has one completion, all zeros, which
-    is multiplied out at once and pruned after each mode. The second-to-last
-    mode reads the one factor that completes N for the last. A skipped prefix
-    contributes no term, and every kept one meets the pruning test at the
-    same partial products as on a level-by-level build, so both drop the same
-    terms. ``n_photons`` must be at least 1. It builds :func:`split_evenly`;
-    the filtration path builds its NOON terms with :func:`_noon_sector`.
+    A prefix that already holds N photons has one completion, all zeros,
+    which is multiplied out at once and pruned after each mode, or dropped
+    when ``factors`` has no 0 key. The second-to-last mode reads the one
+    factor that completes N for the last; with d = 1 the one mode reads it.
+    Every kept prefix meets the pruning test at the same partial products as
+    on a level-by-level build, so both drop the same terms. ``n_photons``
+    must be at least 1. It builds :func:`split_evenly`; the filtration path
+    builds its NOON amplitudes with :func:`_noon_amplitudes`.
     """
-    full = (1 << n_photons + 1) - 1
-    reach = [1]
-    while len(reach) < d:
-        grown = 0
-        for n in factors:
-            grown |= reach[-1] << n
-        grown &= full
-        if grown == reach[-1]:
-            break
-        reach.append(grown)
-    top = len(reach) - 1
     zero = factors.get(0)
     last = d - 1
     pairs = []
-    stack = [((), 0, first)]
+    stack = [((), n_photons, first)]
     while stack:
-        prefix, used, amp = stack.pop()
+        prefix, left, amp = stack.pop()
         mode = len(prefix)
-        left = n_photons - used
         if not left:
+            if zero is None:
+                continue
             for _ in range(mode, d):
                 amp *= zero
                 if abs(amp) < PRUNE_THRESHOLD:
                     break
             else:
                 pairs.append((prefix + (0,) * (d - mode), amp))
+            continue
+        if mode == last:
+            end = factors.get(left)
+            if end is not None:
+                pairs.append((prefix + (left,), end if amp is None else amp * end))
             continue
         if mode == last - 1:
             for n, factor in factors.items():
@@ -301,15 +310,13 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
                     if abs(value) >= PRUNE_THRESHOLD:
                         pairs.append((prefix + (n, left - n), value * end))
             continue
-        reachable = reach[min(last - mode, top)]
         children = []
         for n, factor in factors.items():
             if n > left:
                 break
-            if reachable >> left - n & 1:
-                value = factor if amp is None else amp * factor
-                if abs(value) >= PRUNE_THRESHOLD:
-                    children.append((prefix + (n,), used + n, value))
+            value = factor if amp is None else amp * factor
+            if abs(value) >= PRUNE_THRESHOLD:
+                children.append((prefix + (n,), left - n, value))
         stack += reversed(children)
     return FockState._trusted(d, pairs)
 
@@ -329,46 +336,49 @@ def _filtered(amp, n: int, n_photons: int):
     return amp
 
 
-def _noon_sector(zero, top, d: int, n_photons: int, first=None) -> FockState:
-    """N-photon sector of the d-fold product of filtered single-mode factors.
+def _noon_amplitudes(zero, top, d: int, first=None) -> list:
+    """The d NOON amplitudes of the d-fold product of filtered single-mode factors.
 
     The filter blocks zero the factors at 1..M photons (M = floor(N/2)), and
-    2(M+1) > N, so the sector holds only the d NOON terms, built from
-    ``zero`` and ``top``, the factors at 0 and N photons; either being None
-    (pruned) leaves no term. The term with N photons in mode j is
-    ``first * zero^j * top * zero^(d-1-j)``, left to right (without ``first``
-    the first factor is taken as it is), over shared zero prefixes, and it is
-    dropped as soon as a partial product falls below :data:`PRUNE_THRESHOLD`.
-    These are the products, pruning tests and lexicographic term order of
+    2(M+1) > N, so the N-photon sector holds only the d NOON terms, built from
+    ``zero`` and ``top``, the factors at 0 and N photons. Entry j is the
+    amplitude with all N photons in mode j, ``first * zero^j * top *
+    zero^(d-1-j)``, left to right (without ``first`` the first factor is taken
+    as it is), over shared zero prefixes. It is 0j when either factor is None
+    (pruned) or when a partial product, or the amplitude itself, falls below
+    :data:`PRUNE_THRESHOLD`. These are the products and pruning tests of
     :func:`_sector` on the filtered factors, whose walk builds the all-zero
     prefixes and the d that end in N, each finished by its zero tail.
     """
+    amplitudes = [0j] * d
     if zero is None or top is None:
-        return FockState._trusted(d, ())
+        return amplitudes
     heads = [first]
     for _ in range(d - 1):
         amp = zero if heads[-1] is None else heads[-1] * zero
         if abs(amp) < PRUNE_THRESHOLD:
             break
         heads.append(amp)
-    empty = (0,) * (d - 1)
-    pairs = []
-    for j in reversed(range(len(heads))):
-        amp = top if heads[j] is None else heads[j] * top
+    for j, head in enumerate(heads):
+        amp = top if head is None else head * top
         for _ in range(j + 1, d):
             if abs(amp) < PRUNE_THRESHOLD:
                 break
             amp *= zero
-        else:
-            pairs.append((empty[:j] + (n_photons,) + empty[j:], amp))
-    return FockState._trusted(d, pairs)
+        if abs(amp) >= PRUNE_THRESHOLD:
+            amplitudes[j] = amp
+    return amplitudes
 
 
 def _filtrate(cfg: MethodConfig, zero, top, first=None) -> NoonReport:
-    """Filter the 0- and N-photon factors, build the NOON terms, read them out."""
+    """Filter the 0- and N-photon factors and report on the d NOON amplitudes.
+
+    No term but a NOON term is built, so the residual is exactly 0.0.
+    """
     n = cfg.N
-    state = _noon_sector(_filtered(zero, 0, n), _filtered(top, n, n), cfg.d, n, first)
-    return extract_noon(state, n, cfg.tolerance)
+    zero, top = _filtered(zero, 0, n), _filtered(top, n, n)
+    amplitudes = _noon_amplitudes(zero, top, cfg.d, first)
+    return _noon_report(amplitudes, n, cfg.tolerance, 0.0)
 
 
 def run_method1(cfg: MethodConfig) -> NoonReport:
@@ -378,9 +388,9 @@ def run_method1(cfg: MethodConfig) -> NoonReport:
     After the floor(N/2) filter blocks a mode holds 0 or more than N/2
     photons, so an N-photon term has one occupied mode. Only the state's 0-
     and N-photon amplitudes are filtered, O(N) factor products, and the d
-    NOON terms are built from them directly (O(d^2) multiplies: d zero tails
-    of up to d modes) instead of C(N+d-1, d-1) sector terms or (N+1)^d
-    product terms.
+    NOON amplitudes are multiplied out from them directly (O(d^2) multiplies:
+    d zero tails of up to d modes) into a list the report is built from,
+    instead of C(N+d-1, d-1) sector terms or (N+1)^d product terms.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")
@@ -395,8 +405,8 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
     Block k annihilates every component with k or N-k photons in any mode, so
     after floor(N/2) blocks only the NOON components survive; no final
     postselection is needed. As in method 1 only the split's 0- and N-photon
-    factors (:func:`_split_factor`) are filtered, and the NOON terms start
-    from sqrt(N!).
+    factors (:func:`_split_factor`) are filtered, and the d NOON amplitudes
+    start from sqrt(N!); no state is built.
     """
     if cfg.method != 2:
         raise ValueError("run_method2 requires method=2")

@@ -306,6 +306,18 @@ def assert_same_bits(a: FockState, b: FockState) -> None:
     assert repr(list(a.terms.items())) == repr(list(b.terms.items()))
 
 
+def assert_noon_bits(amplitudes: list, state: FockState, n_photons: int) -> None:
+    """Assert a NOON amplitude list holds ``state``'s NOON terms, bit for bit.
+
+    Entry j is the amplitude of the term with all N photons in mode j, or 0j
+    where ``state`` lacks that term. ``state`` may hold no other term.
+    """
+    d = state.mode_count
+    noon = [tuple(n_photons if m == j else 0 for m in range(d)) for j in range(d)]
+    assert set(state.terms) <= set(noon)
+    assert repr(amplitudes) == repr([state.terms.get(occ, 0j) for occ in noon])
+
+
 def cascade_one_path_at_a_time(cfg: MethodConfig) -> NoonReport:
     """Method 3 or 4 with every generator of the balanced tree called alone.
 

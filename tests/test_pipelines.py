@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_noon_bits,
     assert_same_bits,
     assert_terms_close,
     cascade_one_path_at_a_time,
@@ -267,7 +268,7 @@ class TestSector:
 
 
 class TestNoonSector:
-    """``_noon_sector`` equals ``_sector`` of the folded factors, bit for bit."""
+    """``_noon_amplitudes`` reads ``_sector`` of the folded factors, bit for bit."""
 
     @staticmethod
     def random_amplitude(rng):
@@ -303,9 +304,9 @@ class TestNoonSector:
             firsts = [None, float(rng.uniform(1, 1e3)), near_floor, 1e10]
             first = firsts[rng.integers(4)]
             folded = filter_factors(factors, n)
-            got = pipelines._noon_sector(folded.get(0), folded.get(n), d, n, first)
-            assert_same_bits(got, pipelines._sector(folded, d, n, first))
-            built += bool(got)
+            got = pipelines._noon_amplitudes(folded.get(0), folded.get(n), d, first)
+            assert_noon_bits(got, pipelines._sector(folded, d, n, first), n)
+            built += any(got)
         assert built > 100
 
     def test_partial_products_that_climb_back_stay_pruned(self):
@@ -315,15 +316,15 @@ class TestNoonSector:
         # a zero tail (a is the N-photon factor, a second zero lifts it).
         a = -2.098896194220593e-15 + 9.777250879766066e-15j
         zero = -0.9639184244411627 + 0.266197804316389j
-        for top, first, kept in [(2 + 0j, a, [(2, 0, 0)]), (a, None, [(0, 0, 2)])]:
-            got = pipelines._noon_sector(zero, top, 3, 2, first)
-            assert_same_bits(got, pipelines._sector({0: zero, 2: top}, 3, 2, first))
-            assert list(got.terms) == kept
+        for top, first, kept in [(2 + 0j, a, 0), (a, None, 2)]:
+            got = pipelines._noon_amplitudes(zero, top, 3, first)
+            assert_noon_bits(got, pipelines._sector({0: zero, 2: top}, 3, 2, first), 2)
+            assert [j for j, c in enumerate(got) if c] == [kept]
 
     def test_missing_factor_leaves_no_term(self):
         for zero, top in [(None, 0.5j), (0.5 + 0j, None), (None, None)]:
-            got = pipelines._noon_sector(zero, top, 3, 4)
-            assert got.mode_count == 3 and not got
+            got = pipelines._noon_amplitudes(zero, top, 3)
+            assert repr(got) == repr([0j, 0j, 0j])
 
     @pytest.mark.parametrize(
         "cfg", [MethodConfig(method=2, d=2, N=300), MethodConfig(method=1, d=4, N=64)]
@@ -477,10 +478,11 @@ class TestFiltrationRoutes:
         folded = filter_factors(factors, n)
         assert set(folded) <= {0} | set(range(n // 2 + 1, n + 1))
         assert all(abs(c) <= 1 for c in folded.values())
-        built = pipelines._noon_sector(folded.get(0), folded.get(n), d, n, first)
-        assert_same_bits(built, pipelines._sector(folded, d, n, first))
-        assert len(built) == (d if want.generation_probability else 0)
-        assert repr(got) == repr(extract_noon(built, n))
+        sector = pipelines._sector(folded, d, n, first)
+        built = pipelines._noon_amplitudes(folded.get(0), folded.get(n), d, first)
+        assert_noon_bits(built, sector, n)
+        assert sum(map(bool, built)) == (d if want.generation_probability else 0)
+        assert repr(got) == repr(extract_noon(sector, n))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -499,6 +501,37 @@ class TestFiltrationRoutes:
         oracle = filtrate_blocks(split_circuit(n, d), n)
         got = run_method2(MethodConfig(method=2, d=d, N=n))
         self.check(got, oracle, *pipelines._split_factors(n, d))
+
+    @staticmethod
+    def oracle_report(cfg):
+        """``extract_noon`` of ``_sector`` of the folded factors of ``cfg``."""
+        n, d = cfg.N, cfg.d
+        if cfg.method == 1:
+            alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(n / d)
+            single = make_coherent_truncated(alpha, n)
+            factors, first = {k: c for (k,), c in single.terms.items()}, None
+        else:
+            factors, first = pipelines._split_factors(n, d)
+        state = pipelines._sector(filter_factors(factors, n), d, n, first)
+        return extract_noon(state, n, cfg.tolerance)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_reports_match_the_oracle_state(self, d):
+        # The report built from the amplitude list equals, bit for bit, the
+        # report read off the state of the same NOON terms, p = 0 points
+        # included: alpha 0, alpha 1e-5 and M1 (12,12) at the default alpha.
+        zeros = 0
+        for n in range(1, 17):
+            cfgs = [MethodConfig(method=2, d=d, N=n)] + [
+                MethodConfig(method=1, d=d, N=n, alpha=alpha)
+                for alpha in (None, 0.7, 1.1 + 0.4j, 1e-5, 0.0)
+            ]
+            for cfg in cfgs:
+                got = run_method(cfg)
+                assert repr(got) == repr(self.oracle_report(cfg)), cfg
+                assert got.residual_norm == 0.0
+                zeros += got.generation_probability == 0.0
+        assert zeros >= 16
 
 
 class TestGeneratorEven:
@@ -1107,6 +1140,14 @@ class TestExtractNoon:
         report = extract_noon(state, 2)
         assert report.component_amplitudes == (0.5 + 0j, -0.5 + 0j, 0j)
         assert report.residual_norm == math.fsum(abs(a) ** 2 for a in other.values())
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_tolerance_not_positive_and_finite(self, tolerance):
+        # Unchecked, nan read balanced=false with all-1 signs, and 0 or -1
+        # left 1e-32 imaginary residue in the signs.
+        state = generator_kerr(make_fock(1, (3,)), (0, 1, 0)).state
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            extract_noon(state, 3, tolerance)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_photon_number_below_one(self, n):
