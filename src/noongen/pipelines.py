@@ -25,8 +25,8 @@ probabilities are squared norms of the extracted NOON components. Methods 3
 and 4 require d to be a power of two; the cascade is a balanced binary tree
 (each occupied-or-superposed mode is paired with a fresh mode level by level),
 which is what makes the final component amplitudes equal. One generator call
-runs the whole tree, each term's branches kept as sparse maps of their
-occupied modes until their final occupation is built.
+runs the whole tree, each term's branches kept as their one occupied mode
+(or a sparse map of several) until their final occupation is built.
 """
 
 from __future__ import annotations
@@ -453,6 +453,23 @@ def _level_paths(paths, mode_count: int) -> tuple[int, ...]:
     return paths
 
 
+@lru_cache(maxsize=64)
+def _schedule(paths: tuple[int, ...], mode_count: int) -> tuple[tuple, tuple]:
+    """Step lists and the all-vacuum occupation of a generator call on ``paths``.
+
+    Entry ``m`` of the first tuple lists, in order, the steps whose generator
+    touches mode ``m`` of the ``mode_count + len(paths)`` output modes, and
+    ends with ``len(paths)``, the step past the last. Cached because the
+    cascades repeat their shape: every method 3 or 4 run at one d makes the
+    same call on the same paths, and a grid revisits few d.
+    """
+    width = len(paths)
+    steps = [[] for _ in range(mode_count + width)]
+    for step, path in enumerate(paths):
+        steps[path].append(step)
+    return tuple(tuple(touches) + (width,) for touches in steps), (0,) * len(steps)
+
+
 def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     """Apply a heralded generator to each of ``paths`` in one pass over the terms.
 
@@ -461,20 +478,32 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     entry may name it, so the call equals applying the generators one after
     another in the order of ``paths``, and one call runs a whole cascade.
 
-    The generators are linear, so each term walks them depth first. A branch
-    is an amplitude, a ``{mode: n}`` map of its occupied modes and the index
-    of its next generator; per-mode sorted step lists find the next generator
-    that touches an occupied mode. Every generator before it meets an empty
-    path and multiplies the amplitude by the vacuum table's one factor
+    The generators are linear, so each term walks them depth first. Every
+    generator before the next one that touches an occupied mode meets an
+    empty path and multiplies the amplitude by the vacuum table's one factor
     ``idle``; the generator itself expands the branch by the transfer table
-    of its photon number. Each product is the one applying the generators one
-    at a time formed. That route pruned each below :data:`PRUNE_THRESHOLD`;
-    here an idle run is pruned at its end, which drops the same branches
-    because |idle| <= 1, so a magnitude never climbs back over the floor.
-    Every amplitude is therefore bit for bit the same. Branches finish in
-    that route's term order, and each builds its output occupation once.
+    of its photon number, looked up once per call. Each product is the one
+    applying the generators one at a time formed, except that when ``idle``
+    is exactly ``1+0j`` (the Kerr pass-through) an idle run takes at most two
+    products: a product with ``1+0j`` keeps every nonzero part, and after two
+    of them the signed zeros are at a fixed point as well (one may still turn
+    a -0.0 part into +0.0), so the rest of the run changes no bit. That route
+    pruned each product below :data:`PRUNE_THRESHOLD`; here an idle run is
+    pruned at its end, which drops the same branches because |idle| <= 1, so
+    a magnitude never climbs back over the floor. Every amplitude is
+    therefore bit for bit the same. Branches finish in that route's term
+    order, and each builds its output occupation once.
+
     Every table keeps the touched photon number on the touched and fresh
-    modes, so no two outputs meet and none are summed.
+    modes, so no two outputs meet and none are summed, and a branch never
+    loses an occupied mode. A branch on one mode, as is every branch of a
+    cascade from |N> on one path, is carried flat: amplitude, step, mode,
+    photon number and the position of its next generator in that mode's
+    step list. A branch on any other number of modes (the vacuum, a
+    multi-mode input term, or a table entry that leaves photons on both the
+    touched and the fresh mode, as Kerr n = 24 does) is walked as a
+    ``{mode: n}`` map, with a bisect per occupied mode to find its next
+    generator.
     """
     paths = _level_paths(paths, state.mode_count)
     vacuum = _transfer_table(circuit, 0, *args)
@@ -486,40 +515,42 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
         )
     ((_, _, idle),) = vacuum
     width = len(paths)
+    cap = 2 if idle == 1 and math.copysign(1.0, idle.imag) > 0 else width
     first_fresh = state.mode_count
-    size = first_fresh + width
-    steps = [[] for _ in range(size)]
-    for step, path in enumerate(paths):
-        steps[path].append(step)
+    steps, zeros = _schedule(paths, first_fresh)
+    tables = {}
     pairs = []
-    for occ, amplitude in state.terms.items():
-        stack = [(amplitude, {mode: n for mode, n in enumerate(occ) if n}, 0)]
+
+    def walk_map(stack: list) -> None:
+        # Every descendant of a map branch is one too: walk its whole subtree.
         while stack:
-            amp, occupied, step = stack.pop()
+            amp, step, occupied = stack.pop()
             index = width
             for mode in occupied:
                 touches = steps[mode]
-                k = bisect_left(touches, step)
-                if k < len(touches) and touches[k] < index:
-                    index = touches[k]
-            if index > step:
-                amp = reduce(mul, repeat(idle, index - step), amp)
+                touch = touches[bisect_left(touches, step)]
+                if touch < index:
+                    index = touch
+            run = index - step
+            if run:
+                amp = reduce(mul, repeat(idle, run if run < cap else cap), amp)
                 if abs(amp) < PRUNE_THRESHOLD:
                     continue
             if index == width:
-                out = [0] * size
+                out = list(zeros)
                 for mode, n in occupied.items():
                     out[mode] = n
                 pairs.append((tuple(out), amp))
                 continue
             path = paths[index]
             fresh = first_fresh + index
+            n = occupied[path]
+            table = tables.get(n)
+            if table is None:
+                table = tables[n] = _transfer_table(circuit, n, *args)
             branches = []
-            for touched, moved, factor in _transfer_table(circuit, occupied[path], *args):
-                # Summed from 0j, as into a zero-filled map: a -0.0 part of
-                # the product comes out +0.0, which the reports have always
-                # shown.
-                value = 0j + amp * factor
+            for touched, moved, factor in table:
+                value = 0j + amp * factor  # as in the flat walk below
                 if abs(value) >= PRUNE_THRESHOLD:
                     branch = occupied.copy()
                     if touched:
@@ -528,9 +559,51 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                         del branch[path]
                     if moved:
                         branch[fresh] = moved
-                    branches.append((value, branch, index + 1))
+                    branches.append((value, index + 1, branch))
             stack += reversed(branches)
-    outcome = FockState._trusted(size, pairs)
+
+    for occ, amplitude in state.terms.items():
+        occupied = {mode: n for mode, n in enumerate(occ) if n}
+        if len(occupied) != 1:
+            walk_map([(amplitude, 0, occupied)])
+            continue
+        ((mode, n),) = occupied.items()
+        stack = [(amplitude, 0, mode, n, 0)]
+        while stack:
+            branch = stack.pop()
+            if len(branch) == 3:
+                walk_map([branch])
+                continue
+            amp, step, mode, n, k = branch
+            index = steps[mode][k]
+            run = index - step
+            if run:
+                amp = reduce(mul, repeat(idle, run if run < cap else cap), amp)
+                if abs(amp) < PRUNE_THRESHOLD:
+                    continue
+            if index == width:
+                pairs.append((zeros[:mode] + (n,) + zeros[mode + 1 :], amp))
+                continue
+            fresh = first_fresh + index
+            table = tables.get(n)
+            if table is None:
+                table = tables[n] = _transfer_table(circuit, n, *args)
+            branches = []
+            for touched, moved, factor in table:
+                # Summed from 0j, as into a zero-filled map: a -0.0 part of
+                # the product comes out +0.0, which the reports have always
+                # shown.
+                value = 0j + amp * factor
+                if abs(value) < PRUNE_THRESHOLD:
+                    continue
+                if not moved:
+                    branches.append((value, index + 1, mode, touched, k + 1))
+                elif not touched:
+                    branches.append((value, index + 1, fresh, moved, 0))
+                else:
+                    branches.append((value, index + 1, {mode: touched, fresh: moved}))
+            stack += reversed(branches)
+    outcome = FockState._trusted(len(zeros), pairs)
     return HeraldedOutcome.relative(outcome, state)
 
 

@@ -985,9 +985,34 @@ class TestLevelPass:
     )
     def test_idle_factor_at_most_one(self, circuit, args):
         # Pruning an idle run once at its end is exact only while no idle
-        # step can raise a magnitude.
+        # step can raise a magnitude. The Kerr pass-through is exactly
+        # 1+0j, +0.0 imaginary part included: the condition that caps its
+        # idle runs at two products.
         ((_, _, idle),) = pipelines._transfer_table(circuit, 0, *args)
         assert abs(idle) <= 1.0
+        if circuit is pipelines._generator_kerr_circuit:
+            assert repr(idle) == "(1+0j)"
+
+    @pytest.mark.parametrize(
+        "amp",
+        [complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, -0.0)],
+    )
+    @pytest.mark.parametrize(
+        "occ, paths", [((1, 0), (1, 1, 1)), ((1, 1, 0), (2, 2, 2))]
+    )
+    def test_kerr_idle_run_capped_bit_for_bit(self, amp, occ, paths):
+        # Three Kerr generators on an empty mode are one idle run of three
+        # products with 1+0j, which the walk caps at two: on a single-mode
+        # branch and on a map branch. The term never expands, so no 0j + can
+        # hide a skipped product; a walk that skipped the run outright would
+        # keep the -0.0 real part of complex(-0.0, -1.0), which one product
+        # turns into +0.0.
+        state = FockState(len(occ), {occ: amp})
+        self.assert_tuple_call_equals_int_calls(generator_kerr, (), state, paths)
+        idle = complex(1.0, 0.0)
+        expected = [(occ + (0, 0, 0), amp * idle * idle * idle)]
+        out = generator_kerr(state, paths).state
+        assert repr(list(out.terms.items())) == repr(expected)
 
     def test_expanded_amplitudes_are_sums_from_zero(self):
         # An expanded amplitude is 0j + amp * factor, the sum a zero-filled
@@ -1016,6 +1041,10 @@ class TestLevelPass:
             (4, 8, 3),
             (4, 64, 8),
             (4, 256, 4),
+            # The first Kerr table whose entries leave photons on both the
+            # touched and the fresh mode: single-mode branches split into
+            # two-mode ones mid-walk.
+            (4, 2, 24),
         ],
     )
     def test_cascade_reports_match_one_path_at_a_time(self, method, d, n):
