@@ -160,13 +160,10 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     components = [0j] * d
     rest = []
     for occ, amp in state.terms.items():
-        if occ.count(0) == d - 1:
-            try:
-                components[occ.index(n_photons)] = amp
-                continue
-            except ValueError:
-                pass
-        rest.append(abs(amp) ** 2)
+        if occ.count(0) == d - 1 and n_photons in occ:
+            components[occ.index(n_photons)] = amp
+        else:
+            rest.append(abs(amp) ** 2)
     return _noon_report(components, n_photons, tolerance, math.fsum(rest))
 
 
@@ -179,8 +176,8 @@ def _noon_report(
     already be checked.
     """
     d = len(components)
-    magnitudes = [abs(c) for c in components]
-    probability = sum(m**2 for m in magnitudes)
+    magnitudes = list(map(abs, components))
+    probability = sum([m**2 for m in magnitudes])
     largest = max(magnitudes)
     threshold = tolerance * largest
     balanced = 0.0 < largest and largest - min(magnitudes) <= threshold
@@ -199,13 +196,8 @@ def _noon_report(
     if reference is None:
         signs = [1 + 0j] * d
     return NoonReport(
-        d=d,
-        N=n_photons,
-        component_amplitudes=tuple(components),
-        generation_probability=probability,
-        sign_pattern=tuple(signs),
-        balanced=balanced,
-        residual_norm=residual_norm,
+        d, n_photons, tuple(components), probability, tuple(signs), balanced,
+        residual_norm,
     )
 
 
@@ -454,20 +446,20 @@ def _level_paths(paths, mode_count: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _schedule(paths: tuple[int, ...], mode_count: int) -> tuple[tuple, tuple]:
-    """Step lists and the all-vacuum occupation of a generator call on ``paths``.
+def _schedule(paths: tuple[int, ...], mode_count: int) -> tuple[tuple, ...]:
+    """Step lists of a generator call on ``paths``, one per output mode.
 
-    Entry ``m`` of the first tuple lists, in order, the steps whose generator
-    touches mode ``m`` of the ``mode_count + len(paths)`` output modes, and
-    ends with ``len(paths)``, the step past the last. Cached because the
-    cascades repeat their shape: every method 3 or 4 run at one d makes the
-    same call on the same paths, and a grid revisits few d.
+    Entry ``m`` lists, in order, the steps whose generator touches mode ``m``
+    of the ``mode_count + len(paths)`` output modes, and ends with
+    ``len(paths)``, the step past the last. Cached because the cascades
+    repeat their shape: every method 3 or 4 run at one d makes the same call
+    on the same paths, and a grid revisits few d.
     """
     width = len(paths)
     steps = [[] for _ in range(mode_count + width)]
     for step, path in enumerate(paths):
         steps[path].append(step)
-    return tuple(tuple(touches) + (width,) for touches in steps), (0,) * len(steps)
+    return tuple(tuple(touches) + (width,) for touches in steps)
 
 
 def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
@@ -491,8 +483,12 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     pruned each product below :data:`PRUNE_THRESHOLD`; here an idle run is
     pruned at its end, which drops the same branches because |idle| <= 1, so
     a magnitude never climbs back over the floor. Every amplitude is
-    therefore bit for bit the same. Branches finish in that route's term
-    order, and each builds its output occupation once.
+    therefore bit for bit the same. Each expansion pushes its branches
+    straight onto the walk's stack from the call's copy of the table, stored
+    in reverse order, so they pop in table order and finish in that route's
+    term order. A finished branch builds its output occupation once, from one
+    row per call: a list of zeros whose occupied modes are set, copied to a
+    tuple and reset.
 
     Every table keeps the touched photon number on the touched and fresh
     modes, so no two outputs meet and none are summed, and a branch never
@@ -517,7 +513,8 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     width = len(paths)
     cap = 2 if idle == 1 and math.copysign(1.0, idle.imag) > 0 else width
     first_fresh = state.mode_count
-    steps, zeros = _schedule(paths, first_fresh)
+    steps = _schedule(paths, first_fresh)
+    row = [0] * len(steps)
     tables = {}
     pairs = []
 
@@ -537,18 +534,18 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                 if abs(amp) < PRUNE_THRESHOLD:
                     continue
             if index == width:
-                out = list(zeros)
                 for mode, n in occupied.items():
-                    out[mode] = n
-                pairs.append((tuple(out), amp))
+                    row[mode] = n
+                pairs.append((tuple(row), amp))
+                for mode in occupied:
+                    row[mode] = 0
                 continue
             path = paths[index]
             fresh = first_fresh + index
             n = occupied[path]
             table = tables.get(n)
             if table is None:
-                table = tables[n] = _transfer_table(circuit, n, *args)
-            branches = []
+                table = tables[n] = _transfer_table(circuit, n, *args)[::-1]
             for touched, moved, factor in table:
                 value = 0j + amp * factor  # as in the flat walk below
                 if abs(value) >= PRUNE_THRESHOLD:
@@ -559,8 +556,7 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                         del branch[path]
                     if moved:
                         branch[fresh] = moved
-                    branches.append((value, index + 1, branch))
-            stack += reversed(branches)
+                    stack.append((value, index + 1, branch))
 
     for occ, amplitude in state.terms.items():
         occupied = {mode: n for mode, n in enumerate(occ) if n}
@@ -582,13 +578,14 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                 if abs(amp) < PRUNE_THRESHOLD:
                     continue
             if index == width:
-                pairs.append((zeros[:mode] + (n,) + zeros[mode + 1 :], amp))
+                row[mode] = n
+                pairs.append((tuple(row), amp))
+                row[mode] = 0
                 continue
             fresh = first_fresh + index
             table = tables.get(n)
             if table is None:
-                table = tables[n] = _transfer_table(circuit, n, *args)
-            branches = []
+                table = tables[n] = _transfer_table(circuit, n, *args)[::-1]
             for touched, moved, factor in table:
                 # Summed from 0j, as into a zero-filled map: a -0.0 part of
                 # the product comes out +0.0, which the reports have always
@@ -597,13 +594,12 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                 if abs(value) < PRUNE_THRESHOLD:
                     continue
                 if not moved:
-                    branches.append((value, index + 1, mode, touched, k + 1))
+                    stack.append((value, index + 1, mode, touched, k + 1))
                 elif not touched:
-                    branches.append((value, index + 1, fresh, moved, 0))
+                    stack.append((value, index + 1, fresh, moved, 0))
                 else:
-                    branches.append((value, index + 1, {mode: touched, fresh: moved}))
-            stack += reversed(branches)
-    outcome = FockState._trusted(len(zeros), pairs)
+                    stack.append((value, index + 1, {mode: touched, fresh: moved}))
+    outcome = FockState._trusted(len(row), pairs)
     return HeraldedOutcome.relative(outcome, state)
 
 

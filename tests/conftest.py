@@ -14,11 +14,9 @@ from noongen import (
     FockState,
     HeraldedOutcome,
     MethodConfig,
-    NoonReport,
     PhaseShifter,
     apply_element,
     apply_fsf,
-    extract_noon,
     generator_even,
     generator_kerr,
     generator_odd,
@@ -318,19 +316,23 @@ def assert_noon_bits(amplitudes: list, state: FockState, n_photons: int) -> None
     assert repr(amplitudes) == repr([state.terms.get(occ, 0j) for occ in noon])
 
 
-def cascade_one_path_at_a_time(cfg: MethodConfig) -> NoonReport:
-    """Method 3 or 4 with every generator of the balanced tree called alone.
+def cascade_generator(cfg: MethodConfig) -> tuple:
+    """The public generator of method 3 or 4 at ``cfg``, and its extra arguments."""
+    if cfg.method == 4:
+        return generator_kerr, ()
+    return (generator_odd if cfg.N % 2 else generator_even), (cfg.N,)
+
+
+def cascade_one_path_at_a_time(cfg: MethodConfig) -> FockState:
+    """Final state of method 3 or 4 with every generator of the tree called alone.
 
     The same tree as ``pipelines._cascade``: at level l the paths 2^l - 1,
     ..., 1, 0 are split in turn. Here each path is its own int call of the
     public generator, where the pipelines run the whole tree in one call.
     """
-    if cfg.method == 4:
-        generator, args = generator_kerr, ()
-    else:
-        generator, args = (generator_odd if cfg.N % 2 else generator_even), (cfg.N,)
+    generator, args = cascade_generator(cfg)
     state = make_fock(1, (cfg.N,))
     for level in range(cfg.d.bit_length() - 1):
         for path in reversed(range(2**level)):
             state = generator(state, path, *args).state
-    return extract_noon(state, cfg.N, cfg.tolerance)
+    return state

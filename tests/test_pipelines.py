@@ -12,6 +12,7 @@ from conftest import (
     assert_noon_bits,
     assert_same_bits,
     assert_terms_close,
+    cascade_generator,
     cascade_one_path_at_a_time,
     collapse_polarization,
     filter_factors,
@@ -1031,14 +1032,19 @@ class TestLevelPass:
         [
             (3, 2, 2),
             (3, 4, 4),
+            (3, 4, 8),
+            (3, 8, 4),
             (3, 8, 6),
             (3, 16, 4),
             (3, 2, 21),
             (3, 4, 7),
+            (3, 8, 3),
             (3, 8, 5),
             (3, 16, 3),
             (4, 2, 5),
             (4, 8, 3),
+            (4, 16, 4),
+            (4, 32, 6),
             (4, 64, 8),
             (4, 256, 4),
             # The first Kerr table whose entries leave photons on both the
@@ -1048,9 +1054,14 @@ class TestLevelPass:
         ],
     )
     def test_cascade_reports_match_one_path_at_a_time(self, method, d, n):
+        # The states too: a report cannot see the order of the terms.
         cfg = MethodConfig(method=method, d=d, N=n)
+        one_at_a_time = cascade_one_path_at_a_time(cfg)
+        generator, args = cascade_generator(cfg)
+        whole = pipelines._cascade(d, make_fock(1, (n,)), generator, *args)
+        assert_same_bits(whole, one_at_a_time)
         assert repr(run_method(cfg).to_dict()) == repr(
-            cascade_one_path_at_a_time(cfg).to_dict()
+            extract_noon(one_at_a_time, n, cfg.tolerance).to_dict()
         )
 
 
@@ -1169,6 +1180,24 @@ class TestExtractNoon:
         report = extract_noon(state, 2)
         assert report.component_amplitudes == (0.5 + 0j, -0.5 + 0j, 0j)
         assert report.residual_norm == math.fsum(abs(a) ** 2 for a in other.values())
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_sign_part_at_tolerance_is_zero(self, part):
+        # A sign part at most ``tolerance`` reads exactly 0.0; one ulp above
+        # it, the part is kept as computed.
+        state = FockState(2, {(2, 0): 1 + 0j, (0, 2): 0.6 + 0.8j})
+        value = getattr(extract_noon(state, 2).sign_pattern[1], part)
+        at = extract_noon(state, 2, value).sign_pattern[1]
+        assert repr(getattr(at, part)) == "0.0"
+        below = extract_noon(state, 2, math.nextafter(value, 0.0)).sign_pattern[1]
+        assert getattr(below, part) == value
+
+    def test_negative_zero_sign_part_reads_positive(self):
+        # The second phase over the first is 1-0j: its -0.0 part is within
+        # the tolerance and reads +0.0.
+        state = FockState(2, {(2, 0): 1 + 0j, (0, 2): complex(1.0, -0.0)})
+        assert repr(state.terms[(0, 2)]) == "(1-0j)"
+        assert repr(extract_noon(state, 2).sign_pattern) == "((1+0j), (1+0j))"
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_tolerance_not_positive_and_finite(self, tolerance):
