@@ -69,8 +69,8 @@ class FockState:
     trusted :meth:`_trusted` path instead, which takes (occupation, amplitude)
     pairs, often a generator over another state's terms, and skips those
     checks because its occupations and amplitudes are derived from states
-    that already passed them. Both paths apply the same pruning rule once,
-    while building a dict of their own.
+    that already passed them. Both prune by the same rule once, in the pass
+    that builds their dict; :meth:`_adopt` takes a dict its caller pruned.
     """
 
     __slots__ = ("_mode_count", "_terms")
@@ -104,13 +104,20 @@ class FockState:
         ``pairs`` yields (occupation, amplitude) pairs with distinct
         occupations: a dict's ``items()`` or a generator over another state's
         terms. The caller guarantees tuple occupations of length
-        ``mode_count`` with non-negative ints and ``complex`` amplitudes. This
-        is the one place package-built terms are pruned, in the single pass
-        that builds the state's dict.
+        ``mode_count`` with non-negative ints and ``complex`` amplitudes. The
+        terms are pruned in the single pass that builds the state's dict; a
+        caller that prunes its own dict hands it to :meth:`_adopt` instead.
         """
         state = object.__new__(cls)
         state._mode_count = mode_count
         state._terms = {occ: amp for occ, amp in pairs if abs(amp) >= PRUNE_THRESHOLD}
+        return state
+
+    @classmethod
+    def _adopt(cls, mode_count: int, terms: dict) -> FockState:
+        """Own a pruned ``terms`` dict from a trusted caller: no check, no copy."""
+        state = object.__new__(cls)
+        state._mode_count, state._terms = mode_count, terms
         return state
 
     @property

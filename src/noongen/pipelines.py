@@ -146,8 +146,9 @@ class NoonReport(
 def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> NoonReport:
     """Read the d NOON component amplitudes out of a final state.
 
-    One pass over the terms: a term is a NOON term when d-1 modes are empty
-    and the other holds all ``n_photons``. The residual is a correctly
+    One pass over the terms, two scans of each: a term is a NOON term when
+    d-1 modes are empty and the other holds all ``n_photons`` (its index
+    fails on a lone mode holding another number). The residual is a correctly
     rounded sum (``math.fsum``) of the other terms' squared magnitudes, so
     their order does not matter. :func:`_noon_report` builds the report from
     the components. Raises ValueError for ``n_photons < 1`` and for a
@@ -160,10 +161,13 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     components = [0j] * d
     rest = []
     for occ, amp in state.terms.items():
-        if occ.count(0) == d - 1 and n_photons in occ:
-            components[occ.index(n_photons)] = amp
-        else:
-            rest.append(abs(amp) ** 2)
+        if occ.count(0) == d - 1:
+            try:
+                components[occ.index(n_photons)] = amp
+                continue
+            except ValueError:
+                pass
+        rest.append(abs(amp) ** 2)
     return _noon_report(components, n_photons, tolerance, math.fsum(rest))
 
 
@@ -488,7 +492,8 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     in reverse order, so they pop in table order and finish in that route's
     term order. A finished branch builds its output occupation once, from one
     row per call: a list of zeros whose occupied modes are set, copied to a
-    tuple and reset.
+    tuple and reset, and goes untested into the dict the output state adopts
+    (:meth:`FockState._adopt`): it passed the pruning test in the walk.
 
     Every table keeps the touched photon number on the touched and fresh
     modes, so no two outputs meet and none are summed, and a branch never
@@ -516,7 +521,7 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     steps = _schedule(paths, first_fresh)
     row = [0] * len(steps)
     tables = {}
-    pairs = []
+    leaves = {}
 
     def walk_map(stack: list) -> None:
         # Every descendant of a map branch is one too: walk its whole subtree.
@@ -536,7 +541,7 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
             if index == width:
                 for mode, n in occupied.items():
                     row[mode] = n
-                pairs.append((tuple(row), amp))
+                leaves[tuple(row)] = amp
                 for mode in occupied:
                     row[mode] = 0
                 continue
@@ -579,7 +584,7 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                     continue
             if index == width:
                 row[mode] = n
-                pairs.append((tuple(row), amp))
+                leaves[tuple(row)] = amp
                 row[mode] = 0
                 continue
             fresh = first_fresh + index
@@ -599,8 +604,7 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                     stack.append((value, index + 1, fresh, moved, 0))
                 else:
                     stack.append((value, index + 1, {mode: touched, fresh: moved}))
-    outcome = FockState._trusted(len(row), pairs)
-    return HeraldedOutcome.relative(outcome, state)
+    return HeraldedOutcome.relative(FockState._adopt(len(row), leaves), state)
 
 
 def generator_even(
@@ -738,17 +742,22 @@ def _generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
     return HeraldedOutcome.relative(work, state)
 
 
+@lru_cache(maxsize=64)
+def _tree_paths(d: int) -> tuple[int, ...]:
+    """The levels' paths of :func:`_cascade`, built once per d."""
+    levels = range(d.bit_length() - 1)
+    return tuple(path for level in levels for path in reversed(range(2**level)))
+
+
 def _cascade(d: int, state: FockState, generator, *args) -> FockState:
     """Run d-1 generators as a balanced binary tree over d = 2^L paths.
 
     At level l the paths 2^l - 1, ..., 1, 0 are each split in turn, and every
     generator appends a fresh path with the next unused index. One generator
     call runs the whole tree on the levels' paths in sequence: for d=8 they
-    are (0, 1, 0, 3, 2, 1, 0).
+    are (0, 1, 0, 3, 2, 1, 0), one shared tuple per d (:func:`_tree_paths`).
     """
-    levels = range(d.bit_length() - 1)
-    paths = tuple(path for level in levels for path in reversed(range(2**level)))
-    return generator(state, paths, *args).state
+    return generator(state, _tree_paths(d), *args).state
 
 
 def run_method3(cfg: MethodConfig) -> NoonReport:
@@ -763,7 +772,8 @@ def run_method3(cfg: MethodConfig) -> NoonReport:
     if cfg.method != 3:
         raise ValueError("run_method3 requires method=3")
     generator = generator_odd if cfg.N % 2 else generator_even
-    state = _cascade(cfg.d, make_fock(1, (cfg.N,)), generator, cfg.N)
+    source = FockState._trusted(1, [((cfg.N,), 1 + 0j)])  # cfg checked N
+    state = _cascade(cfg.d, source, generator, cfg.N)
     return extract_noon(state, cfg.N, cfg.tolerance)
 
 
@@ -771,7 +781,8 @@ def run_method4(cfg: MethodConfig) -> NoonReport:
     """Cascade of d-1 cross-Kerr generators in the same balanced tree."""
     if cfg.method != 4:
         raise ValueError("run_method4 requires method=4")
-    state = _cascade(cfg.d, make_fock(1, (cfg.N,)), generator_kerr)
+    source = FockState._trusted(1, [((cfg.N,), 1 + 0j)])  # cfg checked N
+    state = _cascade(cfg.d, source, generator_kerr)
     return extract_noon(state, cfg.N, cfg.tolerance)
 
 

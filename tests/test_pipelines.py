@@ -29,7 +29,9 @@ from noongen import pipelines
 from noongen import (
     PRUNE_THRESHOLD,
     FockState,
+    HeraldedOutcome,
     MethodConfig,
+    NoonReport,
     amplitude,
     apply_fsf,
     bs_matrix_element,
@@ -1064,6 +1066,77 @@ class TestLevelPass:
             extract_noon(one_at_a_time, n, cfg.tolerance).to_dict()
         )
 
+    @staticmethod
+    def assert_leaves_pass_the_floor(out: FockState) -> None:
+        # The walk hands its dict to FockState._adopt, which prunes nothing:
+        # every amplitude must already pass the test _trusted makes, so that
+        # rebuilding the state through _trusted keeps every term and bit.
+        assert all(abs(amp) >= PRUNE_THRESHOLD for amp in out.terms.values())
+        rebuilt = FockState._trusted(out.mode_count, list(out.terms.items()))
+        assert_same_bits(out, rebuilt)
+
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_walk_output_needs_no_pruning(self, generator, args, seed):
+        # Multi-mode terms near the floor (idle runs and expansions prune
+        # mid-walk) and single-mode inputs, on tuples of paths whose later
+        # entries split fresh modes.
+        rng = np.random.default_rng(7500 + seed)
+        near_floor = FockState(1, {(int(rng.integers(0, 7)),): 3 * PRUNE_THRESHOLD})
+        steps = int(rng.integers(2, 9))
+        for state in (
+            _level_state(rng, int(rng.integers(3, 7))),
+            near_floor,
+            FockState(1, {(4,): 0.5j}),
+        ):
+            modes = state.mode_count
+            paths = [0] + [int(rng.integers(0, modes + i)) for i in range(1, steps)]
+            out = generator(state, tuple(paths), *args).state
+            self.assert_leaves_pass_the_floor(out)
+
+    @pytest.mark.parametrize("amp", [1.0, 2e-14, -0.5j])
+    def test_kerr_map_split_needs_no_pruning(self, amp):
+        # At n = 24 the Kerr table leaves photons on both the touched and the
+        # fresh mode, so single-mode branches turn into map branches mid-walk.
+        state = FockState(1, {(24,): amp})
+        out = generator_kerr(state, (0, 1, 0, 3, 2, 1, 0)).state
+        self.assert_leaves_pass_the_floor(out)
+
+
+class TestCascadeLayout:
+    @pytest.mark.parametrize(
+        "d, paths", [(2, (0,)), (4, (0, 1, 0)), (8, (0, 1, 0, 3, 2, 1, 0))]
+    )
+    def test_paths_pinned_and_shared_across_calls(self, d, paths):
+        # Level l splits the paths 2^l - 1, ..., 1, 0; the tuple depends on d
+        # alone, so every call at one d is handed the same tuple.
+        seen = []
+
+        def record(state, level_paths):
+            seen.append(level_paths)
+            return HeraldedOutcome.relative(state, state)
+
+        for _ in range(2):
+            pipelines._cascade(d, make_fock(1, (2,)), record)
+        assert seen[0] == paths
+        assert seen[1] is seen[0]
+
+    @pytest.mark.parametrize("method, n", [(3, 2), (3, 3), (4, 5)])
+    def test_cascade_input_is_the_basis_state(self, monkeypatch, method, n):
+        # The runners build |N> through the trusted constructor, N being
+        # checked by MethodConfig: the same state as make_fock, bit for bit.
+        inputs = []
+        cascade = pipelines._cascade
+
+        def spy(d, state, generator, *args):
+            inputs.append(state)
+            return cascade(d, state, generator, *args)
+
+        monkeypatch.setattr(pipelines, "_cascade", spy)
+        run_method(MethodConfig(method=method, d=4, N=n))
+        (state,) = inputs
+        assert_same_bits(state, make_fock(1, (n,)))
+
 
 class TestMethod4:
     def test_headline(self):
@@ -1171,6 +1244,31 @@ class TestExtractNoon:
         extra = 1e-9 + 2e-9j
         report = extract_noon(FockState(3, {**noon, (1, 1, 1): extra}), 3)
         assert report.residual_norm == abs(extra) ** 2
+
+    def test_lone_mode_with_another_photon_number_is_residual(self):
+        # d-1 empty modes and a lone mode holding n != N photons: the empty
+        # count passes, the index of N fails, and the term is residual.
+        lone = {(3, 0, 0): 0.1j, (0, 1, 0): 0.2}
+        state = FockState(3, {(2, 0, 0): 0.5, (0, 0, 2): -0.5, **lone})
+        report = extract_noon(state, 2)
+        assert repr(report) == repr(
+            NoonReport(
+                3, 2, (0.5 + 0j, 0j, -0.5 + 0j), 0.5, (1 + 0j, 0j, -1 + 0j), False,
+                math.fsum(abs(complex(a)) ** 2 for a in lone.values()),
+            )
+        )
+
+    def test_single_mode_state_reads_its_one_component(self):
+        # With d = 1 every term has d-1 = 0 empty modes: the N-photon term is
+        # the one component, every other photon number is residual.
+        state = FockState(1, {(0,): 0.4, (3,): 0.6j, (2,): 0.3})
+        report = extract_noon(state, 3)
+        assert repr(report) == repr(
+            NoonReport(
+                1, 3, (0.6j,), abs(0.6j) ** 2, (1 + 0j,), True,
+                math.fsum([abs(0.4 + 0j) ** 2, abs(0.3 + 0j) ** 2]),
+            )
+        )
 
     def test_n_photons_beside_other_photons_is_residual(self):
         # A NOON term holds all N photons in one mode and none elsewhere;
