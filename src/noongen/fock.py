@@ -15,9 +15,9 @@ from typing import Iterable, Mapping
 
 Occupation = tuple[int, ...]
 
-# Amplitudes below this magnitude are destructive-interference residue (e.g.
-# filtered Fock components); dropping them keeps term counts small without
-# touching anything asserted at the 1e-10 level or coarser.
+# The state constructors, the even split and the cascade walk drop amplitudes
+# below this magnitude as destructive-interference residue; real heralded
+# amplitudes can be smaller (ROADMAP item 1). Methods 1 and 2 never apply it.
 PRUNE_THRESHOLD = 1e-14
 
 
@@ -70,7 +70,8 @@ class FockState:
     pairs, often a generator over another state's terms, and skips those
     checks because its occupations and amplitudes are derived from states
     that already passed them. Both prune by the same rule once, in the pass
-    that builds their dict; :meth:`_adopt` takes a dict its caller pruned.
+    that builds their dict; :meth:`_adopt` takes its caller's dict as it is:
+    the cascade walk's pruned leaves, or a coherent state's nonzero terms.
     """
 
     __slots__ = ("_mode_count", "_terms")
@@ -88,9 +89,13 @@ class FockState:
             if any(n < 0 for n in occ):
                 raise ValueError(f"occupation {occ} has a negative photon count")
             value = complex(amp)
-            if not cmath.isfinite(value):
-                raise ValueError(f"amplitude {value} of {occ} is not finite")
-            if abs(value) >= PRUNE_THRESHOLD:
+            try:
+                size = abs(value)
+            except OverflowError:  # finite parts, but |value| exceeds a float
+                size = math.inf
+            if not size < math.inf:
+                raise ValueError(f"amplitude {value} of {occ} is not finite in magnitude")
+            if size >= PRUNE_THRESHOLD:
                 pruned[occ] = value
         self._mode_count = mode_count
         self._terms = pruned
@@ -115,7 +120,7 @@ class FockState:
 
     @classmethod
     def _adopt(cls, mode_count: int, terms: dict) -> FockState:
-        """Own a pruned ``terms`` dict from a trusted caller: no check, no copy."""
+        """Own a trusted ``terms`` dict as it is: no check, no prune, no copy."""
         state = object.__new__(cls)
         state._mode_count, state._terms = mode_count, terms
         return state
@@ -166,19 +171,22 @@ def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
 
     Amplitudes follow the Poisson law exp(-|alpha|^2/2) * alpha^n / sqrt(n!).
     The Gaussian prefactor is kept exactly, so the stored amplitudes are the
-    true coherent-state amplitudes and the truncated norm is below one.
-    ``alpha`` and |alpha|^2 must be finite. Both arguments are checked here,
-    so the terms are built through :meth:`FockState._trusted`.
+    true coherent-state amplitudes and the truncated norm is below one. None
+    is pruned: the terms stop at the first that rounds to 0, as all later
+    ones do. ``alpha`` and |alpha|^2 must be finite. Both arguments are
+    checked here, so the terms are handed to :meth:`FockState._adopt`.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     alpha = check_alpha(alpha)
     amp = complex(math.exp(-0.5 * abs(alpha) ** 2))
-    terms = [((0,), amp)]
-    for n in range(1, cutoff + 1):
-        amp = amp * alpha / math.sqrt(n)
-        terms.append(((n,), amp))
-    return FockState._trusted(1, terms)
+    terms = {}
+    for n in range(cutoff + 1):
+        if not amp:
+            break
+        terms[(n,)] = amp
+        amp = amp * alpha / math.sqrt(n + 1)
+    return FockState._adopt(1, terms)
 
 
 def tensor(a: FockState, b: FockState) -> FockState:

@@ -8,7 +8,7 @@ Four schemes are simulated exactly on the sparse Fock representation:
    or more than N/2 photons, so the N-photon sector holds only the d NOON
    terms. Only the single-mode factors at 0 and N photons are filtered, and
    the d NOON amplitudes are multiplied out from them directly into the
-   report: no state is built after the coherent input.
+   report, none pruned: no state is built after the coherent input.
 2. an evenly split N-photon input passes through the same filter blocks,
    its d NOON amplitudes built the same way from two split factors; no
    postselection is needed because the photon number is fixed.
@@ -36,7 +36,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul
 
 from .elements import (
@@ -122,7 +122,7 @@ class NoonReport(
     phases after factoring out the phase of the first component above the
     threshold; components at or below it get 0, and real or imaginary parts at
     or below ``tolerance`` are exactly 0. Both are tuples of complex numbers.
-    ``balanced`` means some component is non-zero and the component
+    ``balanced`` means the probability is positive and the component
     magnitudes differ by at most the threshold. ``residual_norm`` is the
     squared norm of everything else left in the state.
     """
@@ -184,7 +184,7 @@ def _noon_report(
     probability = sum([m**2 for m in magnitudes])
     largest = max(magnitudes)
     threshold = tolerance * largest
-    balanced = 0.0 < largest and largest - min(magnitudes) <= threshold
+    balanced = 0.0 < probability and largest - min(magnitudes) <= threshold
     signs = [0j] * d
     reference = None
     for j, (c, m) in enumerate(zip(components, magnitudes)):
@@ -220,22 +220,16 @@ def split_evenly(n_photons: int, d: int) -> FockState:
 _ONE = 1 << 106  # isqrt(m * _ONE * _ONE) / _ONE: sqrt(m) correctly rounded
 
 
-def _split_scale(n_photons: int, d: int) -> float:
-    """sqrt(N!), correctly rounded: the first partial product of the even split.
-
-    No split factor exceeds 1, so pruning from it drops only terms below the
-    floor; sqrt(N!) fits a float up to N = 300. Raises ValueError outside
-    1 <= N <= 300 or for d < 2.
-    """
+def _check_split(n_photons: int, d: int) -> None:
+    """Raise ValueError outside 1 <= N <= 300 (sqrt(N!) fits a float) or for d < 2."""
     if not 1 <= n_photons <= 300:
         raise ValueError(f"photon number must be 1 to 300, got {n_photons}")
     if d < 2:
         raise ValueError(f"mode count must be at least 2, got {d}")
-    return math.isqrt(math.factorial(n_photons) * _ONE * _ONE) / _ONE
 
 
 def _split_factor(weight: int) -> complex:
-    """Split factor d^(-n/2)/sqrt(n!) from ``weight`` = d^n * n!, correctly rounded."""
+    """1/sqrt(``weight``), correctly rounded: d^(-n/2)/sqrt(n!) for d^n * n!."""
     return complex(_ONE / math.isqrt(weight * _ONE * _ONE))
 
 
@@ -245,13 +239,13 @@ def _split_factors(n_photons: int, d: int) -> tuple[dict, float]:
     Each weight d^n * n! is the previous one times d*n: the same exact
     integer as computing it afresh, at a fraction of the cost.
     """
-    scale = _split_scale(n_photons, d)
+    _check_split(n_photons, d)
     factors = {0: _split_factor(1)}
     weight = 1
     for n in range(1, n_photons + 1):
         weight *= d * n
         factors[n] = _split_factor(weight)
-    return factors, scale
+    return factors, math.isqrt(math.factorial(n_photons) * _ONE * _ONE) / _ONE
 
 
 def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
@@ -266,15 +260,14 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
     the full product to N photons.
 
     A prefix that already holds N photons has one completion, all zeros,
-    which is multiplied out at once and pruned after each mode, or dropped
-    when ``factors`` has no 0 key. The second-to-last mode reads the one
-    factor that completes N for the last; with d = 1 the one mode reads it.
+    which is multiplied out at once and pruned after each mode. The
+    second-to-last mode reads the one factor that completes N for the last.
     Every kept prefix meets the pruning test at the same partial products as
-    on a level-by-level build, so both drop the same terms. ``n_photons``
-    must be at least 1. It builds :func:`split_evenly`; the filtration path
-    builds its NOON amplitudes with :func:`_noon_amplitudes`.
+    on a level-by-level build, so both drop the same terms. ``factors`` must
+    have a 0 key, ``d`` must be at least 2 and ``n_photons`` at least 1, as
+    for :func:`split_evenly`, which it builds.
     """
-    zero = factors.get(0)
+    zero = factors[0]
     last = d - 1
     pairs = []
     stack = [((), n_photons, first)]
@@ -282,19 +275,12 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
         prefix, left, amp = stack.pop()
         mode = len(prefix)
         if not left:
-            if zero is None:
-                continue
             for _ in range(mode, d):
                 amp *= zero
                 if abs(amp) < PRUNE_THRESHOLD:
                     break
             else:
                 pairs.append((prefix + (0,) * (d - mode), amp))
-            continue
-        if mode == last:
-            end = factors.get(left)
-            if end is not None:
-                pairs.append((prefix + (left,), end if amp is None else amp * end))
             continue
         if mode == last - 1:
             for n, factor in factors.items():
@@ -323,57 +309,36 @@ def _filtered(amp, n: int, n_photons: int):
     Block k applies a k-filter to every mode (a d-fold single-photon
     coincidence), which multiplies a term by :func:`fsf_factor` of each mode's
     photon number: a single-mode factor is multiplied by
-    ``fsf_factor(n, k)`` for k = 1..floor(N/2), in block order. A missing factor
-    (None) stays missing.
+    ``fsf_factor(n, k)`` for k = 1..floor(N/2), in block order.
     """
-    if amp is not None:
-        for k in range(1, n_photons // 2 + 1):
-            amp = amp * fsf_factor(n, k)
+    for k in range(1, n_photons // 2 + 1):
+        amp = amp * fsf_factor(n, k)
     return amp
 
 
-def _noon_amplitudes(zero, top, d: int, first=None) -> list:
+def _noon_amplitudes(zero, top, d: int) -> list:
     """The d NOON amplitudes of the d-fold product of filtered single-mode factors.
 
     The filter blocks zero the factors at 1..M photons (M = floor(N/2)), and
     2(M+1) > N, so the N-photon sector holds only the d NOON terms, built from
     ``zero`` and ``top``, the factors at 0 and N photons. Entry j is the
-    amplitude with all N photons in mode j, ``first * zero^j * top *
-    zero^(d-1-j)``, left to right (without ``first`` the first factor is taken
-    as it is), over shared zero prefixes. It is 0j when either factor is None
-    (pruned) or when a partial product, or the amplitude itself, falls below
-    :data:`PRUNE_THRESHOLD`. These are the products and pruning tests of
-    :func:`_sector` on the filtered factors, whose walk builds the all-zero
-    prefixes and the d that end in N, each finished by its zero tail.
+    amplitude with all N photons in mode j, ``zero^j * (top * zero^(d-1-j))``:
+    two running products of d factors each, so O(d) multiplies. Every
+    nonzero product is kept; one that is exactly 0 (a zero factor, or an
+    underflow) is stored as 0j, without a sign on either part.
     """
-    amplitudes = [0j] * d
-    if zero is None or top is None:
-        return amplitudes
-    heads = [first]
-    for _ in range(d - 1):
-        amp = zero if heads[-1] is None else heads[-1] * zero
-        if abs(amp) < PRUNE_THRESHOLD:
-            break
-        heads.append(amp)
-    for j, head in enumerate(heads):
-        amp = top if head is None else head * top
-        for _ in range(j + 1, d):
-            if abs(amp) < PRUNE_THRESHOLD:
-                break
-            amp *= zero
-        if abs(amp) >= PRUNE_THRESHOLD:
-            amplitudes[j] = amp
-    return amplitudes
+    heads = accumulate(repeat(zero, d - 1), mul, initial=1.0)
+    tails = list(accumulate(repeat(zero, d - 1), mul, initial=top))
+    return [head * tail or 0j for head, tail in zip(heads, reversed(tails))]
 
 
-def _filtrate(cfg: MethodConfig, zero, top, first=None) -> NoonReport:
+def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
     """Filter the 0- and N-photon factors and report on the d NOON amplitudes.
 
     No term but a NOON term is built, so the residual is exactly 0.0.
     """
     n = cfg.N
-    zero, top = _filtered(zero, 0, n), _filtered(top, n, n)
-    amplitudes = _noon_amplitudes(zero, top, cfg.d, first)
+    amplitudes = _noon_amplitudes(_filtered(zero, 0, n), _filtered(top, n, n), cfg.d)
     return _noon_report(amplitudes, n, cfg.tolerance, 0.0)
 
 
@@ -384,15 +349,16 @@ def run_method1(cfg: MethodConfig) -> NoonReport:
     After the floor(N/2) filter blocks a mode holds 0 or more than N/2
     photons, so an N-photon term has one occupied mode. Only the state's 0-
     and N-photon amplitudes are filtered, O(N) factor products, and the d
-    NOON amplitudes are multiplied out from them directly (O(d^2) multiplies:
-    d zero tails of up to d modes) into a list the report is built from,
-    instead of C(N+d-1, d-1) sector terms or (N+1)^d product terms.
+    NOON amplitudes are multiplied out from them directly (O(d) multiplies,
+    :func:`_noon_amplitudes`) into a list the report is built from, instead
+    of C(N+d-1, d-1) sector terms or (N+1)^d product terms. An amplitude the
+    coherent state lacks (it rounded to 0) is read as 0j.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")
     alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(cfg.N / cfg.d)
     single = make_coherent_truncated(alpha, cfg.N).terms
-    return _filtrate(cfg, single.get((0,)), single.get((cfg.N,)))
+    return _filtrate(cfg, single.get((0,), 0j), single.get((cfg.N,), 0j))
 
 
 def run_method2(cfg: MethodConfig) -> NoonReport:
@@ -401,15 +367,14 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
     Block k annihilates every component with k or N-k photons in any mode, so
     after floor(N/2) blocks only the NOON components survive; no final
     postselection is needed. As in method 1 only the split's 0- and N-photon
-    factors (:func:`_split_factor`) are filtered, and the d NOON amplitudes
-    start from sqrt(N!); no state is built.
+    amplitudes are filtered: 1, and sqrt(N!) * d^(-N/2)/sqrt(N!) = d^(-N/2)
+    rounded from the exact d^N, as the two factors' product underflows.
     """
     if cfg.method != 2:
         raise ValueError("run_method2 requires method=2")
     n, d = cfg.N, cfg.d
-    first = _split_scale(n, d)
-    top = _split_factor(d**n * math.factorial(n))
-    return _filtrate(cfg, _split_factor(1), top, first)
+    _check_split(n, d)
+    return _filtrate(cfg, _split_factor(1), _split_factor(d**n))
 
 
 @lru_cache(maxsize=None)

@@ -290,8 +290,8 @@ def filter_factors(factors: dict, n_photons: int) -> dict:
     Block k multiplies each factor by ``fsf_factor(n, k)`` of its photon
     number n and drops n = k, the filter's exact zero. The factors left lie
     on {0, M+1, ..., N} (M = floor(N/2)), in the order of ``factors``. The
-    pipelines filter only the 0- and N-photon factors; ``_sector`` of this
-    fold is their oracle.
+    pipelines filter only the 0- and N-photon factors; :func:`sector_unpruned`
+    of this fold is their oracle.
     """
     for k in range(1, n_photons // 2 + 1):
         factors = {n: c * fsf_factor(n, k) for n, c in factors.items() if n != k}
@@ -304,16 +304,41 @@ def assert_same_bits(a: FockState, b: FockState) -> None:
     assert repr(list(a.terms.items())) == repr(list(b.terms.items()))
 
 
-def assert_noon_bits(amplitudes: list, state: FockState, n_photons: int) -> None:
-    """Assert a NOON amplitude list holds ``state``'s NOON terms, bit for bit.
+def sector_unpruned(factors: dict, d: int, n_photons: int) -> dict:
+    """N-photon sector of the d-fold product of one single-mode state, unpruned.
 
-    Entry j is the amplitude of the term with all N photons in mode j, or 0j
-    where ``state`` lacks that term. ``state`` may hold no other term.
+    ``factors`` maps photon numbers to amplitudes. Every prefix that still
+    fits N photons is grown mode by mode, its amplitude multiplied left to
+    right from the first mode's factor, and no product is tested against a
+    floor. Returns the occupation -> amplitude dict of the completed terms.
     """
-    d = state.mode_count
+    partial = {(): (0, 1.0)}
+    for _ in range(d):
+        partial = {
+            prefix + (n,): (used + n, amp * factor)
+            for prefix, (used, amp) in partial.items()
+            for n, factor in factors.items()
+            if used + n <= n_photons
+        }
+    return {occ: amp for occ, (used, amp) in partial.items() if used == n_photons}
+
+
+def assert_noon_close(amplitudes: list, terms: dict, n_photons: int) -> None:
+    """Assert a NOON amplitude list holds the NOON ``terms`` to rounding.
+
+    Entry j is the amplitude of the term with all N photons in mode j: within
+    1e-14 of it, relative, or exactly 0j (no signed zero part) where ``terms``
+    lacks that term or holds an exact 0. ``terms`` may hold no other term.
+    """
+    d = len(amplitudes)
     noon = [tuple(n_photons if m == j else 0 for m in range(d)) for j in range(d)]
-    assert set(state.terms) <= set(noon)
-    assert repr(amplitudes) == repr([state.terms.get(occ, 0j) for occ in noon])
+    assert set(terms) <= set(noon)
+    for got, occ in zip(amplitudes, noon):
+        want = terms.get(occ, 0j)
+        if want:
+            assert abs(got - want) <= 1e-14 * abs(want), (occ, got, want)
+        else:
+            assert repr(got) == "0j", (occ, got)
 
 
 def cascade_generator(cfg: MethodConfig) -> tuple:

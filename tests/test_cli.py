@@ -64,18 +64,32 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "argv, row",
-        [
-            (("--d", "12", "--N", "12"), "M1,12,12,1,0,false,0"),
-            (("--d", "3", "--N", "3", "--alpha-sq", "0"), "M1,3,3,0,0,false,0"),
-        ],
+        [(("--d", "3", "--N", "3", "--alpha-sq", "0"), "M1,3,3,0,0,false,0")],
     )
     def test_all_zero_report_is_not_balanced(self, capsys, argv, row):
-        # Every NOON component is 0: at (12,12) the absolute amplitude floor
-        # prunes them (a known underflow), at alpha 0 there are no photons.
-        # Equal zeros are no balanced state.
+        # Every NOON component is 0: at alpha 0 there are no photons. Equal
+        # zeros are no balanced state.
         code, out, _ = run_cli(capsys, "generate", "--method", "1", *argv, "--format", "csv")
         assert code == 0
         assert out.splitlines()[1] == row
+
+    @pytest.mark.parametrize(
+        "method, d, n, row",
+        [
+            (1, 12, 12, "M1,12,12,1,1.71491062026e-28,true,0"),
+            (2, 16, 12, "M2,16,12,,2.63766126428e-32,true,0"),
+        ],
+    )
+    def test_filtration_below_the_amplitude_floor(self, capsys, method, d, n, row):
+        # Components of about 3.8e-15 and 4.1e-17, below the cascade's 1e-14
+        # amplitude floor, give the closed form.
+        argv = ("--method", str(method), "--d", str(d), "--N", str(n))
+        code, out, _ = run_cli(capsys, "generate", *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == row
+        assert float(row.split(",")[4]) == pytest.approx(
+            analysis.closed_form_probability(method, d, n), rel=1e-9, abs=0.0
+        )
 
     def test_pass_through_below_the_floor_is_an_error(self, capsys):
         # At N = 40 the generator's vacuum pass-through (7.8e-15) is below

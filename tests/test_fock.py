@@ -112,13 +112,18 @@ class TestCoherent:
     @pytest.mark.parametrize("alpha", [0, 1e-4, 1, 0.3 + 0.4j, 1e150])
     @pytest.mark.parametrize("cutoff", range(13))
     def test_matches_public_construction(self, alpha, cutoff):
-        # The same Poisson recurrence through the validating constructor.
+        # The same Poisson recurrence, every nonzero amplitude kept (at alpha
+        # 1e-4 from n = 4 on they are below PRUNE_THRESHOLD); through the
+        # validating constructor both give the same pruned state.
         amp = complex(math.exp(-0.5 * abs(alpha) ** 2))
         terms = {(0,): amp}
         for n in range(1, cutoff + 1):
             amp = amp * alpha / math.sqrt(n)
             terms[(n,)] = amp
-        assert_same_bits(make_coherent_truncated(alpha, cutoff), FockState(1, terms))
+        state = make_coherent_truncated(alpha, cutoff)
+        kept = [(occ, amp) for occ, amp in terms.items() if amp]
+        assert repr(list(state.terms.items())) == repr(kept)
+        assert_same_bits(FockState(1, state.terms), FockState(1, terms))
 
     @given(
         re=st.floats(-1.5, 1.5),
@@ -127,19 +132,19 @@ class TestCoherent:
     )
     @settings(max_examples=60, deadline=None)
     @example(re=0.0, im=2.0**-24, cutoff=2)
+    @example(re=1e-200, im=0.0, cutoff=3)
     def test_amplitude_recurrence(self, re, im, cutoff):
+        # Every amplitude is the one below times alpha / sqrt(n + 1), however
+        # small; only a product that rounds to exactly 0 is left out.
         alpha = complex(re, im)
         state = make_coherent_truncated(alpha, cutoff)
         for n in range(cutoff):
             below = amplitude(state, (n,))
             above = amplitude(state, (n + 1,))
-            if abs(below) > 1e-8:
-                # A tiny alpha pushes the next amplitude under the prune
-                # threshold, where the state must store an exact zero.
-                if abs(below * alpha / math.sqrt(n + 1)) < PRUNE_THRESHOLD:
-                    assert above == 0
-                else:
-                    assert abs(above / below - alpha / math.sqrt(n + 1)) < 1e-12
+            if below * alpha / math.sqrt(n + 1) == 0:
+                assert (n + 1,) not in state.terms
+            else:
+                assert abs(above / below - alpha / math.sqrt(n + 1)) < 1e-12
 
 
 class TestTensor:
@@ -267,6 +272,11 @@ class TestStateInvariants:
         # A NaN amplitude fails the pruning comparison, so it would vanish unseen.
         with pytest.raises(ValueError, match="not finite"):
             FockState(1, {(0,): amp})
+
+    def test_amplitude_whose_magnitude_overflows_rejected(self):
+        # Both parts are finite, but |amp| is past the float range.
+        with pytest.raises(ValueError, match="not finite in magnitude"):
+            FockState(1, {(4,): complex(1.5e308, 1.5e308)})
 
 
 def _assert_trusted_invariants(out: FockState, source: FockState) -> None:

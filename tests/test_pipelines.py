@@ -3,13 +3,14 @@
 import cmath
 import itertools
 import math
+import sys
 from math import factorial
 
 import numpy as np
 import pytest
 
 from conftest import (
-    assert_noon_bits,
+    assert_noon_close,
     assert_same_bits,
     assert_terms_close,
     cascade_generator,
@@ -23,6 +24,7 @@ from conftest import (
     random_state,
     restrict_total_photons,
     sector_by_levels,
+    sector_unpruned,
     split_circuit,
 )
 from noongen import pipelines
@@ -205,11 +207,13 @@ class TestSector:
 
     @pytest.mark.parametrize("d,n", [(3, 6), (4, 6), (5, 4)])
     def test_pruned_coherent_factors(self, d, n):
-        # At alpha = 1e-4 the high photon numbers fall below the prune floor,
-        # in the single-mode state and in the partial products.
+        # At alpha = 1e-4 the coherent state keeps all N + 1 amplitudes, the
+        # high photon numbers below the prune floor; the sector drops them at
+        # its partial products as the product sector does.
         single = make_coherent_truncated(1e-4, n)
         factors = {k: amp for (k,), amp in single.terms.items()}
-        assert len(factors) < n + 1
+        assert len(factors) == n + 1
+        assert abs(factors[n]) < PRUNE_THRESHOLD
         got = pipelines._sector(factors, d, n)
         want = self.product_sector(factors, d, n)
         assert len(got) < math.comb(n + d - 1, d - 1)
@@ -227,14 +231,15 @@ class TestSector:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_level_by_level_build(self, seed):
-        # Random factor dicts with gaps, with and without key 0, magnitudes up
-        # to 1.5 or within 100x of the prune floor, and each kind of ``first``.
+        # Random factor dicts with gaps and key 0, as ``split_evenly`` passes
+        # them, at d >= 2, magnitudes up to 1.5 or within 100x of the prune
+        # floor, and each kind of ``first``.
         rng = np.random.default_rng(seed)
         for _ in range(100):
-            d = int(rng.integers(1, 9))
-            n = int(rng.integers(1, 13))
+            d = int(rng.integers(2, 9))
+            n = int(rng.integers(1, 10))
             keys = rng.choice(n + 3, size=int(rng.integers(1, n + 4)), replace=False)
-            keys = sorted(int(k) for k in keys if k or rng.random() < 0.5)
+            keys = sorted({0, *map(int, keys)})
             top = rng.choice([1.5, 1.0, 100 * PRUNE_THRESHOLD])
             factors = {
                 k: cmath.rect(top * rng.uniform(), rng.uniform(-math.pi, math.pi))
@@ -271,12 +276,12 @@ class TestSector:
 
 
 class TestNoonSector:
-    """``_noon_amplitudes`` reads ``_sector`` of the folded factors, bit for bit."""
+    """``_noon_amplitudes`` holds the unpruned sector of the folded factors."""
 
     @staticmethod
     def random_amplitude(rng):
-        # |c| up to 1.5, exactly 1, or within 100x of the prune floor, with
-        # a random phase or on an axis with a signed zero part.
+        # |c| up to 1.5, exactly 1, or within 100x of 1e-14, with a random
+        # phase or on an axis with a signed zero part.
         magnitude = [
             float(rng.uniform(0, 1.5)),
             1.0,
@@ -292,8 +297,9 @@ class TestNoonSector:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sector_of_the_fold(self, seed):
-        # Random factor dicts with gaps, with and without keys 0 and N, and
-        # each kind of ``first``; the fold's 0 and N factors feed the builder.
+        # Random factor dicts with gaps, with and without keys 0 and N; the
+        # fold's 0 and N factors feed the builder, a missing one as 0j. The
+        # fold's unpruned N-photon sector holds only NOON terms.
         rng = np.random.default_rng(seed)
         built = 0
         for _ in range(500):
@@ -303,29 +309,34 @@ class TestNoonSector:
                 k for k in range(n + 1) if rng.random() < (0.8 if k in (0, n) else 0.5)
             ]
             factors = {k: self.random_amplitude(rng) for k in keys}
-            near_floor = PRUNE_THRESHOLD * float(rng.uniform(1, 3))
-            firsts = [None, float(rng.uniform(1, 1e3)), near_floor, 1e10]
-            first = firsts[rng.integers(4)]
             folded = filter_factors(factors, n)
-            got = pipelines._noon_amplitudes(folded.get(0), folded.get(n), d, first)
-            assert_noon_bits(got, pipelines._sector(folded, d, n, first), n)
+            got = pipelines._noon_amplitudes(folded.get(0, 0j), folded.get(n, 0j), d)
+            assert_noon_close(got, sector_unpruned(folded, d, n), n)
             built += any(got)
         assert built > 100
 
-    def test_partial_products_that_climb_back_stay_pruned(self):
-        # As for ``_sector``: a * zero rounds just below the floor, and a
-        # later factor would lift it back over it. Once in the shared zero
-        # prefix (a is ``first``, the N-photon factor 2 lifts it) and once in
-        # a zero tail (a is the N-photon factor, a second zero lifts it).
+    def test_products_below_the_floor_are_kept(self):
+        # a * zero rounds below 1e-14 and a * zero * zero back onto it; no
+        # product is tested against a floor, so all three terms are kept.
         a = -2.098896194220593e-15 + 9.777250879766066e-15j
         zero = -0.9639184244411627 + 0.266197804316389j
-        for top, first, kept in [(2 + 0j, a, 0), (a, None, 2)]:
-            got = pipelines._noon_amplitudes(zero, top, 3, first)
-            assert_noon_bits(got, pipelines._sector({0: zero, 2: top}, 3, 2, first), 2)
-            assert [j for j, c in enumerate(got) if c] == [kept]
+        assert abs(a * zero) < PRUNE_THRESHOLD <= abs(a * zero * zero)
+        got = pipelines._noon_amplitudes(zero, a, 3)
+        assert_noon_close(got, sector_unpruned({0: zero, 2: a}, 3, 2), 2)
+        assert all(got)
+
+    def test_underflow_reads_unsigned_zero(self):
+        # A subnormal amplitude is kept; one past the float range underflows
+        # to a signed zero and is stored as 0j.
+        zero, top = -0.5 + 0j, complex(-(2.0**-1060), 0.0)
+        assert pipelines._noon_amplitudes(zero, top, 8) == [2.0**-1067] * 8
+        assert repr(pipelines._noon_amplitudes(zero, top, 20)) == repr([0j] * 20)
 
     def test_missing_factor_leaves_no_term(self):
-        for zero, top in [(None, 0.5j), (0.5 + 0j, None), (None, None)]:
+        # ``run_method1`` reads a coherent amplitude that rounded to 0 as 0j;
+        # a zero factor of either sign gives exact unsigned zeros.
+        signed = complex(-0.0, -0.0)
+        for zero, top in [(0j, 0.5j), (0.5 + 0j, 0j), (0j, 0j), (0.5 + 0j, signed)]:
             got = pipelines._noon_amplitudes(zero, top, 3)
             assert repr(got) == repr([0j, 0j, 0j])
 
@@ -463,29 +474,29 @@ class TestMethod2:
 
 
 class TestFiltrationRoutes:
-    """Folded filter blocks against the ``apply_fsf`` passes they replace."""
+    """Folded filter blocks against the unpruned fold, block passes and closed form."""
 
     @staticmethod
-    def check(got, oracle, factors, first=None):
-        """Compare a report with the filtered ``oracle`` state and the full fold."""
+    def check(got, oracle, factors, alpha_sq=None):
+        """Compare a report with the unpruned fold of ``factors``, the filtered
+        ``oracle`` state and the closed-form component magnitude."""
         d, n = got.d, got.N
-        want = extract_noon(oracle, n)
-        scale = max(abs(c) for c in want.component_amplitudes)
-        for a, b in zip(got.component_amplitudes, want.component_amplitudes):
-            assert abs(a - b) <= 1e-14 * scale
-        assert got.balanced == want.balanced
-        assert (got.generation_probability == 0) == (want.generation_probability == 0)
-        # No folded factor exceeds 1, so no partial product of the NOON
-        # builder is smaller than the amplitude it becomes: pruning drops only
-        # terms the filtered product loses as well.
         folded = filter_factors(factors, n)
         assert set(folded) <= {0} | set(range(n // 2 + 1, n + 1))
         assert all(abs(c) <= 1 for c in folded.values())
-        sector = pipelines._sector(folded, d, n, first)
-        built = pipelines._noon_amplitudes(folded.get(0), folded.get(n), d, first)
-        assert_noon_bits(built, sector, n)
-        assert sum(map(bool, built)) == (d if want.generation_probability else 0)
-        assert repr(got) == repr(extract_noon(sector, n))
+        unpruned = sector_unpruned(folded, d, n)
+        assert_noon_close(list(got.component_amplitudes), unpruned, n)
+        # The block passes prune at the floor. No folded factor exceeds 1, so
+        # a term they drop ends below it, and every term they keep matches.
+        want = extract_noon(oracle, n).component_amplitudes
+        scale = max(map(abs, want))
+        for a, b in zip(got.component_amplitudes, want):
+            assert abs(a - b) <= 1e-14 * scale if b else abs(a) < PRUNE_THRESHOLD
+        method = 1 if alpha_sq is not None else 2
+        magnitude = closed_form_component_magnitude(method, d, n, alpha_sq)
+        for c in got.component_amplitudes:
+            assert abs(abs(c) - magnitude) <= 1e-9 * magnitude
+        assert got.balanced == (got.generation_probability > 0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -496,45 +507,59 @@ class TestFiltrationRoutes:
             factors = {k: c for (k,), c in single.terms.items()}
             oracle = filtrate_blocks(pipelines._sector(factors, d, n), n)
             got = run_method1(MethodConfig(method=1, d=d, N=n, alpha=alpha))
-            self.check(got, oracle, factors)
+            self.check(got, oracle, factors, abs(amp) ** 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_method2_matches_block_passes(self, d, n):
         oracle = filtrate_blocks(split_circuit(n, d), n)
         got = run_method2(MethodConfig(method=2, d=d, N=n))
-        self.check(got, oracle, *pipelines._split_factors(n, d))
-
-    @staticmethod
-    def oracle_report(cfg):
-        """``extract_noon`` of ``_sector`` of the folded factors of ``cfg``."""
-        n, d = cfg.N, cfg.d
-        if cfg.method == 1:
-            alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(n / d)
-            single = make_coherent_truncated(alpha, n)
-            factors, first = {k: c for (k,), c in single.terms.items()}, None
-        else:
-            factors, first = pipelines._split_factors(n, d)
-        state = pipelines._sector(filter_factors(factors, n), d, n, first)
-        return extract_noon(state, n, cfg.tolerance)
+        factors, scale = pipelines._split_factors(n, d)
+        factors[n] *= scale  # the NOON term's sqrt(N!) * d^(-N/2)/sqrt(N!)
+        self.check(got, oracle, factors)
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_reports_match_the_oracle_state(self, d):
         # The report built from the amplitude list equals, bit for bit, the
-        # report read off the state of the same NOON terms, p = 0 points
-        # included: alpha 0, alpha 1e-5 and M1 (12,12) at the default alpha.
+        # report read off a state of the same NOON terms, and to rounding the
+        # report of the unpruned fold's state; p = 0 points (alpha 0)
+        # included.
         zeros = 0
         for n in range(1, 17):
+            noon = [tuple(n if m == j else 0 for m in range(d)) for j in range(d)]
             cfgs = [MethodConfig(method=2, d=d, N=n)] + [
                 MethodConfig(method=1, d=d, N=n, alpha=alpha)
                 for alpha in (None, 0.7, 1.1 + 0.4j, 1e-5, 0.0)
             ]
             for cfg in cfgs:
                 got = run_method(cfg)
-                assert repr(got) == repr(self.oracle_report(cfg)), cfg
+                same = FockState._adopt(d, {
+                    occ: c for occ, c in zip(noon, got.component_amplitudes) if c
+                })
+                assert repr(got) == repr(extract_noon(same, n, cfg.tolerance)), cfg
+                want = extract_noon(self.oracle_state(cfg), n, cfg.tolerance)
+                assert got.generation_probability == pytest.approx(
+                    want.generation_probability, rel=1e-14, abs=0.0
+                )
+                assert got.balanced == want.balanced
+                for a, b in zip(got.sign_pattern, want.sign_pattern):
+                    assert abs(a - b) <= 1e-14, cfg
                 assert got.residual_norm == 0.0
                 zeros += got.generation_probability == 0.0
-        assert zeros >= 16
+        assert zeros == 16
+
+    @staticmethod
+    def oracle_state(cfg):
+        """The unpruned N-photon sector of the folded factors of ``cfg``."""
+        n, d = cfg.N, cfg.d
+        if cfg.method == 1:
+            alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(n / d)
+            single = make_coherent_truncated(alpha, n)
+            factors = {k: c for (k,), c in single.terms.items()}
+        else:
+            factors, scale = pipelines._split_factors(n, d)
+            factors[n] *= scale
+        return FockState._adopt(d, sector_unpruned(filter_factors(factors, n), d, n))
 
 
 class TestGeneratorEven:
@@ -1179,17 +1204,18 @@ class TestBeyondVerifyGrid:
         )
         assert report.balanced
 
-    # Every NOON amplitude falls below the absolute pruning floor here, so
-    # the run reports p = 0 against a positive closed form.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: absolute PRUNE_THRESHOLD")
+    # Method 3: every NOON amplitude falls below the cascade's absolute
+    # pruning floor here, so the run reports p = 0 against a positive closed
+    # form. Methods 1 and 2 keep every nonzero amplitude.
     @pytest.mark.parametrize(
         "method,d,n",
         [
-            (3, 8, 6),
-            (3, 4, 12),
-            (3, 16, 4),
-            (3, 32, 2),
-            (3, 2, 30),
+            *(
+                pytest.param(*point, marks=pytest.mark.xfail(
+                    strict=True, reason="ROADMAP item 1: absolute PRUNE_THRESHOLD"
+                ))
+                for point in [(3, 8, 6), (3, 4, 12), (3, 16, 4), (3, 32, 2), (3, 2, 30)]
+            ),
             (1, 12, 12),
             (1, 16, 10),
             (2, 16, 10),
@@ -1201,6 +1227,48 @@ class TestBeyondVerifyGrid:
         assert report.generation_probability == pytest.approx(
             closed_form_probability(method, d, n), rel=1e-9, abs=0.0
         )
+
+    def test_filtration_scan(self):
+        # Methods 1 and 2 at d 2-32 x N 1-40, the optimal alpha for method 1:
+        # p against its closed form wherever that is positive, every
+        # component against its closed-form magnitude wherever that is a
+        # normal float, and no p = 0 marked balanced.
+        for method in (1, 2):
+            for d in range(2, 33):
+                for n in range(1, 41):
+                    report = run_method(MethodConfig(method=method, d=d, N=n))
+                    p = report.generation_probability
+                    want = closed_form_probability(method, d, n)
+                    if want > 0:
+                        assert abs(p - want) <= 1e-9 * want, (method, d, n, p, want)
+                    assert not report.balanced or p > 0
+                    check_components(report, method)
+
+    @pytest.mark.parametrize(
+        "method,d,n,underflows",
+        [(2, 2, 300, True), (2, 7, 200, True), (2, 64, 128, True), (1, 12, 128, False)],
+    )
+    def test_filtration_components_past_the_probability_range(
+        self, method, d, n, underflows
+    ):
+        # |c_j| stays a normal float where p = d |c_j|^2 underflows to 0.0
+        # (M2; 3.1e-286 at (2,300)) or goes subnormal (M1, 6.9e-319). A
+        # p of 0 is not balanced.
+        report = run_method(MethodConfig(method=method, d=d, N=n))
+        check_components(report, method)
+        assert all(report.component_amplitudes)
+        assert (report.generation_probability == 0.0) is underflows
+        assert report.balanced is not underflows
+
+
+def check_components(report, method):
+    """Check a method-1 or -2 report's |c_j| at the default alpha against the
+    closed form, wherever that is a normal float."""
+    d, n = report.d, report.N
+    magnitude = closed_form_component_magnitude(method, d, n)
+    if magnitude >= sys.float_info.min:
+        for c in report.component_amplitudes:
+            assert abs(abs(c) - magnitude) <= 1e-9 * magnitude, (method, d, n, c)
 
 
 class TestExtractNoon:
