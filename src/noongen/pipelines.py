@@ -36,7 +36,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import mul
 
 from .elements import (
@@ -322,14 +322,14 @@ def _noon_amplitudes(zero, top, d: int) -> list:
     The filter blocks zero the factors at 1..M photons (M = floor(N/2)), and
     2(M+1) > N, so the N-photon sector holds only the d NOON terms, built from
     ``zero`` and ``top``, the factors at 0 and N photons. Entry j is the
-    amplitude with all N photons in mode j, ``zero^j * (top * zero^(d-1-j))``:
-    two running products of d factors each, so O(d) multiplies. Every
-    nonzero product is kept; one that is exactly 0 (a zero factor, or an
-    underflow) is stored as 0j, without a sign on either part.
+    amplitude with all N photons in mode j, ``zero^j * top * zero^(d-1-j)``,
+    the same product ``top * zero^(d-1)`` for every j: one running product,
+    so d - 1 multiplies. A nonzero product is kept; one that is exactly 0 (a
+    zero factor, or an underflow) is stored as 0j, without a sign on either
+    part.
     """
-    heads = accumulate(repeat(zero, d - 1), mul, initial=1.0)
-    tails = list(accumulate(repeat(zero, d - 1), mul, initial=top))
-    return [head * tail or 0j for head, tail in zip(heads, reversed(tails))]
+    amp = reduce(mul, repeat(zero, d - 1), top) or 0j
+    return [amp] * d
 
 
 def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:

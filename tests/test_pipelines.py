@@ -237,7 +237,7 @@ class TestSector:
         rng = np.random.default_rng(seed)
         for _ in range(100):
             d = int(rng.integers(2, 9))
-            n = int(rng.integers(1, 10))
+            n = int(rng.integers(1, 13))
             keys = rng.choice(n + 3, size=int(rng.integers(1, n + 4)), replace=False)
             keys = sorted({0, *map(int, keys)})
             top = rng.choice([1.5, 1.0, 100 * PRUNE_THRESHOLD])
