@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import analysis
-from .pipelines import METHODS, MethodConfig, check_domain, run_method
+from .pipelines import METHODS, MethodConfig, check_domain, check_tolerance, run_method
 
 OUTPUT_DIR_ENV = "NOONGEN_OUTPUT_DIR"
 
@@ -261,10 +261,7 @@ def cmd_verify(args) -> int:
     methods = _parse_methods(args.methods)
     d_values = _parse_range(args.d_values, "--d-values")
     n_values = _parse_range(args.N_range, "--N-range")
-    if not 0.0 < args.tolerance < math.inf:
-        raise CliError(
-            f"tolerance must be positive and finite, got {args.tolerance}"
-        )
+    check_tolerance(args.tolerance)
     for d in d_values:
         if d > analysis.SIM_MAX_D:
             raise CliError(

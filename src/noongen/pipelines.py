@@ -6,12 +6,12 @@ Four schemes are simulated exactly on the sparse Fock representation:
    N-photon sector is postselected. The filter multiplies each term by a
    factor of each mode's photon number, and after the blocks a mode holds 0
    or more than N/2 photons, so the N-photon sector holds only the d NOON
-   terms. Only the single-mode factors at 0 and N photons are filtered, and
-   the d NOON amplitudes are multiplied out from them directly into the
-   report, none pruned: no state is built after the coherent input.
+   terms. The single-mode factors at 0 and N photons alone are filtered and
+   multiply out to the one NOON amplitude every mode shares, none pruned;
+   the report signs it once. No state is built after the coherent input.
 2. an evenly split N-photon input passes through the same filter blocks,
-   its d NOON amplitudes built the same way from two split factors; no
-   postselection is needed because the photon number is fixed.
+   its NOON amplitude built the same way from the split factors 1 and
+   d^(-N/2); no postselection is needed because the photon number is fixed.
 3. a cascade of d-1 entanglement generators built from two-photon
    interference, fed by N-photon inputs; for odd N each generator merges its
    two taps in a polarizing splitter and erases the polarization at
@@ -96,10 +96,10 @@ class MethodConfig(
         check_domain(self.method, self.d, self.N)
         if self.alpha is not None:
             check_alpha(self.alpha)
-        _check_tolerance(self.tolerance)
+        check_tolerance(self.tolerance)
 
 
-def _check_tolerance(tolerance: float) -> None:
+def check_tolerance(tolerance: float) -> None:
     """Raise ValueError unless ``tolerance`` is positive and finite."""
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -151,12 +151,12 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     fails on a lone mode holding another number). The residual is a correctly
     rounded sum (``math.fsum``) of the other terms' squared magnitudes, so
     their order does not matter. :func:`_noon_report` builds the report from
-    the components. Raises ValueError for ``n_photons < 1`` and for a
-    ``tolerance`` that is not positive and finite.
+    the components, one sign per distinct amplitude. Raises ValueError for
+    ``n_photons < 1`` and for a ``tolerance`` that is not positive and finite.
     """
     if n_photons < 1:
         raise ValueError(f"N must be at least 1, got {n_photons}")
-    _check_tolerance(tolerance)
+    check_tolerance(tolerance)
     d = state.mode_count
     components = [0j] * d
     rest = []
@@ -176,32 +176,36 @@ def _noon_report(
 ) -> NoonReport:
     """Report on the NOON ``components``, one amplitude per mode, 0j where absent.
 
-    One pass over the components builds the sign pattern. ``tolerance`` must
+    Work runs once per distinct amplitude: equal components are one dict key,
+    the first to appear, so the reference phase (the first key above the
+    threshold) is the first such component's. Keys merge +0.0 and -0.0
+    parts, which changes only zero parts of a sign, and those read 0.0. So
+    methods 1 and 2 compute one sign, and a cascade few. ``tolerance`` must
     already be checked.
     """
     d = len(components)
-    magnitudes = list(map(abs, components))
-    probability = sum([m**2 for m in magnitudes])
-    largest = max(magnitudes)
+    magnitudes = dict(zip(components, map(abs, components)))
+    probability = sum(map(pow, map(abs, components), repeat(2)))
+    largest = max(magnitudes.values())
     threshold = tolerance * largest
-    balanced = 0.0 < probability and largest - min(magnitudes) <= threshold
-    signs = [0j] * d
+    balanced = 0.0 < probability and largest - min(magnitudes.values()) <= threshold
+    signs = dict.fromkeys(magnitudes, 0j)
     reference = None
-    for j, (c, m) in enumerate(zip(components, magnitudes)):
+    for c, m in magnitudes.items():
         if m > threshold:
             phase = c / m
             if reference is None:
                 reference = phase
             sign = phase / reference
             re, im = sign.real, sign.imag
-            signs[j] = complex(
+            signs[c] = complex(
                 0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im
             )
     if reference is None:
-        signs = [1 + 0j] * d
+        signs = dict.fromkeys(magnitudes, 1 + 0j)
+    pattern = tuple(map(signs.__getitem__, components))
     return NoonReport(
-        d, n_photons, tuple(components), probability, tuple(signs), balanced,
-        residual_norm,
+        d, n_photons, tuple(components), probability, pattern, balanced, residual_norm
     )
 
 
@@ -303,43 +307,32 @@ def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
     return FockState._trusted(d, pairs)
 
 
-def _filtered(amp, n: int, n_photons: int):
-    """``amp`` times the filter amplitudes at ``n`` photons of the floor(N/2) blocks.
-
-    Block k applies a k-filter to every mode (a d-fold single-photon
-    coincidence), which multiplies a term by :func:`fsf_factor` of each mode's
-    photon number: a single-mode factor is multiplied by
-    ``fsf_factor(n, k)`` for k = 1..floor(N/2), in block order.
-    """
-    for k in range(1, n_photons // 2 + 1):
-        amp = amp * fsf_factor(n, k)
-    return amp
-
-
-def _noon_amplitudes(zero, top, d: int) -> list:
-    """The d NOON amplitudes of the d-fold product of filtered single-mode factors.
-
-    The filter blocks zero the factors at 1..M photons (M = floor(N/2)), and
-    2(M+1) > N, so the N-photon sector holds only the d NOON terms, built from
-    ``zero`` and ``top``, the factors at 0 and N photons. Entry j is the
-    amplitude with all N photons in mode j, ``zero^j * top * zero^(d-1-j)``,
-    the same product ``top * zero^(d-1)`` for every j: one running product,
-    so d - 1 multiplies. A nonzero product is kept; one that is exactly 0 (a
-    zero factor, or an underflow) is stored as 0j, without a sign on either
-    part.
-    """
-    amp = reduce(mul, repeat(zero, d - 1), top) or 0j
-    return [amp] * d
+@lru_cache(maxsize=256)
+def _block_factors(n: int, blocks: int) -> tuple:
+    """``fsf_factor(n, k)`` for k = 1..``blocks``: one tuple per revisited N."""
+    return tuple(fsf_factor(n, k) for k in range(1, blocks + 1))
 
 
 def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
-    """Filter the 0- and N-photon factors and report on the d NOON amplitudes.
+    """The NOON report of d filtered modes, each of factors ``zero`` and ``top``.
 
-    No term but a NOON term is built, so the residual is exactly 0.0.
+    ``zero`` and ``top`` are a mode's amplitudes at 0 and N photons. Block k
+    applies a k-filter to every mode (a d-fold single-photon coincidence),
+    which multiplies a term by :func:`fsf_factor` of each mode's photon
+    number, so each factor is multiplied by the M = floor(N/2) block factors
+    of its photon number, in block order. The blocks zero the factors at
+    1..M photons, and 2(M+1) > N, so the N-photon sector holds only the d
+    NOON terms. Entry j, all N photons in mode j, is ``zero^j * top *
+    zero^(d-1-j)``, for every j the one running product ``top * zero^(d-1)``.
+    A product that is exactly 0 (a zero factor, or an underflow) is stored as
+    0j, without a sign on either part. No other term is built, so the
+    residual is exactly 0.0.
     """
-    n = cfg.N
-    amplitudes = _noon_amplitudes(_filtered(zero, 0, n), _filtered(top, n, n), cfg.d)
-    return _noon_report(amplitudes, n, cfg.tolerance, 0.0)
+    n, d = cfg.N, cfg.d
+    zero = reduce(mul, _block_factors(0, n // 2), zero)
+    top = reduce(mul, _block_factors(n, n // 2), top)
+    amplitude = reduce(mul, repeat(zero, d - 1), top) or 0j
+    return _noon_report([amplitude] * d, n, cfg.tolerance, 0.0)
 
 
 def run_method1(cfg: MethodConfig) -> NoonReport:
@@ -348,11 +341,10 @@ def run_method1(cfg: MethodConfig) -> NoonReport:
     Each of the d modes starts in a coherent state truncated at N photons.
     After the floor(N/2) filter blocks a mode holds 0 or more than N/2
     photons, so an N-photon term has one occupied mode. Only the state's 0-
-    and N-photon amplitudes are filtered, O(N) factor products, and the d
-    NOON amplitudes are multiplied out from them directly (O(d) multiplies,
-    :func:`_noon_amplitudes`) into a list the report is built from, instead
-    of C(N+d-1, d-1) sector terms or (N+1)^d product terms. An amplitude the
-    coherent state lacks (it rounded to 0) is read as 0j.
+    and N-photon amplitudes are filtered, and :func:`_filtrate` multiplies
+    them out to the one NOON amplitude of every mode (O(N + d) C-level
+    products) instead of C(N+d-1, d-1) sector terms or (N+1)^d product
+    terms. An amplitude the coherent state lacks (it rounded to 0) is 0j.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")
@@ -374,7 +366,7 @@ def run_method2(cfg: MethodConfig) -> NoonReport:
         raise ValueError("run_method2 requires method=2")
     n, d = cfg.N, cfg.d
     _check_split(n, d)
-    return _filtrate(cfg, _split_factor(1), _split_factor(d**n))
+    return _filtrate(cfg, 1 + 0j, _split_factor(d**n))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from noongen import (
     FockState,
     HeraldedOutcome,
     MethodConfig,
+    NoonReport,
     PhaseShifter,
     apply_element,
     apply_fsf,
@@ -339,6 +340,41 @@ def assert_noon_close(amplitudes: list, terms: dict, n_photons: int) -> None:
             assert abs(got - want) <= 1e-14 * abs(want), (occ, got, want)
         else:
             assert repr(got) == "0j", (occ, got)
+
+
+def noon_report_per_component(
+    components: list, n_photons: int, tolerance: float, residual_norm: float
+) -> NoonReport:
+    """The NOON report built one component at a time, in mode order.
+
+    The oracle of ``pipelines._noon_report``, which works once per distinct
+    amplitude: each component gets its own magnitude and sign, and the
+    reference phase is that of the first component above the threshold.
+    """
+    d = len(components)
+    magnitudes = list(map(abs, components))
+    probability = sum([m**2 for m in magnitudes])
+    largest = max(magnitudes)
+    threshold = tolerance * largest
+    balanced = 0.0 < probability and largest - min(magnitudes) <= threshold
+    signs = [0j] * d
+    reference = None
+    for j, (c, m) in enumerate(zip(components, magnitudes)):
+        if m > threshold:
+            phase = c / m
+            if reference is None:
+                reference = phase
+            sign = phase / reference
+            re, im = sign.real, sign.imag
+            signs[j] = complex(
+                0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im
+            )
+    if reference is None:
+        signs = [1 + 0j] * d
+    return NoonReport(
+        d, n_photons, tuple(components), probability, tuple(signs), balanced,
+        residual_norm,
+    )
 
 
 def cascade_generator(cfg: MethodConfig) -> tuple:

@@ -3,6 +3,8 @@
 import cmath
 import itertools
 import math
+import operator
+import random
 import sys
 from math import factorial
 
@@ -19,6 +21,7 @@ from conftest import (
     filter_factors,
     filtrate_blocks,
     generator_even_herald_circuit,
+    noon_report_per_component,
     polarize,
     polarized_generator_odd_circuit,
     random_state,
@@ -276,7 +279,17 @@ class TestSector:
 
 
 class TestNoonSector:
-    """``_noon_amplitudes`` holds the unpruned sector of the folded factors."""
+    """``_filtrate`` reports the unpruned sector of the folded factors."""
+
+    @staticmethod
+    def filtrate(d, n, zero, top):
+        # The NOON amplitudes ``_filtrate`` reports for single-mode factors
+        # ``zero`` and ``top`` at 0 and N photons, before the filter blocks;
+        # its report is the per-component one of those amplitudes.
+        report = pipelines._filtrate(MethodConfig(method=1, d=d, N=n), zero, top)
+        got = list(report.component_amplitudes)
+        assert repr(report) == repr(noon_report_per_component(got, n, 1e-10, 0.0))
+        return got
 
     @staticmethod
     def random_amplitude(rng):
@@ -297,9 +310,9 @@ class TestNoonSector:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sector_of_the_fold(self, seed):
-        # Random factor dicts with gaps, with and without keys 0 and N; the
-        # fold's 0 and N factors feed the builder, a missing one as 0j. The
-        # fold's unpruned N-photon sector holds only NOON terms.
+        # Random factor dicts with gaps, with and without keys 0 and N; their
+        # 0 and N factors feed ``_filtrate``, a missing one as 0j. The fold's
+        # unpruned N-photon sector holds only NOON terms.
         rng = np.random.default_rng(seed)
         built = 0
         for _ in range(500):
@@ -310,35 +323,46 @@ class TestNoonSector:
             ]
             factors = {k: self.random_amplitude(rng) for k in keys}
             folded = filter_factors(factors, n)
-            got = pipelines._noon_amplitudes(folded.get(0, 0j), folded.get(n, 0j), d)
+            got = self.filtrate(d, n, factors.get(0, 0j), factors.get(n, 0j))
             assert_noon_close(got, sector_unpruned(folded, d, n), n)
             built += any(got)
         assert built > 100
 
     def test_products_below_the_floor_are_kept(self):
-        # a * zero rounds below 1e-14 and a * zero * zero back onto it; no
+        # After the one filter block of N = 2, |zero| is 1 to rounding, a *
+        # zero rounds below 1e-14 and a * zero * zero back onto it; no
         # product is tested against a floor, so all three terms are kept.
-        a = -2.098896194220593e-15 + 9.777250879766066e-15j
-        zero = -0.9639184244411627 + 0.266197804316389j
+        factors = {
+            0: -1.3631865088659978 + 0.3764605451381764j,
+            2: 2.2528513398651476e-14 - 1.7101639805784158e-14j,
+        }
+        folded = filter_factors(factors, 2)
+        a, zero = folded[2], folded[0]
         assert abs(a * zero) < PRUNE_THRESHOLD <= abs(a * zero * zero)
-        got = pipelines._noon_amplitudes(zero, a, 3)
-        assert_noon_close(got, sector_unpruned({0: zero, 2: a}, 3, 2), 2)
+        got = self.filtrate(3, 2, factors[0], factors[2])
+        assert_noon_close(got, sector_unpruned(folded, 3, 2), 2)
         assert all(got)
 
     def test_underflow_reads_unsigned_zero(self):
         # A subnormal amplitude is kept; one past the float range underflows
-        # to a signed zero and is stored as 0j.
+        # to a signed zero and is stored as 0j. The factors filter to -0.5
+        # and -2^-1060 exactly at N = 2; at N = 1 no block applies.
         zero, top = -0.5 + 0j, complex(-(2.0**-1060), 0.0)
-        assert pipelines._noon_amplitudes(zero, top, 8) == [2.0**-1067] * 8
-        assert repr(pipelines._noon_amplitudes(zero, top, 20)) == repr([0j] * 20)
+        raw = -0.7071067811865475 + 0j, complex(2.28955e-319, 0.0)
+        assert filter_factors(dict(zip((0, 2), raw)), 2) == {0: zero, 2: top}
+        for n, (zero_in, top_in) in [(1, (zero, top)), (2, raw)]:
+            assert self.filtrate(8, n, zero_in, top_in) == [2.0**-1067] * 8
+            assert repr(self.filtrate(20, n, zero_in, top_in)) == repr([0j] * 20)
 
     def test_missing_factor_leaves_no_term(self):
         # ``run_method1`` reads a coherent amplitude that rounded to 0 as 0j;
-        # a zero factor of either sign gives exact unsigned zeros.
+        # a zero factor of either sign gives exact unsigned zeros, with or
+        # without filter blocks.
         signed = complex(-0.0, -0.0)
         for zero, top in [(0j, 0.5j), (0.5 + 0j, 0j), (0j, 0j), (0.5 + 0j, signed)]:
-            got = pipelines._noon_amplitudes(zero, top, 3)
-            assert repr(got) == repr([0j, 0j, 0j])
+            for n in (1, 2, 5):
+                got = self.filtrate(3, n, zero, top)
+                assert repr(got) == repr([0j, 0j, 0j])
 
     @pytest.mark.parametrize(
         "cfg", [MethodConfig(method=2, d=2, N=300), MethodConfig(method=1, d=4, N=64)]
@@ -1387,6 +1411,89 @@ class TestExtractNoon:
         assert report.generation_probability == pytest.approx(
             3 * common, rel=1e-10
         )
+
+
+class TestNoonReport:
+    """``_noon_report`` builds the per-component oracle's report, bit for bit."""
+
+    TOLERANCES = (1e-300, 1e-10, 1e-3, 0.5)
+    # The grids of the benchmark's filtration and cascade workloads.
+    FILTRATION = (
+        (1, 4, 4), (1, 4, 6), (1, 5, 4), (2, 4, 8), (2, 8, 4), (2, 6, 8), (2, 8, 6),
+    )
+    CASCADE = (
+        (3, 4, 7), (3, 4, 8), (3, 8, 3), (3, 8, 4), (3, 8, 5), (4, 16, 4),
+        (4, 32, 6), (4, 64, 8),
+    )
+
+    @staticmethod
+    def random_components(rng: random.Random) -> list:
+        # d from 1 to 70 drawn from a pool of distinct values, all distinct a
+        # quarter of the time, else with repeats. Values: exact 0j and
+        # -0-0j, random phases, values on an axis with a signed zero part,
+        # negations (sign patterns), and magnitudes from 1e-300 to 1e150,
+        # most at one scale per list, the rest anywhere in that range. A
+        # repeat flips the sign of a zero part half the time, which leaves
+        # the dict key the same.
+        d = rng.randint(1, 70)
+        scale = 10.0 ** rng.uniform(-300, 150)
+
+        def value():
+            kind = rng.randrange(7)
+            magnitude = scale * (1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1))
+            sign, zero = rng.choice([-1.0, 1.0]), rng.choice([-0.0, 0.0])
+            if kind == 0:
+                return rng.choice([0j, complex(-0.0, -0.0)])
+            if kind == 1:
+                return complex(sign * magnitude, zero)
+            if kind == 2:
+                return complex(zero, sign * magnitude)
+            if kind == 3:
+                magnitude = 10.0 ** rng.uniform(-300, 150)
+            return cmath.rect(magnitude, rng.uniform(-math.pi, math.pi))
+
+        distinct = d if rng.random() < 0.25 else rng.randint(1, d)
+        pool = [value() for _ in range(distinct)]
+        pool += [-c for c in pool if rng.random() < 0.3]
+        if len(pool) >= d:
+            return pool[:d]
+        components = []
+        for _ in range(d):
+            c = rng.choice(pool)
+            if rng.random() < 0.5:
+                re, im = c.real, c.imag
+                c = complex(re if re else -re, im if im else -im)
+            components.append(c)
+        return components
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_component_report(self, seed):
+        rng = random.Random(seed)
+        merged = 0
+        for _ in range(500):
+            components = self.random_components(rng)
+            n = rng.randint(1, 40)
+            residual = rng.choice([0.0, rng.random()])
+            merged += len(dict.fromkeys(components)) < len(set(map(repr, components)))
+            for tolerance in self.TOLERANCES:
+                got = pipelines._noon_report(components, n, tolerance, residual)
+                want = noon_report_per_component(components, n, tolerance, residual)
+                # Both hold the very component objects passed in; the fields
+                # after them are compared through repr, signed zeros too.
+                assert got[:2] == want[:2] == (len(components), n)
+                assert all(map(operator.is_, got[2], components))
+                assert repr(got[3:]) == repr(want[3:]), (components, tolerance)
+        assert merged > 50
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_benchmark_grid_reports(self, tolerance):
+        for method, d, n in self.FILTRATION + self.CASCADE:
+            cfg = MethodConfig(method=method, d=d, N=n, tolerance=tolerance)
+            report = run_method(cfg)
+            want = noon_report_per_component(
+                list(report.component_amplitudes), n, tolerance, report.residual_norm
+            )
+            assert repr(report) == repr(want), (method, d, n)
 
 
 class TestDispatch:
