@@ -176,22 +176,23 @@ def _noon_report(
 ) -> NoonReport:
     """Report on the NOON ``components``, one amplitude per mode, 0j where absent.
 
-    Work runs once per distinct amplitude: equal components are one dict key,
-    the first to appear, so the reference phase (the first key above the
-    threshold) is the first such component's. Keys merge +0.0 and -0.0
-    parts, which changes only zero parts of a sign, and those read 0.0. So
-    methods 1 and 2 compute one sign, and a cascade few. ``tolerance`` must
-    already be checked.
+    The magnitudes and the probability are C-level maps over the components,
+    and each distinct amplitude (one dict key, the first to appear) gets one
+    sign, so the reference phase, the first key's above the threshold, is
+    the first such component's. Keys merge +0.0 and -0.0 parts, which
+    changes only zero parts of a sign, and those read 0.0. ``tolerance``
+    must already be checked.
     """
     d = len(components)
-    magnitudes = dict(zip(components, map(abs, components)))
-    probability = sum(map(pow, map(abs, components), repeat(2)))
-    largest = max(magnitudes.values())
+    magnitudes = list(map(abs, components))
+    probability = sum(map(pow, magnitudes, repeat(2.0)))
+    largest = max(magnitudes)
     threshold = tolerance * largest
-    balanced = 0.0 < probability and largest - min(magnitudes.values()) <= threshold
-    signs = dict.fromkeys(magnitudes, 0j)
+    balanced = 0.0 < probability and largest - min(magnitudes) <= threshold
+    signs = dict.fromkeys(components, 0j)
     reference = None
-    for c, m in magnitudes.items():
+    for c in signs:
+        m = abs(c)
         if m > threshold:
             phase = c / m
             if reference is None:
@@ -202,8 +203,11 @@ def _noon_report(
                 0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im
             )
     if reference is None:
-        signs = dict.fromkeys(magnitudes, 1 + 0j)
-    pattern = tuple(map(signs.__getitem__, components))
+        pattern = (1 + 0j,) * d
+    else:
+        # Through a list: tuple() of a map resizes a fresh tuple, and the
+        # resized tuples fill the tuple free lists (0.7 MB of peak RSS).
+        pattern = tuple([*map(signs.__getitem__, components)])
     return NoonReport(
         d, n_photons, tuple(components), probability, pattern, balanced, residual_norm
     )
@@ -317,16 +321,14 @@ def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
     """The NOON report of d filtered modes, each of factors ``zero`` and ``top``.
 
     ``zero`` and ``top`` are a mode's amplitudes at 0 and N photons. Block k
-    applies a k-filter to every mode (a d-fold single-photon coincidence),
-    which multiplies a term by :func:`fsf_factor` of each mode's photon
-    number, so each factor is multiplied by the M = floor(N/2) block factors
-    of its photon number, in block order. The blocks zero the factors at
-    1..M photons, and 2(M+1) > N, so the N-photon sector holds only the d
-    NOON terms. Entry j, all N photons in mode j, is ``zero^j * top *
-    zero^(d-1-j)``, for every j the one running product ``top * zero^(d-1)``.
-    A product that is exactly 0 (a zero factor, or an underflow) is stored as
-    0j, without a sign on either part. No other term is built, so the
-    residual is exactly 0.0.
+    applies a k-filter to every mode, which multiplies a term by
+    :func:`fsf_factor` of each mode's photon number, so each factor is
+    multiplied by the M = floor(N/2) block factors of its photon number, in
+    block order. They zero the factors at 1..M photons, and 2(M+1) > N, so
+    the N-photon sector holds only the d NOON terms, each ``zero^j * top *
+    zero^(d-1-j)``: the one running product ``top * zero^(d-1)``. A product
+    of exactly 0 (a zero factor, or an underflow) is stored as 0j, with no
+    signed part. No other term is built, so the residual is exactly 0.0.
     """
     n, d = cfg.N, cfg.d
     zero = reduce(mul, _block_factors(0, n // 2), zero)
