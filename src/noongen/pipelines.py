@@ -7,8 +7,8 @@ Four schemes are simulated exactly on the sparse Fock representation:
    factor of each mode's photon number, and after the blocks a mode holds 0
    or more than N/2 photons, so the N-photon sector holds only the d NOON
    terms. The single-mode factors at 0 and N photons alone are filtered and
-   multiply out to the one NOON amplitude every mode shares, none pruned;
-   the report signs it once. No state is built after the coherent input.
+   multiply out to the one NOON amplitude every mode shares, none pruned,
+   reported from one magnitude and one sign; no state follows the input.
 2. an evenly split N-photon input passes through the same filter blocks,
    its NOON amplitude built the same way from the split factors 1 and
    d^(-N/2); no postselection is needed because the photon number is fixed.
@@ -176,8 +176,7 @@ def _noon_report(
 ) -> NoonReport:
     """Report on the NOON ``components``, one amplitude per mode, 0j where absent.
 
-    The magnitudes and the probability are C-level maps over the components,
-    and each distinct amplitude (one dict key, the first to appear) gets one
+    Each distinct amplitude (one dict key, the first to appear) gets one
     sign, so the reference phase, the first key's above the threshold, is
     the first such component's. Keys merge +0.0 and -0.0 parts, which
     changes only zero parts of a sign, and those read 0.0. ``tolerance``
@@ -197,11 +196,7 @@ def _noon_report(
             phase = c / m
             if reference is None:
                 reference = phase
-            sign = phase / reference
-            re, im = sign.real, sign.imag
-            signs[c] = complex(
-                0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im
-            )
+            signs[c] = _rounded_sign(phase / reference, tolerance)
     if reference is None:
         pattern = (1 + 0j,) * d
     else:
@@ -211,6 +206,12 @@ def _noon_report(
     return NoonReport(
         d, n_photons, tuple(components), probability, pattern, balanced, residual_norm
     )
+
+
+def _rounded_sign(sign: complex, tolerance: float) -> complex:
+    """``sign`` with each part at or below ``tolerance`` in magnitude set to 0.0."""
+    re, im = sign.real, sign.imag
+    return complex(0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im)
 
 
 def split_evenly(n_photons: int, d: int) -> FockState:
@@ -236,8 +237,9 @@ def _check_split(n_photons: int, d: int) -> None:
         raise ValueError(f"mode count must be at least 2, got {d}")
 
 
+@lru_cache(maxsize=256)
 def _split_factor(weight: int) -> complex:
-    """1/sqrt(``weight``), correctly rounded: d^(-n/2)/sqrt(n!) for d^n * n!."""
+    """1/sqrt(``weight``) correctly rounded, cached: d^(-n/2)/sqrt(n!) for d^n * n!."""
     return complex(_ONE / math.isqrt(weight * _ONE * _ONE))
 
 
@@ -320,33 +322,37 @@ def _block_factors(n: int, blocks: int) -> tuple:
 def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
     """The NOON report of d filtered modes, each of factors ``zero`` and ``top``.
 
-    ``zero`` and ``top`` are a mode's amplitudes at 0 and N photons. Block k
-    applies a k-filter to every mode, which multiplies a term by
-    :func:`fsf_factor` of each mode's photon number, so each factor is
-    multiplied by the M = floor(N/2) block factors of its photon number, in
-    block order. They zero the factors at 1..M photons, and 2(M+1) > N, so
-    the N-photon sector holds only the d NOON terms, each ``zero^j * top *
-    zero^(d-1-j)``: the one running product ``top * zero^(d-1)``. A product
-    of exactly 0 (a zero factor, or an underflow) is stored as 0j, with no
-    signed part. No other term is built, so the residual is exactly 0.0.
+    ``zero`` and ``top`` are a mode's amplitudes at 0 and N photons; block k
+    multiplies each by :func:`fsf_factor` of its photon number and k. The M
+    = floor(N/2) blocks zero the factors at 1..M photons, and 2(M+1) > N, so
+    the N-photon sector holds only the d NOON terms, each the running
+    product ``top * zero^(d-1)`` (0j, unsigned, if exactly 0). The report is
+    :func:`_noon_report`'s for d copies of it, bit for bit, made from one
+    magnitude and one sign, so a point runs a handful of operations, warm
+    or cold. No other term is built, so the residual is exactly 0.0.
     """
-    n, d = cfg.N, cfg.d
+    n, d, tolerance = cfg.N, cfg.d, cfg.tolerance
     zero = reduce(mul, _block_factors(0, n // 2), zero)
     top = reduce(mul, _block_factors(n, n // 2), top)
     amplitude = reduce(mul, repeat(zero, d - 1), top) or 0j
-    return _noon_report([amplitude] * d, n, cfg.tolerance, 0.0)
+    magnitude = abs(amplitude)
+    threshold = tolerance * magnitude
+    probability = sum(repeat(magnitude**2.0, d))
+    balanced = 0.0 < probability and magnitude - magnitude <= threshold  # inf - inf is nan
+    sign = 1 + 0j
+    if magnitude > threshold:
+        phase = amplitude / magnitude
+        sign = _rounded_sign(phase / phase, tolerance)
+    return NoonReport(d, n, (amplitude,) * d, probability, (sign,) * d, balanced, 0.0)
 
 
 def run_method1(cfg: MethodConfig) -> NoonReport:
     """Coherent inputs, Fock-state filtration, and N-photon postselection.
 
-    Each of the d modes starts in a coherent state truncated at N photons.
-    After the floor(N/2) filter blocks a mode holds 0 or more than N/2
-    photons, so an N-photon term has one occupied mode. Only the state's 0-
-    and N-photon amplitudes are filtered, and :func:`_filtrate` multiplies
-    them out to the one NOON amplitude of every mode (O(N + d) C-level
-    products) instead of C(N+d-1, d-1) sector terms or (N+1)^d product
-    terms. An amplitude the coherent state lacks (it rounded to 0) is 0j.
+    Each of the d modes starts in a coherent state truncated at N photons,
+    and :func:`_filtrate` reports on its 0- and N-photon amplitudes (0j for
+    one that rounded to 0) instead of C(N+d-1, d-1) sector terms or (N+1)^d
+    product terms.
     """
     if cfg.method != 1:
         raise ValueError("run_method1 requires method=1")

@@ -1,6 +1,7 @@
 """Tests for the four generation pipelines and their building blocks."""
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -353,6 +354,44 @@ class TestNoonSector:
         for n, (zero_in, top_in) in [(1, (zero, top)), (2, raw)]:
             assert self.filtrate(8, n, zero_in, top_in) == [2.0**-1067] * 8
             assert repr(self.filtrate(20, n, zero_in, top_in)) == repr([0j] * 20)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_matches_per_component_at_every_tolerance(self, seed):
+        # ``_filtrate`` builds its report from one magnitude and one sign;
+        # it must equal the per-component report of the d equal amplitudes
+        # at every tolerance, for magnitudes from underflow to infinity (an
+        # infinite magnitude is above no threshold and never balanced). A
+        # finite magnitude whose square overflows raises in both.
+        def outcome(report, *args):
+            try:
+                return repr(report(*args))
+            except OverflowError as exc:
+                return repr(exc)
+
+        rng = np.random.default_rng(seed)
+        tolerances = (1e-300, 1e-10, 1e-3, 0.5, 1.0, 2.0)
+        extremes = [0j, complex(-0.0, 0.0), 1e-300 + 0j, -1e150j, 1e200 + 1e200j]
+        raised = 0
+        for _ in range(300):
+            d, n = int(rng.integers(2, 41)), int(rng.integers(1, 21))
+            zero, top = (
+                extremes[rng.integers(len(extremes))] if rng.random() < 0.2
+                else self.random_amplitude(rng) * 10.0 ** (rng.uniform(-300, 300) / d)
+                for _ in range(2)
+            )
+            folded = filter_factors({0: zero, n: top}, n)
+            amplitude = functools.reduce(
+                operator.mul, itertools.repeat(folded[0], d - 1), folded[n]
+            ) or 0j
+            for tolerance in tolerances:
+                cfg = MethodConfig(method=1, d=d, N=n, tolerance=tolerance)
+                got = outcome(pipelines._filtrate, cfg, zero, top)
+                want = outcome(
+                    noon_report_per_component, [amplitude] * d, n, tolerance, 0.0
+                )
+                assert got == want, (d, n, zero, top, tolerance)
+                raised += got.startswith("OverflowError")
+        assert raised < 300 * len(tolerances) // 2
 
     def test_missing_factor_leaves_no_term(self):
         # ``run_method1`` reads a coherent amplitude that rounded to 0 as 0j;
