@@ -181,8 +181,11 @@ def _emit(text: str, output: str | None) -> None:
         base = os.environ.get(OUTPUT_DIR_ENV)
         if base:
             path = os.path.join(base, path)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output file {path}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:

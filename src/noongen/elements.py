@@ -12,10 +12,11 @@ click's weight.
 Detectors are ideal and photon-number resolving and destructive. Every
 detection in a circuit is one call to :func:`herald`: it keeps the click
 patterns it is given on the measured modes, weights them, removes those modes
-and reports the herald probability through :meth:`HeraldedOutcome.relative`.
-The Fock-state filter is the one heralded block applied without a circuit:
-its ancilla has one surviving path, so :func:`apply_fsf` multiplies each term
-by that path's beam-splitter amplitude, :func:`fsf_factor`.
+and returns a :class:`HeraldedOutcome`, whose herald probability is relative
+to the state it was heralded from. The Fock-state filter is the one heralded
+block applied without a circuit: its ancilla has one surviving path, so
+:func:`apply_fsf` multiplies each term by that path's beam-splitter
+amplitude, :func:`fsf_factor`.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ class HeraldedOutcome(Record, namedtuple("HeraldedOutcome", "state before")):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def relative(cls, state: FockState, before: FockState) -> HeraldedOutcome:
-        """Outcome ``state`` with its herald probability relative to ``before``."""
-        return cls(state, before)
 
     @property
     def herald_probability(self) -> float:
@@ -206,7 +202,7 @@ def herald(
         if weight is not None:
             summed[rest(occ)] += weight * amp
     outcome = FockState._trusted(state.mode_count - len(modes), summed.items())
-    return HeraldedOutcome.relative(outcome, state)
+    return HeraldedOutcome(outcome, state)
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +235,7 @@ def apply_fsf(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
         (occ, 0j + amp * fsf_factor(occ[mode], k_filter))
         for occ, amp in state.terms.items()
     )
-    return HeraldedOutcome.relative(FockState._trusted(state.mode_count, kept), state)
+    return HeraldedOutcome(FockState._trusted(state.mode_count, kept), state)
 
 
 def two_photon_projector(

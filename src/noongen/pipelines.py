@@ -25,19 +25,18 @@ probabilities are squared norms of the extracted NOON components. Methods 3
 and 4 require d to be a power of two; the cascade is a balanced binary tree
 (each occupied-or-superposed mode is paired with a fresh mode level by level),
 which is what makes the final component amplitudes equal. One generator call
-runs the whole tree, each term's branches kept as their one occupied mode
-(or a sparse map of several) until their final occupation is built.
+runs the whole tree, each branch kept as its occupied modes until its final
+occupation is built.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import repeat
-from operator import mul
+from itertools import combinations_with_replacement, repeat
+from operator import mul, sub
 
 from .elements import (
     BeamSplitter,
@@ -151,8 +150,8 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     fails on a lone mode holding another number). The residual is a correctly
     rounded sum (``math.fsum``) of the other terms' squared magnitudes, so
     their order does not matter. :func:`_noon_report` builds the report from
-    the components, one sign per distinct amplitude. Raises ValueError for
-    ``n_photons < 1`` and for a ``tolerance`` that is not positive and finite.
+    the components. Raises ValueError for ``n_photons < 1`` and for a
+    ``tolerance`` that is not positive and finite.
     """
     if n_photons < 1:
         raise ValueError(f"N must be at least 1, got {n_photons}")
@@ -176,11 +175,8 @@ def _noon_report(
 ) -> NoonReport:
     """Report on the NOON ``components``, one amplitude per mode, 0j where absent.
 
-    Each distinct amplitude (one dict key, the first to appear) gets one
-    sign, so the reference phase, the first key's above the threshold, is
-    the first such component's. Keys merge +0.0 and -0.0 parts, which
-    changes only zero parts of a sign, and those read 0.0. ``tolerance``
-    must already be checked.
+    Each component gets its own sign, relative to the phase of the first
+    component above the threshold. ``tolerance`` must already be checked.
     """
     d = len(components)
     magnitudes = list(map(abs, components))
@@ -188,23 +184,23 @@ def _noon_report(
     largest = max(magnitudes)
     threshold = tolerance * largest
     balanced = 0.0 < probability and largest - min(magnitudes) <= threshold
-    signs = dict.fromkeys(components, 0j)
+    signs = [0j] * d
     reference = None
-    for c in signs:
-        m = abs(c)
+    for j, (c, m) in enumerate(zip(components, magnitudes)):
         if m > threshold:
             phase = c / m
             if reference is None:
                 reference = phase
-            signs[c] = _rounded_sign(phase / reference, tolerance)
+            sign = phase / reference  # rounded as by _rounded_sign, inlined
+            re, im = sign.real, sign.imag
+            signs[j] = complex(
+                0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im
+            )
     if reference is None:
-        pattern = (1 + 0j,) * d
-    else:
-        # Through a list: tuple() of a map resizes a fresh tuple, and the
-        # resized tuples fill the tuple free lists (0.7 MB of peak RSS).
-        pattern = tuple([*map(signs.__getitem__, components)])
+        signs = [1 + 0j] * d
     return NoonReport(
-        d, n_photons, tuple(components), probability, pattern, balanced, residual_norm
+        d, n_photons, tuple(components), probability, tuple(signs), balanced,
+        residual_norm,
     )
 
 
@@ -219,18 +215,31 @@ def split_evenly(n_photons: int, d: int) -> FockState:
 
     That real amplitude on every occupation summing to N is the output of d-1
     beam splitters, the j-th (1-based) of transmissivity 1/(d+1-j), and phase
-    shifters exp[-i*(pi/2)*(j-1)*n_j]. It is built as the :func:`_sector` of
-    :func:`_split_factors`.
+    shifters exp[-i*(pi/2)*(j-1)*n_j]. The photon totals of the first 1..d-1
+    modes run over the nondecreasing tuples of 0..N in lexicographic order,
+    so the occupations come in lexicographic order too. Each amplitude is
+    the ratio of the square roots of the exact integers N! and d^N * n_1! ...
+    n_d!, each scaled by ``_ONE``, and one below :data:`PRUNE_THRESHOLD` is
+    dropped.
     """
-    factors, scale = _split_factors(n_photons, d)
-    return _sector(factors, d, n_photons, scale)
+    _check_split(n_photons, d)
+    top = math.isqrt(math.factorial(n_photons) * _ONE * _ONE)
+    scale = d**n_photons * _ONE * _ONE
+    factorials = [math.factorial(n) for n in range(n_photons + 1)]
+    pairs = []
+    for totals in combinations_with_replacement(range(n_photons + 1), d - 1):
+        occ = tuple(map(sub, (*totals, n_photons), (0, *totals)))
+        amp = top / math.isqrt(math.prod(map(factorials.__getitem__, occ)) * scale)
+        if amp >= PRUNE_THRESHOLD:
+            pairs.append((occ, complex(amp)))
+    return FockState._trusted(d, pairs)
 
 
 _ONE = 1 << 106  # isqrt(m * _ONE * _ONE) / _ONE: sqrt(m) correctly rounded
 
 
 def _check_split(n_photons: int, d: int) -> None:
-    """Raise ValueError outside 1 <= N <= 300 (sqrt(N!) fits a float) or for d < 2."""
+    """Raise ValueError outside the split's range 1 <= N <= 300 or for d < 2."""
     if not 1 <= n_photons <= 300:
         raise ValueError(f"photon number must be 1 to 300, got {n_photons}")
     if d < 2:
@@ -239,78 +248,8 @@ def _check_split(n_photons: int, d: int) -> None:
 
 @lru_cache(maxsize=256)
 def _split_factor(weight: int) -> complex:
-    """1/sqrt(``weight``) correctly rounded, cached: d^(-n/2)/sqrt(n!) for d^n * n!."""
+    """1/sqrt(``weight``) correctly rounded, cached: d^(-N/2) for method 2's d^N."""
     return complex(_ONE / math.isqrt(weight * _ONE * _ONE))
-
-
-def _split_factors(n_photons: int, d: int) -> tuple[dict, float]:
-    """Single-mode factors d^(-n/2)/sqrt(n!) of the even split, and sqrt(N!).
-
-    Each weight d^n * n! is the previous one times d*n: the same exact
-    integer as computing it afresh, at a fraction of the cost.
-    """
-    _check_split(n_photons, d)
-    factors = {0: _split_factor(1)}
-    weight = 1
-    for n in range(1, n_photons + 1):
-        weight *= d * n
-        factors[n] = _split_factor(weight)
-    return factors, math.isqrt(math.factorial(n_photons) * _ONE * _ONE) / _ONE
-
-
-def _sector(factors: dict, d: int, n_photons: int, first=None) -> FockState:
-    """N-photon sector of the d-fold product of one single-mode state.
-
-    ``factors`` maps that state's photon numbers, ascending, to amplitudes.
-    The compositions of N are walked depth first, each mode's photon number
-    ascending, so the terms come out in lexicographic order. Amplitudes
-    multiply left to right from ``first``, if given, and a partial product
-    below the pruning threshold is dropped as :func:`tensor` drops it. The
-    terms, their order and every amplitude are therefore those of restricting
-    the full product to N photons.
-
-    A prefix that already holds N photons has one completion, all zeros,
-    which is multiplied out at once and pruned after each mode. The
-    second-to-last mode reads the one factor that completes N for the last.
-    Every kept prefix meets the pruning test at the same partial products as
-    on a level-by-level build, so both drop the same terms. ``factors`` must
-    have a 0 key, ``d`` must be at least 2 and ``n_photons`` at least 1, as
-    for :func:`split_evenly`, which it builds.
-    """
-    zero = factors[0]
-    last = d - 1
-    pairs = []
-    stack = [((), n_photons, first)]
-    while stack:
-        prefix, left, amp = stack.pop()
-        mode = len(prefix)
-        if not left:
-            for _ in range(mode, d):
-                amp *= zero
-                if abs(amp) < PRUNE_THRESHOLD:
-                    break
-            else:
-                pairs.append((prefix + (0,) * (d - mode), amp))
-            continue
-        if mode == last - 1:
-            for n, factor in factors.items():
-                if n > left:
-                    break
-                end = factors.get(left - n)
-                if end is not None:
-                    value = factor if amp is None else amp * factor
-                    if abs(value) >= PRUNE_THRESHOLD:
-                        pairs.append((prefix + (n, left - n), value * end))
-            continue
-        children = []
-        for n, factor in factors.items():
-            if n > left:
-                break
-            value = factor if amp is None else amp * factor
-            if abs(value) >= PRUNE_THRESHOLD:
-                children.append((prefix + (n,), left - n, value))
-        stack += reversed(children)
-    return FockState._trusted(d, pairs)
 
 
 @lru_cache(maxsize=256)
@@ -461,15 +400,9 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     (:meth:`FockState._adopt`): it passed the pruning test in the walk.
 
     Every table keeps the touched photon number on the touched and fresh
-    modes, so no two outputs meet and none are summed, and a branch never
-    loses an occupied mode. A branch on one mode, as is every branch of a
-    cascade from |N> on one path, is carried flat: amplitude, step, mode,
-    photon number and the position of its next generator in that mode's
-    step list. A branch on any other number of modes (the vacuum, a
-    multi-mode input term, or a table entry that leaves photons on both the
-    touched and the fresh mode, as Kerr n = 24 does) is walked as a
-    ``{mode: n}`` map, with a bisect per occupied mode to find its next
-    generator.
+    modes, so no two outputs meet and none are summed; a branch carries the
+    occupied mode its next generator touches as its head, and its other
+    occupied modes, in the order they are touched, as ``rest``.
     """
     paths = _level_paths(paths, state.mode_count)
     vacuum = _transfer_table(circuit, 0, *args)
@@ -487,61 +420,12 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     row = [0] * len(steps)
     tables = {}
     leaves = {}
-
-    def walk_map(stack: list) -> None:
-        # Every descendant of a map branch is one too: walk its whole subtree.
-        while stack:
-            amp, step, occupied = stack.pop()
-            index = width
-            for mode in occupied:
-                touches = steps[mode]
-                touch = touches[bisect_left(touches, step)]
-                if touch < index:
-                    index = touch
-            run = index - step
-            if run:
-                amp = reduce(mul, repeat(idle, run if run < cap else cap), amp)
-                if abs(amp) < PRUNE_THRESHOLD:
-                    continue
-            if index == width:
-                for mode, n in occupied.items():
-                    row[mode] = n
-                leaves[tuple(row)] = amp
-                for mode in occupied:
-                    row[mode] = 0
-                continue
-            path = paths[index]
-            fresh = first_fresh + index
-            n = occupied[path]
-            table = tables.get(n)
-            if table is None:
-                table = tables[n] = _transfer_table(circuit, n, *args)[::-1]
-            for touched, moved, factor in table:
-                value = 0j + amp * factor  # as in the flat walk below
-                if abs(value) >= PRUNE_THRESHOLD:
-                    branch = occupied.copy()
-                    if touched:
-                        branch[path] = touched
-                    else:
-                        del branch[path]
-                    if moved:
-                        branch[fresh] = moved
-                    stack.append((value, index + 1, branch))
-
     for occ, amplitude in state.terms.items():
-        occupied = {mode: n for mode, n in enumerate(occ) if n}
-        if len(occupied) != 1:
-            walk_map([(amplitude, 0, occupied)])
-            continue
-        ((mode, n),) = occupied.items()
-        stack = [(amplitude, 0, mode, n, 0)]
+        heads = sorted((steps[mode][0], mode, n, 0) for mode, n in enumerate(occ) if n)
+        heads = heads or [(width, 0, 0, 0)]
+        stack = [(amplitude, 0, *heads[0], tuple(heads[1:]))]
         while stack:
-            branch = stack.pop()
-            if len(branch) == 3:
-                walk_map([branch])
-                continue
-            amp, step, mode, n, k = branch
-            index = steps[mode][k]
+            amp, step, index, mode, n, k, rest = stack.pop()
             run = index - step
             if run:
                 amp = reduce(mul, repeat(idle, run if run < cap else cap), amp)
@@ -549,10 +433,19 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                     continue
             if index == width:
                 row[mode] = n
-                leaves[tuple(row)] = amp
+                # Nearly every leaf holds one mode: skip the loops over rest.
+                if rest:
+                    for _, other, count, _ in rest:
+                        row[other] = count
+                    leaves[tuple(row)] = amp
+                    for _, other, _, _ in rest:
+                        row[other] = 0
+                else:
+                    leaves[tuple(row)] = amp
                 row[mode] = 0
                 continue
             fresh = first_fresh + index
+            after = steps[mode][k + 1]
             table = tables.get(n)
             if table is None:
                 table = tables[n] = _transfer_table(circuit, n, *args)[::-1]
@@ -563,13 +456,19 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
                 value = 0j + amp * factor
                 if abs(value) < PRUNE_THRESHOLD:
                     continue
-                if not moved:
-                    stack.append((value, index + 1, mode, touched, k + 1))
-                elif not touched:
-                    stack.append((value, index + 1, fresh, moved, 0))
+                if rest or touched and moved:
+                    heads = list(rest)
+                    if touched:
+                        heads.append((after, mode, touched, k + 1))
+                    if moved:
+                        heads.append((steps[fresh][0], fresh, moved, 0))
+                    heads.sort()
+                    stack.append((value, index + 1, *heads[0], tuple(heads[1:])))
+                elif moved:
+                    stack.append((value, index + 1, steps[fresh][0], fresh, moved, 0, ()))
                 else:
-                    stack.append((value, index + 1, {mode: touched, fresh: moved}))
-    return HeraldedOutcome.relative(FockState._adopt(len(row), leaves), state)
+                    stack.append((value, index + 1, after, mode, touched, k + 1, ()))
+    return HeraldedOutcome(FockState._adopt(len(row), leaves), state)
 
 
 def generator_even(
@@ -615,7 +514,7 @@ def _generator_even_circuit(
         work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
         work = apply_element(work, BeamSplitter(tap_c, internal, theta))
         work = two_photon_projector(work, tap_b, tap_c, psi).state
-    return HeraldedOutcome.relative(work, state)
+    return HeraldedOutcome(work, state)
 
 
 def generator_odd(
@@ -667,7 +566,7 @@ def _generator_odd_circuit(
         work = apply_element(work, BeamSplitter(tap_c, internal, theta))
         work = apply_element(work, PhaseShifter(tap_c, psi))
         work = herald(work, (tap_b, tap_c), clicks).state
-    return HeraldedOutcome.relative(work, state)
+    return HeraldedOutcome(work, state)
 
 
 def generator_kerr(state: FockState, paths: int | tuple[int, ...]) -> HeraldedOutcome:
@@ -704,7 +603,7 @@ def _generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
     work = apply_element(work, BeamSplitter(herald_mode, kerr_arm, -quarter))
     work = apply_element(work, PhaseShifter(partner, -0.5 * math.pi))
     work = herald(work, (herald_mode, kerr_arm), {(1, 0): 1}).state
-    return HeraldedOutcome.relative(work, state)
+    return HeraldedOutcome(work, state)
 
 
 @lru_cache(maxsize=64)

@@ -103,7 +103,7 @@ def two_photon_herald(
     work = apply_element(state, PhaseShifter(tap_c, psi_k))
     work = apply_element(work, BeamSplitter(tap_b, tap_c, math.pi / 4))
     work = herald(work, (tap_b, tap_c), {(1, 1): 1}).state
-    return HeraldedOutcome.relative(work, state)
+    return HeraldedOutcome(work, state)
 
 
 def fsf_circuit(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
@@ -118,7 +118,7 @@ def fsf_circuit(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
     mixed = apply_element(
         tensor(state, make_fock(1, (1,))), BeamSplitter(mode, ancilla, theta)
     )
-    return HeraldedOutcome.relative(project_photons(mixed, ancilla, 1).state, state)
+    return HeraldedOutcome(project_photons(mixed, ancilla, 1).state, state)
 
 
 def filtrate_blocks(state: FockState, n_photons: int) -> FockState:
@@ -170,7 +170,7 @@ def generator_even_herald_circuit(
         work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
         work = apply_element(work, BeamSplitter(tap_c, internal, theta))
         work = two_photon_herald(work, tap_b, tap_c, psi).state
-    return HeraldedOutcome.relative(work, state)
+    return HeraldedOutcome(work, state)
 
 
 def polarizing_bs(
@@ -226,7 +226,7 @@ def polarized_generator_odd_circuit(
         work = apply_element(work, PhaseShifter(c_v, psi))
         work = polarizing_bs(work, (b_h, b_v), (c_h, c_v))
         work = herald(work, (b_h, b_v, c_h, c_v), clicks).state
-    return HeraldedOutcome.relative(work, state)
+    return HeraldedOutcome(work, state)
 
 
 def polarize(state: FockState) -> FockState:
@@ -252,18 +252,18 @@ def collapse_polarization(state: FockState) -> FockState:
     return FockState._trusted(paths, out.items())
 
 
-def sector_by_levels(factors: dict, d: int, n_photons: int, first=None) -> FockState:
+def sector_by_levels(factors: dict, d: int, n_photons: int) -> FockState:
     """N-photon sector of the d-fold product of one single-mode state, level by level.
 
-    The breadth-first build ``pipelines._sector`` replaced: every prefix whose
-    remaining photons ``remaining * largest`` could still cover is kept, so
-    prefixes that cannot complete are built too. ``factors`` maps photon
-    numbers, ascending, to amplitudes; amplitudes multiply left to right from
-    ``first``, if given, and a partial product below the pruning threshold is
-    dropped. The last mode reads the one factor that completes N.
+    A breadth-first build: every prefix whose remaining photons ``remaining *
+    largest`` could still cover is kept, so prefixes that cannot complete are
+    built too. ``factors`` maps photon numbers, ascending, to amplitudes;
+    amplitudes multiply left to right, and a partial product below the
+    pruning threshold is dropped. The last mode reads the one factor that
+    completes N.
     """
     largest = max(factors, default=0)
-    partial = {(): (0, first)}
+    partial = {(): (0, None)}
     for remaining in range(d - 1, 0, -1):
         grown = {}
         for prefix, (used, amp) in partial.items():
@@ -283,6 +283,21 @@ def sector_by_levels(factors: dict, d: int, n_photons: int, first=None) -> FockS
         if (factor := factors.get(n_photons - used)) is not None
     )
     return FockState._trusted(d, terms)
+
+
+def split_factors(n_photons: int, d: int) -> tuple[dict, float]:
+    """Single-mode factors d^(-n/2)/sqrt(n!) of the even split, and sqrt(N!).
+
+    Each factor, n = 0..N, is 1/sqrt(d^n * n!) and the scale sqrt(N!), both
+    correctly rounded from the exact integer. The NOON term of the split is
+    the scale times the N-photon factor.
+    """
+    one = 1 << 106
+    factors = {
+        n: complex(one / math.isqrt(d**n * math.factorial(n) * one * one))
+        for n in range(n_photons + 1)
+    }
+    return factors, math.isqrt(math.factorial(n_photons) * one * one) / one
 
 
 def filter_factors(factors: dict, n_photons: int) -> dict:
@@ -347,9 +362,9 @@ def noon_report_per_component(
 ) -> NoonReport:
     """The NOON report built one component at a time, in mode order.
 
-    The oracle of ``pipelines._noon_report``, which works once per distinct
-    amplitude: each component gets its own magnitude and sign, and the
-    reference phase is that of the first component above the threshold.
+    The oracle of ``pipelines._noon_report``: each component gets its own
+    magnitude and sign, and the reference phase is that of the first
+    component above the threshold.
     """
     d = len(components)
     magnitudes = list(map(abs, components))

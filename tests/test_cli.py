@@ -257,6 +257,21 @@ class TestDeterminismAndIo:
         assert code == 0
         assert (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("name", ["missing/report.csv", "."])
+    def test_unwritable_output_is_an_error(self, capsys, tmp_path, name):
+        # A path in a missing directory, and a directory: exit 1 and one
+        # error line, no traceback.
+        target = tmp_path / name
+        code, out, err = run_cli(
+            capsys,
+            "generate", "--method", "4", "--d", "2", "--N", "2",
+            "--output", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write output file {target}: ")
+        assert err.count("\n") == 1
+
     def test_config_file_defaults_and_override(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("method=4\nd=4\nN=4\nformat=csv\n# comment line\n")

@@ -1,6 +1,7 @@
 """Tests for the four generation pipelines and their building blocks."""
 
 import cmath
+import decimal
 import functools
 import itertools
 import math
@@ -30,6 +31,7 @@ from conftest import (
     sector_by_levels,
     sector_unpruned,
     split_circuit,
+    split_factors,
 )
 from noongen import pipelines
 from noongen import (
@@ -174,109 +176,33 @@ class TestSplitEvenly:
         with pytest.raises(ValueError, match="photon number"):
             split_evenly(301, 2)
 
-    @pytest.mark.parametrize("n,d", [(1, 2), (8, 8), (128, 64), (300, 2)])
-    def test_split_factors_match_per_n_formula(self, n, d):
-        # The running weight d^n * n! is the same integer as the per-n
-        # product, so every factor and sqrt(N!) are the same to the bit.
-        one = 1 << 106
-        want = {
-            k: complex(one / math.isqrt(d**k * factorial(k) * one * one))
-            for k in range(n + 1)
-        }
-        factors, scale = pipelines._split_factors(n, d)
-        assert repr(list(factors.items())) == repr(list(want.items()))
-        assert scale == math.isqrt(factorial(n) * one * one) / one
-
-
-class TestSector:
-    """``_sector`` equals restricting the d-fold product to N photons, bit for bit."""
-
-    @staticmethod
-    def product_sector(factors, d, n, first=None):
-        # The first mode carries ``first`` the way the builder starts from it.
-        single = FockState._trusted(1, (((k,), amp) for k, amp in factors.items()))
-        state = FockState._trusted(
-            1,
-            (((k,), amp if first is None else first * amp) for k, amp in factors.items()),
-        )
-        for _ in range(d - 1):
-            state = tensor(state, single)
-        return restrict_total_photons(state, n)
-
-    @pytest.mark.parametrize("d,n", [(2, 5), (3, 7), (4, 9), (4, 1), (3, 3)])
-    def test_sparse_factors_with_gaps(self, d, n):
-        factors = {0: 0.6 + 0.1j, 2: -0.3j, 5: -0.45 + 0.2j}
-        got = pipelines._sector(factors, d, n)
-        assert_same_bits(got, self.product_sector(factors, d, n))
-
-    @pytest.mark.parametrize("d,n", [(3, 6), (4, 6), (5, 4)])
-    def test_pruned_coherent_factors(self, d, n):
-        # At alpha = 1e-4 the coherent state keeps all N + 1 amplitudes, the
-        # high photon numbers below the prune floor; the sector drops them at
-        # its partial products as the product sector does.
-        single = make_coherent_truncated(1e-4, n)
-        factors = {k: amp for (k,), amp in single.terms.items()}
-        assert len(factors) == n + 1
-        assert abs(factors[n]) < PRUNE_THRESHOLD
-        got = pipelines._sector(factors, d, n)
-        want = self.product_sector(factors, d, n)
-        assert len(got) < math.comb(n + d - 1, d - 1)
-        assert_same_bits(got, want)
-
-    @pytest.mark.parametrize("d,n", [(2, 6), (4, 8), (3, 10)])
-    def test_split_factors_scaled_first(self, d, n):
-        factors = {
-            k: complex(d ** (-k / 2) / math.sqrt(factorial(k))) for k in range(n + 1)
-        }
-        scale = math.sqrt(factorial(n))
-        got = pipelines._sector(factors, d, n, scale)
-        assert_same_bits(got, self.product_sector(factors, d, n, scale))
-        assert len(got) == math.comb(n + d - 1, d - 1)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_level_by_level_build(self, seed):
-        # Random factor dicts with gaps and key 0, as ``split_evenly`` passes
-        # them, at d >= 2, magnitudes up to 1.5 or within 100x of the prune
-        # floor, and each kind of ``first``.
-        rng = np.random.default_rng(seed)
-        for _ in range(100):
-            d = int(rng.integers(2, 9))
-            n = int(rng.integers(1, 13))
-            keys = rng.choice(n + 3, size=int(rng.integers(1, n + 4)), replace=False)
-            keys = sorted({0, *map(int, keys)})
-            top = rng.choice([1.5, 1.0, 100 * PRUNE_THRESHOLD])
-            factors = {
-                k: cmath.rect(top * rng.uniform(), rng.uniform(-math.pi, math.pi))
-                for k in keys
-            }
-            near_floor = PRUNE_THRESHOLD * float(rng.uniform(1, 3))
-            first = [None, float(rng.uniform(1, 1e3)), near_floor][rng.integers(3)]
-            assert_same_bits(
-                pipelines._sector(factors, d, n, first),
-                sector_by_levels(factors, d, n, first),
-            )
-
-    def test_partial_products_that_climb_back_stay_pruned(self):
-        # |zero| is 1 to rounding: a * zero rounds just below the floor and
-        # a * zero * zero back onto it. The product sector drops (2, 0, 0)
-        # and (0, 2, 0) at their pruned partial products; so must the zero
-        # tail and the last mode.
-        a = -2.098896194220593e-15 + 9.777250879766066e-15j
-        zero = -0.9639184244411627 + 0.266197804316389j
-        assert abs(a * zero) < PRUNE_THRESHOLD <= abs(a * zero * zero)
-        factors = {0: zero, 2: a}
-        got = pipelines._sector(factors, 3, 2)
-        assert_same_bits(got, sector_by_levels(factors, 3, 2))
-        assert list(got.terms) == [(0, 0, 2)]
-
-    def test_filtered_factors_at_64_modes(self):
-        # Filtered factors lie on {0, M+1, ..., N}: only the 64 NOON terms
-        # complete, in the order of the level-by-level build.
-        factors = {k: 0.9 + 0j for k in [0, *range(33, 65)]}
-        got = pipelines._sector(factors, 64, 64)
-        assert_same_bits(got, sector_by_levels(factors, 64, 64))
-        noon = [tuple(64 if m == j else 0 for m in range(64)) for j in range(64)]
-        assert sorted(got.terms) == sorted(noon)
+    @pytest.mark.parametrize("n,d", [(300, 2), (40, 3), (12, 6)])
+    def test_amplitudes_within_one_ulp_of_exact_root(self, n, d):
+        # Each amplitude against the 60-digit square root of the exact ratio
+        # N!/(d^N n_1!...n_d!). The terms come in lexicographic order, and
+        # exactly the occupations whose exact amplitude is not below the
+        # prune floor are kept.
+        context = decimal.Context(prec=60)
+        state = split_evenly(n, d)
+        assert list(state.terms) == sorted(state.terms)
+        kept = 0
+        for head in itertools.product(range(n + 1), repeat=d - 1):
+            if sum(head) > n:
+                continue
+            occ = (*head, n - sum(head))
+            coeff = factorial(n)
+            for part in occ:
+                coeff //= factorial(part)
+            exact = context.sqrt(context.divide(coeff, d**n))
+            want = float(exact)
+            if exact < PRUNE_THRESHOLD:
+                assert occ not in state.terms
+                continue
+            kept += 1
+            got = state.terms[occ]
+            assert abs(got.real - want) <= math.ulp(want), occ
+            assert repr(got.imag) == "0.0", occ
+        assert len(state) == kept
 
 
 class TestNoonSector:
@@ -568,7 +494,7 @@ class TestFiltrationRoutes:
             amp = alpha if alpha is not None else math.sqrt(n / d)
             single = make_coherent_truncated(amp, n)
             factors = {k: c for (k,), c in single.terms.items()}
-            oracle = filtrate_blocks(pipelines._sector(factors, d, n), n)
+            oracle = filtrate_blocks(sector_by_levels(factors, d, n), n)
             got = run_method1(MethodConfig(method=1, d=d, N=n, alpha=alpha))
             self.check(got, oracle, factors, abs(amp) ** 2)
 
@@ -577,7 +503,7 @@ class TestFiltrationRoutes:
     def test_method2_matches_block_passes(self, d, n):
         oracle = filtrate_blocks(split_circuit(n, d), n)
         got = run_method2(MethodConfig(method=2, d=d, N=n))
-        factors, scale = pipelines._split_factors(n, d)
+        factors, scale = split_factors(n, d)
         factors[n] *= scale  # the NOON term's sqrt(N!) * d^(-N/2)/sqrt(N!)
         self.check(got, oracle, factors)
 
@@ -620,7 +546,7 @@ class TestFiltrationRoutes:
             single = make_coherent_truncated(alpha, n)
             factors = {k: c for (k,), c in single.terms.items()}
         else:
-            factors, scale = pipelines._split_factors(n, d)
+            factors, scale = split_factors(n, d)
             factors[n] *= scale
         return FockState._adopt(d, sector_unpruned(filter_factors(factors, n), d, n))
 
@@ -1202,7 +1128,7 @@ class TestCascadeLayout:
 
         def record(state, level_paths):
             seen.append(level_paths)
-            return HeraldedOutcome.relative(state, state)
+            return HeraldedOutcome(state, state)
 
         for _ in range(2):
             pipelines._cascade(d, make_fock(1, (2,)), record)
