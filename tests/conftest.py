@@ -252,18 +252,18 @@ def collapse_polarization(state: FockState) -> FockState:
     return FockState._trusted(paths, out.items())
 
 
-def sector_by_levels(factors: dict, d: int, n_photons: int) -> FockState:
+def sector_by_levels(factors: dict, d: int, n_photons: int, first=None) -> FockState:
     """N-photon sector of the d-fold product of one single-mode state, level by level.
 
     A breadth-first build: every prefix whose remaining photons ``remaining *
     largest`` could still cover is kept, so prefixes that cannot complete are
     built too. ``factors`` maps photon numbers, ascending, to amplitudes;
-    amplitudes multiply left to right, and a partial product below the
-    pruning threshold is dropped. The last mode reads the one factor that
-    completes N.
+    amplitudes multiply left to right from ``first``, if given, and a partial
+    product below the pruning threshold is dropped. The last mode reads the
+    one factor that completes N.
     """
     largest = max(factors, default=0)
-    partial = {(): (0, None)}
+    partial = {(): (0, first)}
     for remaining in range(d - 1, 0, -1):
         grown = {}
         for prefix, (used, amp) in partial.items():

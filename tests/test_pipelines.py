@@ -204,6 +204,109 @@ class TestSplitEvenly:
             assert repr(got.imag) == "0.0", occ
         assert len(state) == kept
 
+    @pytest.mark.parametrize("n,d", [(1, 2), (8, 8), (128, 64), (300, 2)])
+    def test_split_factors_match_per_n_formula(self, n, d):
+        # The oracle's factors are method 2's cached 1/sqrt(weight) at the
+        # weight d^n * n!, bit for bit, and its scale is sqrt(N!) correctly
+        # rounded.
+        factors, scale = split_factors(n, d)
+        assert list(factors) == list(range(n + 1))
+        for k, factor in factors.items():
+            assert repr(factor) == repr(pipelines._split_factor(d**k * factorial(k)))
+        exact = decimal.Context(prec=60).sqrt(factorial(n))
+        assert abs(decimal.Decimal(scale) - exact) <= decimal.Decimal(math.ulp(scale)) / 2
+
+
+class TestSector:
+    """The level-by-level sector, the oracle of the filtration routes and of
+    ``split_evenly``, equals restricting the d-fold product to N photons."""
+
+    @staticmethod
+    def product_sector(factors, d, n, first=None):
+        # The first mode carries ``first`` the way the level build starts from it.
+        single = FockState._trusted(1, (((k,), amp) for k, amp in factors.items()))
+        state = FockState._trusted(
+            1,
+            (((k,), amp if first is None else first * amp) for k, amp in factors.items()),
+        )
+        for _ in range(d - 1):
+            state = tensor(state, single)
+        return restrict_total_photons(state, n)
+
+    @staticmethod
+    def assert_split_matches(got, want, d):
+        # Same terms in the same order; each amplitude of ``got`` is one
+        # correctly rounded quotient, each of ``want`` d products of d + 1
+        # correctly rounded factors, so they agree to 2(d + 1) ulps.
+        assert list(got.terms) == list(want.terms)
+        for occ, amp in got.terms.items():
+            assert repr(amp.imag) == "0.0", occ
+            assert abs(amp.real - want.terms[occ].real) <= 2 * (d + 1) * math.ulp(amp.real)
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 7), (4, 9), (4, 1), (3, 3)])
+    def test_sparse_factors_with_gaps(self, d, n):
+        factors = {0: 0.6 + 0.1j, 2: -0.3j, 5: -0.45 + 0.2j}
+        got = sector_by_levels(factors, d, n)
+        assert_same_bits(got, self.product_sector(factors, d, n))
+
+    @pytest.mark.parametrize("d,n", [(3, 6), (4, 6), (5, 4)])
+    def test_pruned_coherent_factors(self, d, n):
+        # At alpha = 1e-4 the coherent state keeps all N + 1 amplitudes, the
+        # high photon numbers below the prune floor; the level build drops
+        # them at its partial products as the product sector does.
+        single = make_coherent_truncated(1e-4, n)
+        factors = {k: amp for (k,), amp in single.terms.items()}
+        assert len(factors) == n + 1
+        assert abs(factors[n]) < PRUNE_THRESHOLD
+        got = sector_by_levels(factors, d, n)
+        want = self.product_sector(factors, d, n)
+        assert len(got) < math.comb(n + d - 1, d - 1)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (4, 8), (3, 10)])
+    def test_split_factors_scaled_first(self, d, n):
+        factors, scale = split_factors(n, d)
+        want = self.product_sector(factors, d, n, scale)
+        assert_same_bits(sector_by_levels(factors, d, n, scale), want)
+        assert len(want) == math.comb(n + d - 1, d - 1)
+        self.assert_split_matches(split_evenly(n, d), want, d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_level_by_level_build(self, seed):
+        # ``split_evenly`` keeps the terms of the level build of its factors
+        # scaled by sqrt(N!), in its order, up to the photon numbers at which
+        # the small amplitudes fall below the prune floor (N ~ 100 at d = 3).
+        rng = np.random.default_rng(seed)
+        largest = {2: 300, 3: 120, 4: 40, 5: 20}
+        for _ in range(12):
+            d = int(rng.integers(2, 6))
+            n = int(rng.integers(1, largest[d] + 1))
+            factors, scale = split_factors(n, d)
+            want = sector_by_levels(factors, d, n, scale)
+            self.assert_split_matches(split_evenly(n, d), want, d)
+
+    def test_partial_products_that_climb_back_stay_pruned(self):
+        # |zero| is 1 to rounding: a * zero rounds just below the floor and
+        # a * zero * zero back onto it. The product sector drops (2, 0, 0)
+        # and (0, 2, 0) at their pruned partial products; so must the level
+        # build.
+        a = -2.098896194220593e-15 + 9.777250879766066e-15j
+        zero = -0.9639184244411627 + 0.266197804316389j
+        assert abs(a * zero) < PRUNE_THRESHOLD <= abs(a * zero * zero)
+        factors = {0: zero, 2: a}
+        got = sector_by_levels(factors, 3, 2)
+        assert_same_bits(got, self.product_sector(factors, 3, 2))
+        assert list(got.terms) == [(0, 0, 2)]
+
+    def test_filtered_factors_at_64_modes(self):
+        # Filtered factors lie on {0, M+1, ..., N}: only the 64 NOON terms
+        # complete, each the unpruned left-to-right product.
+        factors = {k: 0.9 + 0j for k in [0, *range(33, 65)]}
+        got = sector_by_levels(factors, 64, 64)
+        noon = [tuple(64 if m == j else 0 for m in range(64)) for j in range(64)]
+        assert sorted(got.terms) == sorted(noon)
+        assert got.terms == sector_unpruned(factors, 64, 64)
+
 
 class TestNoonSector:
     """``_filtrate`` reports the unpruned sector of the folded factors."""
