@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import analysis
-from .pipelines import METHODS, MethodConfig, check_domain, check_tolerance, run_method
+from .pipelines import METHODS, MethodConfig, check_domain, run_method
 
 OUTPUT_DIR_ENV = "NOONGEN_OUTPUT_DIR"
 
@@ -63,6 +63,12 @@ def _parse_range(text: str, name: str) -> tuple[int, ...]:
         raise CliError(f"invalid {name} {text!r}; expected lo:hi or a,b,c") from exc
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless ``verify --tolerance`` is positive and finite."""
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+
+
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="noongen", description=__doc__)
     parser.add_argument(
@@ -89,7 +95,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--N", type=int, required=True)
     gen.add_argument("--alpha-sq", type=float, default=None)
-    gen.add_argument("--tolerance", type=float, default=1e-10)
     gen.set_defaults(func=cmd_generate)
 
     sweep = add_command("sweep", "emit a closed-form/simulation sweep table")
@@ -191,14 +196,7 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_generate(args) -> int:
     analysis.check_alpha_sq(args.alpha_sq)
     alpha = None if args.alpha_sq is None else math.sqrt(args.alpha_sq)
-    cfg = MethodConfig(
-        method=args.method,
-        d=args.d,
-        N=args.N,
-        alpha=alpha,
-        tolerance=args.tolerance,
-    )
-    report = run_method(cfg)
+    report = run_method(MethodConfig(args.method, args.d, args.N, alpha))
     alpha_sq = None
     if args.method == 1:
         alpha_sq = (

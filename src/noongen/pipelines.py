@@ -79,14 +79,14 @@ def check_domain(method: int, d: int = 2, n_photons: int = 1) -> None:
 
 
 class MethodConfig(
-    Record,
-    namedtuple("MethodConfig", "method d N alpha tolerance", defaults=(None, 1e-10)),
+    Record, namedtuple("MethodConfig", "method d N alpha", defaults=(None,))
 ):
     """Configuration for one generation run.
 
     ``alpha`` is the coherent amplitude used by method 1 only; when omitted it
     defaults to the optimal value sqrt(N/d). ``alpha`` and |alpha|^2 must be
-    finite and ``tolerance`` positive and finite.
+    finite. The report's threshold is fixed (:data:`_REPORT_TOLERANCE`), so
+    no field sets it.
     """
 
     __slots__ = ()
@@ -95,13 +95,13 @@ class MethodConfig(
         check_domain(self.method, self.d, self.N)
         if self.alpha is not None:
             check_alpha(self.alpha)
-        check_tolerance(self.tolerance)
 
 
-def check_tolerance(tolerance: float) -> None:
-    """Raise ValueError unless ``tolerance`` is positive and finite."""
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+# The report's threshold, relative to the largest component magnitude, and
+# the size at or below which a sign part reads 0. Over the scanned domain any
+# value from 1e-12 to 0.999 gives the same reports; a smaller one reads the
+# cascades' rounding residue as imbalance, and 1 or more erases signs.
+_REPORT_TOLERANCE = 1e-10
 
 
 class NoonReport(
@@ -116,11 +116,12 @@ class NoonReport(
 
     ``component_amplitudes[j]`` is the amplitude of the basis state with all N
     photons in mode j, relative to the pipeline input. The report's threshold
-    is ``tolerance`` times the largest component magnitude, so it holds at
-    every scale of heralded amplitude. ``sign_pattern`` holds the component
-    phases after factoring out the phase of the first component above the
-    threshold; components at or below it get 0, and real or imaginary parts at
-    or below ``tolerance`` are exactly 0. Both are tuples of complex numbers.
+    is :data:`_REPORT_TOLERANCE` (1e-10) times the largest component
+    magnitude, so it holds at every scale of heralded amplitude.
+    ``sign_pattern`` holds the component phases after factoring out the phase
+    of the first component above the threshold; components at or below it get
+    0, and real or imaginary parts at or below 1e-10 are exactly 0. Both are
+    tuples of complex numbers.
     ``balanced`` means the probability is positive and the component
     magnitudes differ by at most the threshold. ``residual_norm`` is the
     squared norm of everything else left in the state.
@@ -142,7 +143,7 @@ class NoonReport(
         }
 
 
-def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> NoonReport:
+def extract_noon(state: FockState, n_photons: int) -> NoonReport:
     """Read the d NOON component amplitudes out of a final state.
 
     One pass over the terms, two scans of each: a term is a NOON term when
@@ -150,12 +151,10 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
     fails on a lone mode holding another number). The residual is a correctly
     rounded sum (``math.fsum``) of the other terms' squared magnitudes, so
     their order does not matter. :func:`_noon_report` builds the report from
-    the components. Raises ValueError for ``n_photons < 1`` and for a
-    ``tolerance`` that is not positive and finite.
+    the components. Raises ValueError for ``n_photons < 1``.
     """
     if n_photons < 1:
         raise ValueError(f"N must be at least 1, got {n_photons}")
-    check_tolerance(tolerance)
     d = state.mode_count
     components = [0j] * d
     rest = []
@@ -167,22 +166,20 @@ def extract_noon(state: FockState, n_photons: int, tolerance: float = 1e-10) -> 
             except ValueError:
                 pass
         rest.append(abs(amp) ** 2)
-    return _noon_report(components, n_photons, tolerance, math.fsum(rest))
+    return _noon_report(components, n_photons, math.fsum(rest))
 
 
-def _noon_report(
-    components: list, n_photons: int, tolerance: float, residual_norm: float
-) -> NoonReport:
+def _noon_report(components: list, n_photons: int, residual_norm: float) -> NoonReport:
     """Report on the NOON ``components``, one amplitude per mode, 0j where absent.
 
     Each component gets its own sign, relative to the phase of the first
-    component above the threshold. ``tolerance`` must already be checked.
+    component above the threshold.
     """
     d = len(components)
     magnitudes = list(map(abs, components))
     probability = sum(map(pow, magnitudes, repeat(2.0)))
     largest = max(magnitudes)
-    threshold = tolerance * largest
+    threshold = _REPORT_TOLERANCE * largest
     balanced = 0.0 < probability and largest - min(magnitudes) <= threshold
     signs = [0j] * d
     reference = None
@@ -191,11 +188,7 @@ def _noon_report(
             phase = c / m
             if reference is None:
                 reference = phase
-            sign = phase / reference  # rounded as by _rounded_sign, inlined
-            re, im = sign.real, sign.imag
-            signs[j] = complex(
-                0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im
-            )
+            signs[j] = _rounded_sign(phase / reference)
     if reference is None:
         signs = [1 + 0j] * d
     return NoonReport(
@@ -204,10 +197,10 @@ def _noon_report(
     )
 
 
-def _rounded_sign(sign: complex, tolerance: float) -> complex:
-    """``sign`` with each part at or below ``tolerance`` in magnitude set to 0.0."""
-    re, im = sign.real, sign.imag
-    return complex(0.0 if abs(re) <= tolerance else re, 0.0 if abs(im) <= tolerance else im)
+def _rounded_sign(sign: complex) -> complex:
+    """``sign`` with each part at most :data:`_REPORT_TOLERANCE` in size set to 0.0."""
+    re, im, tol = sign.real, sign.imag, _REPORT_TOLERANCE
+    return complex(0.0 if abs(re) <= tol else re, 0.0 if abs(im) <= tol else im)
 
 
 def split_evenly(n_photons: int, d: int) -> FockState:
@@ -219,8 +212,8 @@ def split_evenly(n_photons: int, d: int) -> FockState:
     modes run over the nondecreasing tuples of 0..N in lexicographic order,
     so the occupations come in lexicographic order too. Each amplitude is
     the ratio of the square roots of the exact integers N! and d^N * n_1! ...
-    n_d!, each scaled by ``_ONE``, and one below :data:`PRUNE_THRESHOLD` is
-    dropped.
+    n_d!, each scaled by ``_ONE``; :meth:`FockState._trusted` drops one below
+    :data:`PRUNE_THRESHOLD`.
     """
     _check_split(n_photons, d)
     top = math.isqrt(math.factorial(n_photons) * _ONE * _ONE)
@@ -230,8 +223,7 @@ def split_evenly(n_photons: int, d: int) -> FockState:
     for totals in combinations_with_replacement(range(n_photons + 1), d - 1):
         occ = tuple(map(sub, (*totals, n_photons), (0, *totals)))
         amp = top / math.isqrt(math.prod(map(factorials.__getitem__, occ)) * scale)
-        if amp >= PRUNE_THRESHOLD:
-            pairs.append((occ, complex(amp)))
+        pairs.append((occ, complex(amp)))
     return FockState._trusted(d, pairs)
 
 
@@ -270,18 +262,18 @@ def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
     magnitude and one sign, so a point runs a handful of operations, warm
     or cold. No other term is built, so the residual is exactly 0.0.
     """
-    n, d, tolerance = cfg.N, cfg.d, cfg.tolerance
+    n, d = cfg.N, cfg.d
     zero = reduce(mul, _block_factors(0, n // 2), zero)
     top = reduce(mul, _block_factors(n, n // 2), top)
     amplitude = reduce(mul, repeat(zero, d - 1), top) or 0j
     magnitude = abs(amplitude)
-    threshold = tolerance * magnitude
+    threshold = _REPORT_TOLERANCE * magnitude
     probability = sum(repeat(magnitude**2.0, d))
     balanced = 0.0 < probability and magnitude - magnitude <= threshold  # inf - inf is nan
     sign = 1 + 0j
     if magnitude > threshold:
         phase = amplitude / magnitude
-        sign = _rounded_sign(phase / phase, tolerance)
+        sign = _rounded_sign(phase / phase)
     return NoonReport(d, n, (amplitude,) * d, probability, (sign,) * d, balanced, 0.0)
 
 
@@ -638,7 +630,7 @@ def run_method3(cfg: MethodConfig) -> NoonReport:
     generator = generator_odd if cfg.N % 2 else generator_even
     source = FockState._trusted(1, [((cfg.N,), 1 + 0j)])  # cfg checked N
     state = _cascade(cfg.d, source, generator, cfg.N)
-    return extract_noon(state, cfg.N, cfg.tolerance)
+    return extract_noon(state, cfg.N)
 
 
 def run_method4(cfg: MethodConfig) -> NoonReport:
@@ -647,7 +639,7 @@ def run_method4(cfg: MethodConfig) -> NoonReport:
         raise ValueError("run_method4 requires method=4")
     source = FockState._trusted(1, [((cfg.N,), 1 + 0j)])  # cfg checked N
     state = _cascade(cfg.d, source, generator_kerr)
-    return extract_noon(state, cfg.N, cfg.tolerance)
+    return extract_noon(state, cfg.N)
 
 
 _RUNNERS = {1: run_method1, 2: run_method2, 3: run_method3, 4: run_method4}

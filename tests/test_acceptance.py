@@ -186,7 +186,7 @@ def test_acceptance_7_structural_invariants():
         assert pattern[0] == pytest.approx(1.0 + 0j, abs=1e-10)
         assert pattern[1] == pytest.approx(sign + 0j, abs=1e-10)
     # the same rules through whole method-3 cascades whose components lie far
-    # below the default tolerance (about 1e-12 and 3e-13): every generator
+    # below the report's 1e-10 tolerance (about 1e-12 and 3e-13): every generator
     # gives its fresh path the opposite sign here, so the paths alternate
     for d, n in ((2, 24), (8, 5)):
         pattern = run_method(MethodConfig(method=3, d=d, N=n)).sign_pattern

@@ -172,11 +172,31 @@ class TestVerify:
         assert code == 2
         assert "FAIL" in out
 
+    def test_default_tolerance(self, capsys):
+        # verify's relative-error tolerance defaults to 1e-9.
+        code, out, _ = run_cli(capsys, "verify", "--methods", "2", "--d-values", "2")
+        assert code == 0
+        assert out.splitlines()[-1].endswith(" tolerance=1.00000000000e-09 -> PASS")
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--methods", "4", "--N-range", "2:3", "--tolerance", "1e-30"
         )
         assert code == 2
+
+    def test_zero_closed_form(self, capsys):
+        # alpha = 0: the closed form and the simulation are both exactly 0,
+        # and the relative error reads 0 rather than 0/0.
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--methods", "1", "--d-values", "2", "--N-range", "2:3",
+            "--alpha-sq", "0",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith(" rel_err=0 ok") for line in lines[:2])
+        assert lines[2].endswith("-> PASS")
 
     def test_beyond_simulation_limits(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--d-values", "2,8")
@@ -292,6 +312,31 @@ class TestDeterminismAndIo:
         assert code == 1
         assert "mystery" in err
 
+    def test_tolerance_config_key_is_verify_only(self, capsys, tmp_path):
+        config = tmp_path / "tolerance.cfg"
+        config.write_text("tolerance=1e-3\n")
+        argv = ("generate", "--method", "4", "--d", "2", "--N", "2")
+        code, out, err = run_cli(capsys, "--config", str(config), *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown config key 'tolerance'\n"
+        argv = ("verify", "--methods", "4", "--d-values", "2", "--N-range", "2:2")
+        code, out, err = run_cli(capsys, "--config", str(config), *argv)
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[-1].endswith("tolerance=0.001 -> PASS")
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        # ``--config=FILE`` reads the file as ``--config FILE`` does.
+        config = tmp_path / "run.cfg"
+        config.write_text("method=4\nd=4\nN=4\nformat=csv\n")
+        code, spaced, _ = run_cli(capsys, "--config", str(config), "generate")
+        assert code == 0
+        code, joined, _ = run_cli(capsys, f"--config={config}", "generate")
+        assert code == 0
+        assert joined == spaced
+        assert joined.splitlines()[1].startswith("M4,4,4")
+
     def test_abbreviated_config_key(self, capsys, tmp_path):
         config = tmp_path / "abbrev.cfg"
         config.write_text("method=4\nd=2\nN=2\nform=csv\n")
@@ -400,16 +445,63 @@ class TestRejectedInput:
         assert out == ""
         assert "alpha_sq must be finite and non-negative" in err
 
-    @pytest.mark.parametrize("command", ["generate", "verify"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    def test_bad_tolerance(self, capsys, command, value):
+    def test_bad_tolerance(self, capsys, value):
         argv = ["--methods", "4", "--d-values", "2", "--N-range", "2:2"]
-        if command == "generate":
-            argv = ["--method", "4", "--d", "2", "--N", "2"]
-        code, out, err = run_cli(capsys, command, *argv, "--tolerance", value)
+        code, out, err = run_cli(capsys, "verify", *argv, "--tolerance", value)
         assert code == 1
         assert out == ""
         assert "tolerance must be positive and finite" in err
+
+    def test_generate_takes_no_tolerance(self, capsys):
+        # The NOON report's threshold is fixed at 1e-10.
+        code, out, err = run_cli(
+            capsys, "generate", "--method", "4", "--d", "2", "--N", "2", "--tolerance", "1e-3"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: unrecognized arguments: --tolerance 1e-3\n"
+
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            (
+                None,
+                ("generate", "--method", "4", "--d", "2", "--N", "2", "--config"),
+                "--config requires a file path",
+            ),
+            ("method=4\n", ("--config", "{config}"), "--config requires a subcommand"),
+            (None, ("--config", "{config}", "generate"), "cannot read config file {config}: "),
+            (
+                "method 4\n",
+                ("--config", "{config}", "generate"),
+                "{config}:1: expected key=value, got 'method 4'",
+            ),
+            (None, ("verify", "--methods", "1,x"), "invalid method list '1,x'"),
+            (
+                None,
+                ("sweep", "--vary", "d", "--N", "4", "--d-range", "4:2"),
+                "invalid --d-range '4:2'; expected lo:hi or a,b,c",
+            ),
+            (None, ("sweep", "--vary", "N", "--d", "2"), "sweep --vary N requires --d and --N-range"),
+            (
+                None,
+                ("sweep", "--vary", "N", "--N-range", "2:3"),
+                "sweep --vary N requires --d and --N-range",
+            ),
+        ],
+    )
+    def test_one_error_line(self, capsys, tmp_path, config, argv, message):
+        # ``{config}`` stands for a config file holding ``config``, or for a
+        # missing file when ``config`` is None.
+        path = tmp_path / "run.cfg"
+        if config is not None:
+            path.write_text(config)
+        code, out, err = run_cli(capsys, *(arg.format(config=path) for arg in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message.format(config=path)}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, message",

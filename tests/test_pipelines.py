@@ -63,6 +63,8 @@ from noongen import (
 )
 from noongen.elements import fsf_factor
 
+REPORT_TOLERANCE = pipelines._REPORT_TOLERANCE  # the oracle's threshold
+
 
 def multinomial_amplitude(occ: tuple[int, ...]) -> float:
     n = sum(occ)
@@ -89,14 +91,11 @@ class TestMethodConfig:
             MethodConfig(method=4, d=6, N=2)
         MethodConfig(method=4, d=8, N=2)  # fine
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            MethodConfig(method=1, d=2, N=2, tolerance=0.0)
-
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
-    def test_rejects_non_finite_tolerance(self, tolerance):
-        with pytest.raises(ValueError, match="positive and finite"):
-            MethodConfig(method=1, d=2, N=2, tolerance=tolerance)
+    def test_rejects_tolerance_keyword(self):
+        # The report's threshold is fixed: no field sets it.
+        assert MethodConfig._fields == ("method", "d", "N", "alpha")
+        with pytest.raises(TypeError, match="tolerance"):
+            MethodConfig(method=1, d=2, N=2, tolerance=1e-10)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.inf)])
     def test_rejects_non_finite_alpha(self, alpha):
@@ -385,12 +384,12 @@ class TestNoonSector:
             assert repr(self.filtrate(20, n, zero_in, top_in)) == repr([0j] * 20)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_report_matches_per_component_at_every_tolerance(self, seed):
+    def test_report_matches_per_component(self, seed):
         # ``_filtrate`` builds its report from one magnitude and one sign;
         # it must equal the per-component report of the d equal amplitudes
-        # at every tolerance, for magnitudes from underflow to infinity (an
-        # infinite magnitude is above no threshold and never balanced). A
-        # finite magnitude whose square overflows raises in both.
+        # at the report's threshold, for magnitudes from underflow to
+        # infinity (an infinite magnitude is above no threshold and never
+        # balanced). A finite magnitude whose square overflows raises in both.
         def outcome(report, *args):
             try:
                 return repr(report(*args))
@@ -398,7 +397,6 @@ class TestNoonSector:
                 return repr(exc)
 
         rng = np.random.default_rng(seed)
-        tolerances = (1e-300, 1e-10, 1e-3, 0.5, 1.0, 2.0)
         extremes = [0j, complex(-0.0, 0.0), 1e-300 + 0j, -1e150j, 1e200 + 1e200j]
         raised = 0
         for _ in range(300):
@@ -412,15 +410,14 @@ class TestNoonSector:
             amplitude = functools.reduce(
                 operator.mul, itertools.repeat(folded[0], d - 1), folded[n]
             ) or 0j
-            for tolerance in tolerances:
-                cfg = MethodConfig(method=1, d=d, N=n, tolerance=tolerance)
-                got = outcome(pipelines._filtrate, cfg, zero, top)
-                want = outcome(
-                    noon_report_per_component, [amplitude] * d, n, tolerance, 0.0
-                )
-                assert got == want, (d, n, zero, top, tolerance)
-                raised += got.startswith("OverflowError")
-        assert raised < 300 * len(tolerances) // 2
+            cfg = MethodConfig(method=1, d=d, N=n)
+            got = outcome(pipelines._filtrate, cfg, zero, top)
+            want = outcome(
+                noon_report_per_component, [amplitude] * d, n, REPORT_TOLERANCE, 0.0
+            )
+            assert got == want, (d, n, zero, top)
+            raised += got.startswith("OverflowError")
+        assert raised < 300 // 2
 
     def test_missing_factor_leaves_no_term(self):
         # ``run_method1`` reads a coherent amplitude that rounded to 0 as 0j;
@@ -628,8 +625,8 @@ class TestFiltrationRoutes:
                 same = FockState._adopt(d, {
                     occ: c for occ, c in zip(noon, got.component_amplitudes) if c
                 })
-                assert repr(got) == repr(extract_noon(same, n, cfg.tolerance)), cfg
-                want = extract_noon(self.oracle_state(cfg), n, cfg.tolerance)
+                assert repr(got) == repr(extract_noon(same, n)), cfg
+                want = extract_noon(self.oracle_state(cfg), n)
                 assert got.generation_probability == pytest.approx(
                     want.generation_probability, rel=1e-14, abs=0.0
                 )
@@ -1180,7 +1177,7 @@ class TestLevelPass:
         whole = pipelines._cascade(d, make_fock(1, (n,)), generator, *args)
         assert_same_bits(whole, one_at_a_time)
         assert repr(run_method(cfg).to_dict()) == repr(
-            extract_noon(one_at_a_time, n, cfg.tolerance).to_dict()
+            extract_noon(one_at_a_time, n).to_dict()
         )
 
     @staticmethod
@@ -1441,14 +1438,19 @@ class TestExtractNoon:
 
     @pytest.mark.parametrize("part", ["real", "imag"])
     def test_sign_part_at_tolerance_is_zero(self, part):
-        # A sign part at most ``tolerance`` reads exactly 0.0; one ulp above
-        # it, the part is kept as computed.
-        state = FockState(2, {(2, 0): 1 + 0j, (0, 2): 0.6 + 0.8j})
-        value = getattr(extract_noon(state, 2).sign_pattern[1], part)
-        at = extract_noon(state, 2, value).sign_pattern[1]
-        assert repr(getattr(at, part)) == "0.0"
-        below = extract_noon(state, 2, math.nextafter(value, 0.0)).sign_pattern[1]
-        assert getattr(below, part) == value
+        # A sign part of size at most the report's fixed 1e-10 reads exactly
+        # 0.0; one ulp above it, the part is kept as computed. The other part
+        # is untouched.
+        assert REPORT_TOLERANCE == 1e-10
+        above = math.nextafter(REPORT_TOLERANCE, 1.0)
+        other = "imag" if part == "real" else "real"
+        cases = [(REPORT_TOLERANCE, 0.0), (-REPORT_TOLERANCE, 0.0)]
+        cases += [(above, above), (-above, -above)]
+        for value, want in cases:
+            sign = complex(value, 0.5) if part == "real" else complex(0.5, value)
+            got = pipelines._rounded_sign(sign)
+            assert repr(getattr(got, part)) == repr(want), value
+            assert getattr(got, other) == 0.5
 
     def test_negative_zero_sign_part_reads_positive(self):
         # The second phase over the first is 1-0j: its -0.0 part is within
@@ -1457,13 +1459,12 @@ class TestExtractNoon:
         assert repr(state.terms[(0, 2)]) == "(1-0j)"
         assert repr(extract_noon(state, 2).sign_pattern) == "((1+0j), (1+0j))"
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
-    def test_rejects_tolerance_not_positive_and_finite(self, tolerance):
-        # Unchecked, nan read balanced=false with all-1 signs, and 0 or -1
-        # left 1e-32 imaginary residue in the signs.
+    def test_rejects_tolerance_argument(self):
+        # The report's threshold is fixed: a smaller one left 1e-32
+        # imaginary residue in this state's signs.
         state = generator_kerr(make_fock(1, (3,)), (0, 1, 0)).state
-        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-            extract_noon(state, 3, tolerance)
+        with pytest.raises(TypeError):
+            extract_noon(state, 3, 1e-10)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_photon_number_below_one(self, n):
@@ -1484,7 +1485,6 @@ class TestExtractNoon:
 class TestNoonReport:
     """``_noon_report`` builds the per-component oracle's report, bit for bit."""
 
-    TOLERANCES = (1e-300, 1e-10, 1e-3, 0.5)
     # The grids of the benchmark's filtration and cascade workloads.
     FILTRATION = (
         (1, 4, 4), (1, 4, 6), (1, 5, 4), (2, 4, 8), (2, 8, 4), (2, 6, 8), (2, 8, 6),
@@ -1543,23 +1543,21 @@ class TestNoonReport:
             n = rng.randint(1, 40)
             residual = rng.choice([0.0, rng.random()])
             merged += len(dict.fromkeys(components)) < len(set(map(repr, components)))
-            for tolerance in self.TOLERANCES:
-                got = pipelines._noon_report(components, n, tolerance, residual)
-                want = noon_report_per_component(components, n, tolerance, residual)
-                # Both hold the very component objects passed in; the fields
-                # after them are compared through repr, signed zeros too.
-                assert got[:2] == want[:2] == (len(components), n)
-                assert all(map(operator.is_, got[2], components))
-                assert repr(got[3:]) == repr(want[3:]), (components, tolerance)
+            got = pipelines._noon_report(components, n, residual)
+            want = noon_report_per_component(components, n, REPORT_TOLERANCE, residual)
+            # Both hold the very component objects passed in; the fields
+            # after them are compared through repr, signed zeros too.
+            assert got[:2] == want[:2] == (len(components), n)
+            assert all(map(operator.is_, got[2], components))
+            assert repr(got[3:]) == repr(want[3:]), components
         assert merged > 50
 
-    @pytest.mark.parametrize("tolerance", TOLERANCES)
-    def test_benchmark_grid_reports(self, tolerance):
+    def test_benchmark_grid_reports(self):
         for method, d, n in self.FILTRATION + self.CASCADE:
-            cfg = MethodConfig(method=method, d=d, N=n, tolerance=tolerance)
-            report = run_method(cfg)
+            report = run_method(MethodConfig(method=method, d=d, N=n))
             want = noon_report_per_component(
-                list(report.component_amplitudes), n, tolerance, report.residual_norm
+                list(report.component_amplitudes), n, REPORT_TOLERANCE,
+                report.residual_norm,
             )
             assert repr(report) == repr(want), (method, d, n)
 

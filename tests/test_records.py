@@ -36,10 +36,10 @@ RECORDS = [
         "HeraldedOutcome(state=FockState(mode_count=2, terms=1), "
         "before=FockState(mode_count=3, terms=1))",
     ),
-    (MethodConfig(1, 2, 3), "MethodConfig(method=1, d=2, N=3, alpha=None, tolerance=1e-10)"),
+    (MethodConfig(1, 2, 3), "MethodConfig(method=1, d=2, N=3, alpha=None)"),
     (
-        MethodConfig(method=1, d=2, N=3, alpha=1 + 2j, tolerance=1e-9),
-        "MethodConfig(method=1, d=2, N=3, alpha=(1+2j), tolerance=1e-09)",
+        MethodConfig(method=1, d=2, N=3, alpha=1 + 2j),
+        "MethodConfig(method=1, d=2, N=3, alpha=(1+2j))",
     ),
     (
         NoonReport(
@@ -146,10 +146,6 @@ def test_element_types_with_equal_fields_differ():
         (lambda: MethodConfig(1, 2, 0), "N must be at least 1, got 0"),
         (lambda: MethodConfig(3, 3, 2), "d must be a power of two for methods 3 and 4"),
         (lambda: MethodConfig(1, 2, 2, alpha=math.inf), "alpha must be finite, got inf"),
-        (
-            lambda: MethodConfig(method=1, d=2, N=2, tolerance=0.0),
-            "tolerance must be positive and finite, got 0.0",
-        ),
         (lambda: LossModel(1.5, 1.0), "eta_detector must lie in [0, 1], got 1.5"),
         (
             lambda: LossModel(eta_detector=1.0, eta_single_photon=-0.1),
@@ -173,3 +169,9 @@ def test_validation_errors(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_method_config_takes_no_tolerance():
+    # The NOON report's threshold is fixed; a tolerance keyword is unknown.
+    with pytest.raises(TypeError, match="tolerance"):
+        MethodConfig(method=1, d=2, N=2, tolerance=1e-10)
