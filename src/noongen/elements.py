@@ -29,7 +29,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Mapping
 
-from .fock import FockState, Record, norm_sq
+from .fock import FockState, Record, is_int, norm_sq
 
 # Unused here since the filter lost its ancilla circuit; perfbench's span test
 # reads this alias to check that the tracer rebinds names imported under
@@ -229,8 +229,8 @@ def apply_fsf(state: FockState, mode: int, k_filter: int) -> HeraldedOutcome:
     to ``state``.
     """
     _check_modes(state, mode)
-    if k_filter < 1:
-        raise ValueError(f"filter order must be at least 1, got {k_filter}")
+    if not is_int(k_filter) or k_filter < 1:
+        raise ValueError(f"filter order must be an int, at least 1, got {k_filter!r}")
     kept = (
         (occ, 0j + amp * fsf_factor(occ[mode], k_filter))
         for occ, amp in state.terms.items()

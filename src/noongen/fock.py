@@ -154,6 +154,11 @@ def make_fock(mode_count: int, occupation: Iterable[int]) -> FockState:
     return FockState(mode_count, {occ: 1.0})
 
 
+def is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``: a photon number or mode index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_alpha(alpha: complex) -> complex:
     """``alpha`` as a complex; ValueError unless it and |alpha|^2 are finite."""
     value = complex(alpha)
@@ -176,8 +181,8 @@ def make_coherent_truncated(alpha: complex, cutoff: int) -> FockState:
     ones do. ``alpha`` and |alpha|^2 must be finite. Both arguments are
     checked here, so the terms are handed to :meth:`FockState._adopt`.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+    if not is_int(cutoff) or cutoff < 0:
+        raise ValueError(f"cutoff must be a non-negative int, got {cutoff!r}")
     alpha = check_alpha(alpha)
     amp = complex(math.exp(-0.5 * abs(alpha) ** 2))
     terms = {}

@@ -53,6 +53,7 @@ from .fock import (
     FockState,
     Record,
     check_alpha,
+    is_int,
     make_coherent_truncated,
     make_fock,
     tensor,
@@ -65,9 +66,12 @@ METHODS = (1, 2, 3, 4)
 def check_domain(method: int, d: int = 2, n_photons: int = 1) -> None:
     """Raise ValueError unless the schemes accept (method, d, N).
 
-    ``d`` and ``n_photons`` default to the smallest accepted values, so a
-    method can be checked on its own.
+    Each must be an int that is not a bool. ``d`` and ``n_photons`` default
+    to the smallest accepted values, so a method can be checked on its own.
     """
+    for name, value in (("method", method), ("d", d), ("N", n_photons)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if method not in METHODS:
         raise ValueError(f"method must be 1, 2, 3 or 4, got {method}")
     if d < 2:
@@ -336,7 +340,7 @@ def _level_paths(paths, mode_count: int) -> tuple[int, ...]:
     if not paths:
         raise ValueError("paths must name at least one mode")
     for i, path in enumerate(paths):
-        if not isinstance(path, int) or isinstance(path, bool):
+        if not is_int(path):
             raise ValueError(f"path index {path!r} is not an int")
         if not 0 <= path < mode_count + i:
             raise ValueError(
@@ -375,15 +379,16 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     empty path and multiplies the amplitude by the vacuum table's one factor
     ``idle``; the generator itself expands the branch by the transfer table
     of its photon number, looked up once per call. Each product is the one
-    applying the generators one at a time formed, except that when ``idle``
-    is exactly ``1+0j`` (the Kerr pass-through) an idle run takes at most two
-    products: a product with ``1+0j`` keeps every nonzero part, and after two
-    of them the signed zeros are at a fixed point as well (one may still turn
-    a -0.0 part into +0.0), so the rest of the run changes no bit. That route
-    pruned each product below :data:`PRUNE_THRESHOLD`; here an idle run is
-    pruned at its end, which drops the same branches because |idle| <= 1, so
-    a magnitude never climbs back over the floor. Every amplitude is
-    therefore bit for bit the same. Each expansion pushes its branches
+    applying the generators one at a time formed. That route pruned each
+    product below :data:`PRUNE_THRESHOLD`; here an idle run is pruned at its
+    end, which drops the same branches because |idle| <= 1. When ``idle``
+    is 1 (the Kerr pass-through), a branch made by an expansion skips its
+    idle runs: its amplitude is ``0j + amp * factor``, so neither part is
+    -0.0, and on such a value a product with ``1+0j`` or ``1-0j`` returns
+    every bit unchanged, so the prune it passed when pushed still holds. An
+    input term may carry a -0.0 part, which such a product can turn into
+    +0.0, so it takes every product. Every amplitude is therefore bit for
+    bit the same. Each expansion pushes its branches
     straight onto the walk's stack from the call's copy of the table, stored
     in reverse order, so they pop in table order and finish in that route's
     term order. A finished branch builds its output occupation once, from one
@@ -405,8 +410,8 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
             f" PRUNE_THRESHOLD = {PRUNE_THRESHOLD}"
         )
     ((_, _, idle),) = vacuum
+    unit = idle == 1
     width = len(paths)
-    cap = 2 if idle == 1 and math.copysign(1.0, idle.imag) > 0 else width
     first_fresh = state.mode_count
     steps = _schedule(paths, first_fresh)
     row = [0] * len(steps)
@@ -419,8 +424,8 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
         while stack:
             amp, step, index, mode, n, k, rest = stack.pop()
             run = index - step
-            if run:
-                amp = reduce(mul, repeat(idle, run if run < cap else cap), amp)
+            if run and not (step and unit):
+                amp = reduce(mul, repeat(idle, run), amp)
                 if abs(amp) < PRUNE_THRESHOLD:
                     continue
             if index == width:
@@ -484,9 +489,9 @@ def generator_even(
     and N to build a transfer table; each call applies the tables to its terms
     in one pass.
     """
-    if n_photons < 2 or n_photons % 2:
+    if not is_int(n_photons) or n_photons < 2 or n_photons % 2:
         raise ValueError(
-            f"even-N generator requires even N >= 2, got {n_photons}"
+            f"even-N generator requires even int N >= 2, got {n_photons!r}"
         )
     return _apply_transfer(state, paths, _generator_even_circuit, n_photons)
 
@@ -534,8 +539,8 @@ def generator_odd(
     once per photon number of a path and N to build a transfer table; each
     call applies the tables to its terms in one pass.
     """
-    if n_photons < 1 or n_photons % 2 == 0:
-        raise ValueError(f"odd-N generator requires odd N >= 1, got {n_photons}")
+    if not is_int(n_photons) or n_photons < 1 or n_photons % 2 == 0:
+        raise ValueError(f"odd-N generator requires odd int N >= 1, got {n_photons!r}")
     return _apply_transfer(state, paths, _generator_odd_circuit, n_photons)
 
 

@@ -78,6 +78,24 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="alpha_sq"):
             closed_form_probability(1, 2, 2, -1.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((4, 2, 3.5), "N must be an int, got 3.5"),
+            ((1, 2.0, 2), "d must be an int, got 2.0"),
+            ((True, 2, 2), "method must be an int, got True"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "function",
+        [closed_form_probability, closed_form_component_magnitude, resource_counts],
+    )
+    def test_rejects_non_int_domain(self, function, args, message):
+        # 3.5 photons once gave p = 0.5; 2.0 modes a TypeError from inside.
+        with pytest.raises(ValueError) as info:
+            function(*args)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("alpha_sq", [math.nan, math.inf, -1.0])
     def test_rejects_bad_alpha_sq(self, alpha_sq):
         for closed_form in (closed_form_probability, closed_form_component_magnitude):

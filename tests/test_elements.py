@@ -261,6 +261,12 @@ class TestFockStateFilter:
         with pytest.raises(ValueError, match="at least 1"):
             apply_fsf(make_fock(1, [1]), 0, 0)
 
+    @pytest.mark.parametrize("k_filter", [1.5, 1.0, True])
+    def test_non_int_filter_order(self, k_filter):
+        message = f"filter order must be an int, at least 1, got {k_filter}"
+        with pytest.raises(ValueError, match=message):
+            apply_fsf(make_fock(1, [1]), 0, k_filter)
+
     def test_randomized_nulling_and_law(self):
         rng = np.random.default_rng(20180630)
         for _ in range(25):

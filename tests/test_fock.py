@@ -89,6 +89,12 @@ class TestCoherent:
         with pytest.raises(ValueError, match="cutoff"):
             make_coherent_truncated(1.0, -1)
 
+    @pytest.mark.parametrize("cutoff", [2.5, 2.0, True])
+    def test_non_int_cutoff(self, cutoff):
+        message = f"cutoff must be a non-negative int, got {cutoff}"
+        with pytest.raises(ValueError, match=message):
+            make_coherent_truncated(0.5, cutoff)
+
     @pytest.mark.parametrize(
         "alpha", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)]
     )

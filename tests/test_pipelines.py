@@ -686,6 +686,11 @@ class TestGeneratorEven:
         with pytest.raises(ValueError, match="even"):
             generator_even(make_fock(1, (3,)), 0, 3)
 
+    @pytest.mark.parametrize("n", [2.0, 4.0])
+    def test_rejects_non_int(self, n):
+        with pytest.raises(ValueError, match=f"requires even int N >= 2, got {n}"):
+            generator_even(make_fock(1, (2,)), 0, n)
+
 
 class TestGeneratorOdd:
     @staticmethod
@@ -715,6 +720,12 @@ class TestGeneratorOdd:
     def test_rejects_even(self):
         with pytest.raises(ValueError, match="odd"):
             generator_odd(make_fock(1, (2,)), 0, 2)
+
+    @pytest.mark.parametrize("n", [True, 3.0])
+    def test_rejects_non_int(self, n):
+        # True once ran as N = 1.
+        with pytest.raises(ValueError, match=f"requires odd int N >= 1, got {n}"):
+            generator_odd(make_fock(1, (1,)), 0, n)
 
 
 class TestGeneratorOddMatchesPolarizedCircuit:
@@ -1103,31 +1114,56 @@ class TestLevelPass:
     def test_idle_factor_at_most_one(self, circuit, args):
         # Pruning an idle run once at its end is exact only while no idle
         # step can raise a magnitude. The Kerr pass-through is exactly
-        # 1+0j, +0.0 imaginary part included: the condition that caps its
-        # idle runs at two products.
+        # 1+0j: the condition under which an expanded branch skips its idle
+        # runs, since a product with it changes no bit of an amplitude
+        # without a -0.0 part.
         ((_, _, idle),) = pipelines._transfer_table(circuit, 0, *args)
         assert abs(idle) <= 1.0
         if circuit is pipelines._generator_kerr_circuit:
             assert repr(idle) == "(1+0j)"
 
+    SIGNED_ZERO_AMPS = [
+        complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, -0.0)
+    ]
+
+    @pytest.mark.parametrize("amp", SIGNED_ZERO_AMPS)
     @pytest.mark.parametrize(
-        "amp",
-        [complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, -0.0)],
+        "occ, paths",
+        [((1, 0), (1, 1, 1)), ((1, 1, 0), (2, 2, 2)), ((1, 0), (1, 1, 1, 1, 1))],
     )
-    @pytest.mark.parametrize(
-        "occ, paths", [((1, 0), (1, 1, 1)), ((1, 1, 0), (2, 2, 2))]
-    )
-    def test_kerr_idle_run_capped_bit_for_bit(self, amp, occ, paths):
-        # Three Kerr generators on an empty mode are one idle run of three
-        # products with 1+0j, which the walk caps at two: on a single-mode
-        # branch and on a map branch. The term never expands, so no 0j + can
-        # hide a skipped product; a walk that skipped the run outright would
-        # keep the -0.0 real part of complex(-0.0, -1.0), which one product
-        # turns into +0.0.
+    def test_kerr_idle_run_on_an_input_term_bit_for_bit(self, amp, occ, paths):
+        # Kerr generators on an empty mode are one idle run of products with
+        # 1+0j on an input term, which takes every one of them: on a
+        # single-mode branch and on a map branch. The term never expands, so
+        # no 0j + can hide a skipped product; a walk that skipped the run
+        # outright would keep the -0.0 real part of complex(-0.0, -1.0),
+        # which one product turns into +0.0.
         state = FockState(len(occ), {occ: amp})
         self.assert_tuple_call_equals_int_calls(generator_kerr, (), state, paths)
-        idle = complex(1.0, 0.0)
-        expected = [(occ + (0, 0, 0), amp * idle * idle * idle)]
+        product = functools.reduce(operator.mul, [1 + 0j] * len(paths), amp)
+        expected = [(occ + (0,) * len(paths), product)]
+        out = generator_kerr(state, paths).state
+        assert repr(list(out.terms.items())) == repr(expected)
+
+    @pytest.mark.parametrize("amp", SIGNED_ZERO_AMPS)
+    def test_kerr_expanded_branch_idles_bit_for_bit(self, amp):
+        # The photon expands at step 0 into a branch left on mode 0, which
+        # idles two steps before it expands again at step 3, and one moved
+        # to mode 2, which idles three before it expands at step 4. Each
+        # expanded amplitude is 0j + amp * factor, with no -0.0 part, so the
+        # idle products with 1+0j that the int calls make change no bit and
+        # the walk skips them: the output is the two expansions alone.
+        state = FockState(2, {(1, 0): amp})
+        paths = (0, 1, 1, 0, 2)
+        self.assert_tuple_call_equals_int_calls(generator_kerr, (), state, paths)
+        table = pipelines._transfer_table(pipelines._generator_kerr_circuit, 1)
+        expected = []
+        for kept, _, first in table:
+            mode, fresh = (0, 5) if kept else (2, 6)
+            for touched, moved, second in table:
+                occ = [0] * 7
+                occ[mode], occ[fresh] = touched, moved
+                expected.append((tuple(occ), 0j + (0j + amp * first) * second))
         out = generator_kerr(state, paths).state
         assert repr(list(out.terms.items())) == repr(expected)
 

@@ -145,6 +145,10 @@ def test_element_types_with_equal_fields_differ():
         (lambda: MethodConfig(1, 1, 2), "d must be at least 2, got 1"),
         (lambda: MethodConfig(1, 2, 0), "N must be at least 1, got 0"),
         (lambda: MethodConfig(3, 3, 2), "d must be a power of two for methods 3 and 4"),
+        (lambda: MethodConfig(True, 2, 2), "method must be an int, got True"),
+        (lambda: MethodConfig(1, 2.0, 2), "d must be an int, got 2.0"),
+        (lambda: MethodConfig(3, 4.0, 2), "d must be an int, got 4.0"),
+        (lambda: MethodConfig(1, 2, 2.0), "N must be an int, got 2.0"),
         (lambda: MethodConfig(1, 2, 2, alpha=math.inf), "alpha must be finite, got inf"),
         (lambda: LossModel(1.5, 1.0), "eta_detector must lie in [0, 1], got 1.5"),
         (
