@@ -15,7 +15,7 @@ from math import lgamma, log
 from typing import Sequence
 
 from . import pipelines
-from .fock import Record
+from .fock import Record, is_int
 from .pipelines import check_domain
 
 # Ceilings for the simulation columns of sweeps and verification grids; the
@@ -237,8 +237,8 @@ class SweepSpec(
 ):
     """One sweep request: vary d at fixed N, or vary N at fixed d.
 
-    ``methods`` and ``values`` are tuples of ints and ``vary`` is "d" or "N".
-    ``alpha_sq`` fixes the method-1 intensity; None means the optimal N/d at
+    ``methods`` and ``values`` are tuples of ints, ``fixed`` is an int and
+    ``vary`` is "d" or "N"; an int here is never a bool. ``alpha_sq`` fixes the method-1 intensity; None means the optimal N/d at
     every grid point. Simulation columns are filled only within the
     (SIM_MAX_D, SIM_MAX_N) ceilings.
     """
@@ -254,6 +254,11 @@ class SweepSpec(
             check_domain(method)
         if not self.values:
             raise ValueError("sweep values must be non-empty")
+        for value in self.values:
+            if not is_int(value):
+                raise ValueError(f"values must be ints, got {value!r}")
+        if not is_int(self.fixed):
+            raise ValueError(f"fixed must be an int, got {self.fixed!r}")
         minimum = 2 if self.vary == "d" else 1
         if min(self.values) < minimum:
             raise ValueError(

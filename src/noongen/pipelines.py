@@ -176,8 +176,13 @@ def extract_noon(state: FockState, n_photons: int) -> NoonReport:
 def _noon_report(components: list, n_photons: int, residual_norm: float) -> NoonReport:
     """Report on the NOON ``components``, one amplitude per mode, 0j where absent.
 
-    Each component gets its own sign, relative to the phase of the first
-    component above the threshold.
+    Each component's sign is relative to the phase of the first component
+    above the threshold. It is computed here once per distinct component
+    value, in order of first appearance, and looked up for each repeat: a
+    cascade's d components take a handful of values. Components that compare
+    equal differ at most in the sign of a zero part, which the rounded sign
+    does not show, and the first component above the threshold is the first
+    of its value, so every sign is the one computed per component.
     """
     d = len(components)
     magnitudes = list(map(abs, components))
@@ -185,18 +190,21 @@ def _noon_report(components: list, n_photons: int, residual_norm: float) -> Noon
     largest = max(magnitudes)
     threshold = _REPORT_TOLERANCE * largest
     balanced = 0.0 < probability and largest - min(magnitudes) <= threshold
-    signs = [0j] * d
+    signs = dict.fromkeys(components, 0j)
     reference = None
-    for j, (c, m) in enumerate(zip(components, magnitudes)):
+    for c in signs:
+        m = abs(c)
         if m > threshold:
             phase = c / m
             if reference is None:
                 reference = phase
-            signs[j] = _rounded_sign(phase / reference)
+            signs[c] = _rounded_sign(phase / reference)
     if reference is None:
-        signs = [1 + 0j] * d
+        pattern = (1 + 0j,) * d
+    else:
+        pattern = tuple(map(signs.__getitem__, components))
     return NoonReport(
-        d, n_photons, tuple(components), probability, tuple(signs), balanced,
+        d, n_photons, tuple(components), probability, pattern, balanced,
         residual_norm,
     )
 
@@ -235,7 +243,11 @@ _ONE = 1 << 106  # isqrt(m * _ONE * _ONE) / _ONE: sqrt(m) correctly rounded
 
 
 def _check_split(n_photons: int, d: int) -> None:
-    """Raise ValueError outside the split's range 1 <= N <= 300 or for d < 2."""
+    """Raise ValueError unless N and d are ints (not bools), 1 <= N <= 300 and d >= 2."""
+    if not is_int(n_photons):
+        raise ValueError(f"photon number must be an int, got {n_photons!r}")
+    if not is_int(d):
+        raise ValueError(f"mode count must be an int, got {d!r}")
     if not 1 <= n_photons <= 300:
         raise ValueError(f"photon number must be 1 to 300, got {n_photons}")
     if d < 2:
@@ -333,19 +345,25 @@ def _level_paths(paths, mode_count: int) -> tuple[int, ...]:
 
     Entry ``i`` may name any mode below ``mode_count + i``: an input mode or
     the fresh mode an earlier entry appends. Raises ValueError for an empty
-    tuple, a non-int entry or an index outside that range.
+    tuple, a non-int entry or an index outside that range. A tuple of exact
+    ints passes one pass over the entries' types here, and its ranges are
+    checked by :func:`_schedule`, once per cached schedule. Any other tuple
+    is checked here entry by entry, type then range, so a float or bool
+    never reaches the cache, where ``(0, 1.0)`` or ``(0, True)`` would find
+    the schedule of the equal ``(0, 1)``.
     """
     if not isinstance(paths, tuple):
         paths = (paths,)
     if not paths:
         raise ValueError("paths must name at least one mode")
-    for i, path in enumerate(paths):
-        if not is_int(path):
-            raise ValueError(f"path index {path!r} is not an int")
-        if not 0 <= path < mode_count + i:
-            raise ValueError(
-                f"path index {path} out of range for {mode_count + i} modes"
-            )
+    if set(map(type, paths)) != {int}:
+        for i, path in enumerate(paths):
+            if not is_int(path):
+                raise ValueError(f"path index {path!r} is not an int")
+            if not 0 <= path < mode_count + i:
+                raise ValueError(
+                    f"path index {path} out of range for {mode_count + i} modes"
+                )
     return paths
 
 
@@ -355,13 +373,20 @@ def _schedule(paths: tuple[int, ...], mode_count: int) -> tuple[tuple, ...]:
 
     Entry ``m`` lists, in order, the steps whose generator touches mode ``m``
     of the ``mode_count + len(paths)`` output modes, and ends with
-    ``len(paths)``, the step past the last. Cached because the cascades
-    repeat their shape: every method 3 or 4 run at one d makes the same call
-    on the same paths, and a grid revisits few d.
+    ``len(paths)``, the step past the last. Each entry's range is checked
+    here, in order, as :func:`_level_paths` does for a tuple that is not all
+    exact ints; an error is not cached, so it is raised on every call.
+    Cached because the cascades repeat their shape: every method 3 or 4 run
+    at one d makes the same call on the same paths, and a grid revisits few
+    d.
     """
     width = len(paths)
     steps = [[] for _ in range(mode_count + width)]
     for step, path in enumerate(paths):
+        if not 0 <= path < mode_count + step:
+            raise ValueError(
+                f"path index {path} out of range for {mode_count + step} modes"
+            )
         steps[path].append(step)
     return tuple(tuple(touches) + (width,) for touches in steps)
 
@@ -402,6 +427,8 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     occupied modes, in the order they are touched, as ``rest``.
     """
     paths = _level_paths(paths, state.mode_count)
+    first_fresh = state.mode_count
+    steps = _schedule(paths, first_fresh)
     vacuum = _transfer_table(circuit, 0, *args)
     if not vacuum:
         # Only the N-photon generators can get here: the Kerr pass-through is 1.
@@ -412,8 +439,6 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     ((_, _, idle),) = vacuum
     unit = idle == 1
     width = len(paths)
-    first_fresh = state.mode_count
-    steps = _schedule(paths, first_fresh)
     row = [0] * len(steps)
     tables = {}
     leaves = {}
@@ -425,7 +450,8 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
             amp, step, index, mode, n, k, rest = stack.pop()
             run = index - step
             if run and not (step and unit):
-                amp = reduce(mul, repeat(idle, run), amp)
+                for _ in range(run):
+                    amp = amp * idle
                 if abs(amp) < PRUNE_THRESHOLD:
                     continue
             if index == width:
@@ -633,7 +659,7 @@ def run_method3(cfg: MethodConfig) -> NoonReport:
     if cfg.method != 3:
         raise ValueError("run_method3 requires method=3")
     generator = generator_odd if cfg.N % 2 else generator_even
-    source = FockState._trusted(1, [((cfg.N,), 1 + 0j)])  # cfg checked N
+    source = FockState._adopt(1, {(cfg.N,): 1 + 0j})  # cfg checked N
     state = _cascade(cfg.d, source, generator, cfg.N)
     return extract_noon(state, cfg.N)
 
@@ -642,7 +668,7 @@ def run_method4(cfg: MethodConfig) -> NoonReport:
     """Cascade of d-1 cross-Kerr generators in the same balanced tree."""
     if cfg.method != 4:
         raise ValueError("run_method4 requires method=4")
-    source = FockState._trusted(1, [((cfg.N,), 1 + 0j)])  # cfg checked N
+    source = FockState._adopt(1, {(cfg.N,): 1 + 0j})  # cfg checked N
     state = _cascade(cfg.d, source, generator_kerr)
     return extract_noon(state, cfg.N)
 

@@ -306,6 +306,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="method"):
             SweepSpec(methods=(9,), vary="d", fixed=4, values=(2,))
 
+    @pytest.mark.parametrize(
+        "fixed, values, message",
+        [
+            (4, (2.5,), "values must be ints, got 2.5"),
+            (4, (2, True), "values must be ints, got True"),
+            (4, ("3",), "values must be ints, got '3'"),
+            (4.0, (2,), "fixed must be an int, got 4.0"),
+            (True, (2,), "fixed must be an int, got True"),
+        ],
+    )
+    def test_non_int_values_rejected_when_built(self, fixed, values, message):
+        # Checked when the spec is built, not mid-sweep.
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(methods=(1,), vary="N", fixed=fixed, values=values)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="power-of-two"):
             compare_grid((3, 4), (3, 5, 6), (2,))

@@ -2,6 +2,7 @@
 
 import cmath
 import decimal
+import enum
 import functools
 import itertools
 import math
@@ -166,6 +167,20 @@ class TestSplitEvenly:
                 want = multinomial_amplitude(occ)
                 assert amplitude(state, occ) == pytest.approx(want, rel=1e-12)
         assert norm_sq(state) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, d, message",
+        [
+            (True, 2, "photon number must be an int, got True"),
+            (2.0, 2, "photon number must be an int, got 2.0"),
+            (2, True, "mode count must be an int, got True"),
+            (2, 3.0, "mode count must be an int, got 3.0"),
+        ],
+    )
+    def test_non_int_counts_rejected(self, n, d, message):
+        # True would run as N = 1; a float would fail inside the multinomial.
+        with pytest.raises(ValueError, match=message):
+            split_evenly(n, d)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="photon number"):
@@ -1021,6 +1036,35 @@ class TestGeneratorRoutes:
         for state in (FockState(3, {(1, 0, 2): 1.0}), FockState(3, {})):
             with pytest.raises(ValueError, match=message):
                 generator(state, paths, *args)
+
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    @pytest.mark.parametrize("paths", [(0, 1.0), (0, True)])
+    def test_equal_paths_do_not_reuse_a_checked_schedule(self, generator, args, paths):
+        # (0, 1.0) and (0, True) equal (0, 1) and hash alike, so the cached
+        # schedule of (0, 1) must not stand in for their type check.
+        state = FockState(1, {(1,): 1.0})
+        generator(state, (0, 1), *args)
+        assert (0, 1) == paths and pipelines._schedule.cache_info().currsize
+        with pytest.raises(ValueError, match=f"path index {paths[1]!r} is not an int"):
+            generator(state, paths, *args)
+
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    def test_range_checked_before_a_later_entry_type(self, generator, args):
+        # Entry by entry, type then range: entry 0 is out of range before
+        # entry 1's float is seen.
+        with pytest.raises(ValueError, match="path index 5 out of range for 3 modes"):
+            generator(FockState(3, {(1, 0, 2): 1.0}), (5, 1.0), *args)
+
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    def test_int_enum_paths_accepted(self, generator, args):
+        # An int subclass other than bool is a mode index: the call takes
+        # the entry-by-entry check and gives the plain ints' state.
+        Mode = enum.IntEnum("Mode", {"A": 0, "B": 1, "C": 2})
+        state = FockState(2, {(2, 0): 1.0, (1, 1): 0.5j})
+        plain = generator(state, (0, 1, 2, 0), *args).state
+        named = generator(state, (Mode.A, Mode.B, Mode.C, Mode.A), *args).state
+        assert named.mode_count == plain.mode_count == 6
+        assert repr(list(named.terms.items())) == repr(list(plain.terms.items()))
 
 
 def _level_state(rng, modes: int) -> FockState:
