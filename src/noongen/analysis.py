@@ -238,9 +238,10 @@ class SweepSpec(
     """One sweep request: vary d at fixed N, or vary N at fixed d.
 
     ``methods`` and ``values`` are tuples of ints, ``fixed`` is an int and
-    ``vary`` is "d" or "N"; an int here is never a bool. ``alpha_sq`` fixes the method-1 intensity; None means the optimal N/d at
-    every grid point. Simulation columns are filled only within the
-    (SIM_MAX_D, SIM_MAX_N) ceilings.
+    ``vary`` is "d" or "N"; an int here is never a bool. ``alpha_sq`` fixes
+    the method-1 intensity; None means the optimal N/d at every grid point.
+    Simulation columns are filled only within the (SIM_MAX_D, SIM_MAX_N)
+    ceilings.
     """
 
     __slots__ = ()

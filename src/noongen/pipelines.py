@@ -202,7 +202,9 @@ def _noon_report(components: list, n_photons: int, residual_norm: float) -> Noon
     if reference is None:
         pattern = (1 + 0j,) * d
     else:
-        pattern = tuple(map(signs.__getitem__, components))
+        # Through a list: a tuple built from a map of unknown length grows
+        # by reallocation, which fragments the heap and raises peak memory.
+        pattern = tuple(list(map(signs.__getitem__, components)))
     return NoonReport(
         d, n_photons, tuple(components), probability, pattern, balanced,
         residual_norm,
@@ -243,7 +245,7 @@ _ONE = 1 << 106  # isqrt(m * _ONE * _ONE) / _ONE: sqrt(m) correctly rounded
 
 
 def _check_split(n_photons: int, d: int) -> None:
-    """Raise ValueError unless N and d are ints (not bools), 1 <= N <= 300 and d >= 2."""
+    """Raise ValueError unless N and d are ints, not bools, 1 <= N <= 300, d >= 2."""
     if not is_int(n_photons):
         raise ValueError(f"photon number must be an int, got {n_photons!r}")
     if not is_int(d):
@@ -428,7 +430,7 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     """
     paths = _level_paths(paths, state.mode_count)
     first_fresh = state.mode_count
-    steps = _schedule(paths, first_fresh)
+    steps = _schedule(paths, first_fresh)  # a range error comes before the vacuum's
     vacuum = _transfer_table(circuit, 0, *args)
     if not vacuum:
         # Only the N-photon generators can get here: the Kerr pass-through is 1.

@@ -1028,11 +1028,13 @@ class TestGeneratorRoutes:
             (True, "path index True is not an int"),
             ((0, 4), "path index 4 out of range for 4 modes"),
             ((0, -1), "path index -1 out of range for 4 modes"),
+            ((5, 1.0), "path index 5 out of range for 3 modes"),
         ],
     )
     def test_level_paths_validated_on_the_input(self, generator, args, paths, message):
         # Entry i may name a mode below mode_count + i: an input mode, or the
-        # fresh mode of an earlier entry, never one not appended yet.
+        # fresh mode of an earlier entry, never one not appended yet. Entries
+        # are checked in order, type then range, so (5, 1.0) fails on its 5.
         for state in (FockState(3, {(1, 0, 2): 1.0}), FockState(3, {})):
             with pytest.raises(ValueError, match=message):
                 generator(state, paths, *args)
@@ -1047,13 +1049,6 @@ class TestGeneratorRoutes:
         assert (0, 1) == paths and pipelines._schedule.cache_info().currsize
         with pytest.raises(ValueError, match=f"path index {paths[1]!r} is not an int"):
             generator(state, paths, *args)
-
-    @pytest.mark.parametrize("generator, args", GENERATORS)
-    def test_range_checked_before_a_later_entry_type(self, generator, args):
-        # Entry by entry, type then range: entry 0 is out of range before
-        # entry 1's float is seen.
-        with pytest.raises(ValueError, match="path index 5 out of range for 3 modes"):
-            generator(FockState(3, {(1, 0, 2): 1.0}), (5, 1.0), *args)
 
     @pytest.mark.parametrize("generator, args", GENERATORS)
     def test_int_enum_paths_accepted(self, generator, args):
