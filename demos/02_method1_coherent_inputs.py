@@ -12,7 +12,7 @@ from noongen import (
     closed_form_probability,
     format_float,
     optimal_alpha_sq,
-    run_method1,
+    run_method,
 )
 
 
@@ -22,9 +22,7 @@ def main():
 
     print(f"  {'|alpha|^2':>10} {'p (simulated)':>16} {'p (closed form)':>16}")
     for alpha_sq in (0.25, 0.5, 1.0, 1.5, 2.0):
-        report = run_method1(
-            MethodConfig(method=1, d=d, N=n, alpha=alpha_sq**0.5)
-        )
+        report = run_method(MethodConfig(method=1, d=d, N=n, alpha=alpha_sq**0.5))
         closed = closed_form_probability(1, d, n, alpha_sq)
         print(
             f"  {alpha_sq:>10.2f} {format_float(report.generation_probability):>16} "
@@ -34,7 +32,7 @@ def main():
     best = optimal_alpha_sq(d, n)
     print(f"\nthe optimum sits at |alpha|^2 = N/d = {best}")
 
-    report = run_method1(MethodConfig(method=1, d=d, N=n, alpha=1.0))
+    report = run_method(MethodConfig(method=1, d=d, N=n, alpha=1.0))
     print(f"\nreport at |alpha|^2 = 1:")
     print(f"  generation probability: {report.generation_probability:.6e}")
     print(f"  balanced components:    {report.balanced}")

@@ -11,8 +11,7 @@ the block that removes k-photon terms removes (N-k)-photon terms with them.
 from noongen import (
     MethodConfig,
     apply_fsf,
-    run_method1,
-    run_method2,
+    run_method,
     split_evenly,
     state_rows,
 )
@@ -34,8 +33,8 @@ def main():
     print("block 1 removed occupations 1 and 3, block 2 removed occupation 2")
 
     print("\nfour modes, four photons:")
-    report = run_method2(MethodConfig(method=2, d=4, N=4))
-    p1 = run_method1(
+    report = run_method(MethodConfig(method=2, d=4, N=4))
+    p1 = run_method(
         MethodConfig(method=1, d=4, N=4, alpha=1.0)
     ).generation_probability
     print(f"  generation probability: {report.generation_probability:.6e}")

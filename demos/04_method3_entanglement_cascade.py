@@ -19,7 +19,7 @@ from noongen import (
     generator_even,
     generator_odd,
     make_fock,
-    run_method3,
+    run_method,
 )
 
 
@@ -42,7 +42,7 @@ def main():
     print("\ncascades (balanced binary tree of d-1 generators):")
     print(f"  {'d':>2} {'N':>2} {'p simulated':>16} {'p closed form':>16}")
     for d, n in ((2, 2), (2, 3), (4, 3), (4, 4)):
-        report = run_method3(MethodConfig(method=3, d=d, N=n))
+        report = run_method(MethodConfig(method=3, d=d, N=n))
         closed = closed_form_probability(3, d, n)
         print(f"  {d:>2} {n:>2} {report.generation_probability:>16.6e} {closed:>16.6e}")
     print("\nodd N runs through polarizing taps yet lands on the same")

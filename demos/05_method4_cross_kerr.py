@@ -13,7 +13,7 @@ from noongen import (
     MethodConfig,
     generator_kerr,
     make_fock,
-    run_method4,
+    run_method,
     state_rows,
 )
 
@@ -32,7 +32,7 @@ def main():
     print("\ncascades:")
     print(f"  {'d':>2} {'N':>2} {'probability':>12}")
     for d in (2, 4, 8):
-        report = run_method4(MethodConfig(method=4, d=d, N=4))
+        report = run_method(MethodConfig(method=4, d=d, N=4))
         print(f"  {d:>2} {4:>2} {report.generation_probability:>12.10f}")
     print("\nexactly 1/d every time; the price is a pi cross-Kerr phase,")
     print("far beyond present-day nonlinearities")

@@ -68,10 +68,9 @@ def optimal_alpha_sq(d: int, n_photons: int) -> float:
     """Coherent intensity N/d that maximizes the method-1 probability.
 
     At this value the mean total photon number of the d coherent inputs
-    equals N.
+    equals N. Raises ValueError outside method 1's domain.
     """
-    if d < 1 or n_photons < 1:
-        raise ValueError("d and N must be at least 1")
+    check_domain(1, d, n_photons)
     return n_photons / d
 
 
@@ -129,8 +128,8 @@ def generator_magnitudes(n_photons: int) -> tuple[float, float]:
     two-mode NOON pair, and the factor when a vacuum input consumes the
     internal |N>. Identical for the even- and odd-N generator flavors.
     """
-    if n_photons < 1:
-        raise ValueError(f"N must be at least 1, got {n_photons}")
+    if not is_int(n_photons) or n_photons < 1:
+        raise ValueError(f"N must be an int of at least 1, got {n_photons!r}")
     n = n_photons
     half_log_fact = 0.5 * lgamma(n + 1)
     split = math.exp(half_log_fact - n * log(2.0) - 0.5 * n * log(n))
@@ -186,8 +185,8 @@ def asymptotic_ratio(n_photons: int) -> float:
 
     Approaches sqrt(2*pi*N) from above as N grows.
     """
-    if n_photons < 2:
-        raise ValueError(f"N must be at least 2, got {n_photons}")
+    if not is_int(n_photons) or n_photons < 2:
+        raise ValueError(f"N must be an int of at least 2, got {n_photons!r}")
     n = n_photons
     return math.exp(lgamma(n) + n - (n - 1) * log(n))
 

@@ -81,7 +81,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     def add_command(name: str, help_text: str) -> _Parser:
         sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--format", choices=("json", "csv"), default=None)
+        if name != "verify":  # verify prints only its text lines
+            sub.add_argument("--format", choices=("json", "csv"), default=None)
         sub.add_argument(
             "--output",
             default=None,

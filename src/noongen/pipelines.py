@@ -21,12 +21,13 @@ Four schemes are simulated exactly on the sparse Fock representation:
    single-photon detection.
 
 All amplitudes stay relative to the original input, so generation
-probabilities are squared norms of the extracted NOON components. Methods 3
-and 4 require d to be a power of two; the cascade is a balanced binary tree
-(each occupied-or-superposed mode is paired with a fresh mode level by level),
-which is what makes the final component amplitudes equal. One generator call
-runs the whole tree, each branch kept as its occupied modes until its final
-occupation is built.
+probabilities are squared norms of the extracted NOON components.
+:func:`run_method` runs every scheme: one branch filters methods 1 and 2,
+the other cascades methods 3 and 4, which require d to be a power of two.
+The cascade is a balanced binary tree (each occupied-or-superposed mode is
+paired with a fresh mode level by level), which makes the final component
+amplitudes equal; one generator call runs the whole tree, each branch kept
+as its occupied modes until its final occupation is built.
 """
 
 from __future__ import annotations
@@ -87,10 +88,10 @@ class MethodConfig(
 ):
     """Configuration for one generation run.
 
-    ``alpha`` is the coherent amplitude used by method 1 only; when omitted it
-    defaults to the optimal value sqrt(N/d). ``alpha`` and |alpha|^2 must be
-    finite. The report's threshold is fixed (:data:`_REPORT_TOLERANCE`), so
-    no field sets it.
+    ``alpha`` is the coherent amplitude of method 1, which the other methods
+    reject; when omitted it defaults to the optimal value sqrt(N/d). ``alpha``
+    and |alpha|^2 must be finite. The report's threshold is fixed
+    (:data:`_REPORT_TOLERANCE`), so no field sets it.
     """
 
     __slots__ = ()
@@ -98,6 +99,10 @@ class MethodConfig(
     def __init__(self, *args, **kwargs) -> None:
         check_domain(self.method, self.d, self.N)
         if self.alpha is not None:
+            if self.method != 1:
+                raise ValueError(
+                    f"alpha applies to method 1 only, got method {self.method}"
+                )
             check_alpha(self.alpha)
 
 
@@ -155,10 +160,11 @@ def extract_noon(state: FockState, n_photons: int) -> NoonReport:
     fails on a lone mode holding another number). The residual is a correctly
     rounded sum (``math.fsum``) of the other terms' squared magnitudes, so
     their order does not matter. :func:`_noon_report` builds the report from
-    the components. Raises ValueError for ``n_photons < 1``.
+    the components. Raises ValueError unless ``n_photons`` is an int (not a
+    bool) of at least 1.
     """
-    if n_photons < 1:
-        raise ValueError(f"N must be at least 1, got {n_photons}")
+    if not is_int(n_photons) or n_photons < 1:
+        raise ValueError(f"N must be an int of at least 1, got {n_photons!r}")
     d = state.mode_count
     components = [0j] * d
     rest = []
@@ -293,37 +299,6 @@ def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
         phase = amplitude / magnitude
         sign = _rounded_sign(phase / phase)
     return NoonReport(d, n, (amplitude,) * d, probability, (sign,) * d, balanced, 0.0)
-
-
-def run_method1(cfg: MethodConfig) -> NoonReport:
-    """Coherent inputs, Fock-state filtration, and N-photon postselection.
-
-    Each of the d modes starts in a coherent state truncated at N photons,
-    and :func:`_filtrate` reports on its 0- and N-photon amplitudes (0j for
-    one that rounded to 0) instead of C(N+d-1, d-1) sector terms or (N+1)^d
-    product terms.
-    """
-    if cfg.method != 1:
-        raise ValueError("run_method1 requires method=1")
-    alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(cfg.N / cfg.d)
-    single = make_coherent_truncated(alpha, cfg.N).terms
-    return _filtrate(cfg, single.get((0,), 0j), single.get((cfg.N,), 0j))
-
-
-def run_method2(cfg: MethodConfig) -> NoonReport:
-    """Evenly split N-photon input through the same filtration blocks.
-
-    Block k annihilates every component with k or N-k photons in any mode, so
-    after floor(N/2) blocks only the NOON components survive; no final
-    postselection is needed. As in method 1 only the split's 0- and N-photon
-    amplitudes are filtered: 1, and sqrt(N!) * d^(-N/2)/sqrt(N!) = d^(-N/2)
-    rounded from the exact d^N, as the two factors' product underflows.
-    """
-    if cfg.method != 2:
-        raise ValueError("run_method2 requires method=2")
-    n, d = cfg.N, cfg.d
-    _check_split(n, d)
-    return _filtrate(cfg, 1 + 0j, _split_factor(d**n))
 
 
 @lru_cache(maxsize=None)
@@ -633,51 +608,38 @@ def _generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
 
 @lru_cache(maxsize=64)
 def _tree_paths(d: int) -> tuple[int, ...]:
-    """The levels' paths of :func:`_cascade`, built once per d."""
+    """Paths of the d-1 generators of a balanced binary tree, one tuple per d.
+
+    Level l splits the paths 2^l - 1, ..., 1, 0 in turn, each generator
+    appending a fresh path with the next unused index: for d=8 the paths are
+    (0, 1, 0, 3, 2, 1, 0).
+    """
     levels = range(d.bit_length() - 1)
     return tuple(path for level in levels for path in reversed(range(2**level)))
 
 
-def _cascade(d: int, state: FockState, generator, *args) -> FockState:
-    """Run d-1 generators as a balanced binary tree over d = 2^L paths.
-
-    At level l the paths 2^l - 1, ..., 1, 0 are each split in turn, and every
-    generator appends a fresh path with the next unused index. One generator
-    call runs the whole tree on the levels' paths in sequence: for d=8 they
-    are (0, 1, 0, 3, 2, 1, 0), one shared tuple per d (:func:`_tree_paths`).
-    """
-    return generator(state, _tree_paths(d), *args).state
-
-
-def run_method3(cfg: MethodConfig) -> NoonReport:
-    """Cascade of d-1 two-photon-interference entanglement generators.
-
-    Generators are arranged as a balanced binary tree: level by level, every
-    path created so far, last first, is paired with a fresh path (for d=4 the
-    pairings are (1,2), then (2,3) and (1,4)). Even and odd N dispatch to the
-    matching generator; both act on single-mode paths, so one cascade over
-    one layout serves every N.
-    """
-    if cfg.method != 3:
-        raise ValueError("run_method3 requires method=3")
-    generator = generator_odd if cfg.N % 2 else generator_even
-    source = FockState._adopt(1, {(cfg.N,): 1 + 0j})  # cfg checked N
-    state = _cascade(cfg.d, source, generator, cfg.N)
-    return extract_noon(state, cfg.N)
-
-
-def run_method4(cfg: MethodConfig) -> NoonReport:
-    """Cascade of d-1 cross-Kerr generators in the same balanced tree."""
-    if cfg.method != 4:
-        raise ValueError("run_method4 requires method=4")
-    source = FockState._adopt(1, {(cfg.N,): 1 + 0j})  # cfg checked N
-    state = _cascade(cfg.d, source, generator_kerr)
-    return extract_noon(state, cfg.N)
-
-
-_RUNNERS = {1: run_method1, 2: run_method2, 3: run_method3, 4: run_method4}
-
-
 def run_method(cfg: MethodConfig) -> NoonReport:
-    """Dispatch to the configured generation pipeline."""
-    return _RUNNERS[cfg.method](cfg)
+    """Run the configured scheme and report on its NOON components.
+
+    Methods 1 and 2 filter one mode's 0- and N-photon amplitudes: a coherent
+    state's truncated at N (0j for one that rounded to 0), or the split's 1
+    and d^(-N/2), rounded from the exact d^N as the product of sqrt(N!) and
+    d^(-N/2)/sqrt(N!) underflows. Methods 3 and 4 run the generator of N's
+    parity, or the cross-Kerr one, once over :func:`_tree_paths` from |N>.
+    Raises ValueError for a method outside :data:`METHODS`.
+    """
+    method, d, n, alpha = cfg
+    if method not in METHODS:
+        raise ValueError(f"method must be 1, 2, 3 or 4, got {method!r}")
+    if method == 1:
+        alpha = alpha if alpha is not None else math.sqrt(n / d)
+        single = make_coherent_truncated(alpha, n).terms
+        return _filtrate(cfg, single.get((0,), 0j), single.get((n,), 0j))
+    if method == 2:
+        _check_split(n, d)
+        return _filtrate(cfg, 1 + 0j, _split_factor(d**n))
+    generator, args = generator_kerr, ()
+    if method == 3:
+        generator, args = (generator_odd if n % 2 else generator_even), (n,)
+    source = FockState._adopt(1, {(n,): 1 + 0j})  # cfg checked N
+    return extract_noon(generator(source, _tree_paths(d), *args).state, n)

@@ -402,9 +402,9 @@ def cascade_generator(cfg: MethodConfig) -> tuple:
 def cascade_one_path_at_a_time(cfg: MethodConfig) -> FockState:
     """Final state of method 3 or 4 with every generator of the tree called alone.
 
-    The same tree as ``pipelines._cascade``: at level l the paths 2^l - 1,
+    The same tree as ``pipelines._tree_paths``: at level l the paths 2^l - 1,
     ..., 1, 0 are split in turn. Here each path is its own int call of the
-    public generator, where the pipelines run the whole tree in one call.
+    public generator, where ``run_method`` runs the whole tree in one call.
     """
     generator, args = cascade_generator(cfg)
     state = make_fock(1, (cfg.N,))

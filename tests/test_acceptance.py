@@ -33,7 +33,6 @@ from noongen import (
     make_fock,
     optimal_alpha_sq,
     run_method,
-    run_method1,
     split_evenly,
     two_photon_projector,
 )
@@ -174,7 +173,7 @@ def test_acceptance_7_structural_invariants():
                 assert k not in occ and (n - k) not in occ
 
     # method-1 N-photon sector holds nothing but the NOON components
-    report = run_method1(MethodConfig(method=1, d=4, N=4, alpha=1.0))
+    report = run_method(MethodConfig(method=1, d=4, N=4, alpha=1.0))
     assert report.residual_norm < 1e-12
 
     # two-mode generator sign rules over N mod 4

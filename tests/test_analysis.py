@@ -77,6 +77,8 @@ class TestClosedForms:
             closed_form_probability(3, 3, 2)
         with pytest.raises(ValueError, match="alpha_sq"):
             closed_form_probability(1, 2, 2, -1.0)
+        with pytest.raises(ValueError, match="d must be at least 2, got 1"):
+            optimal_alpha_sq(1, 3)  # method 1 needs two modes
 
     @pytest.mark.parametrize(
         "args, message",

@@ -489,6 +489,22 @@ class TestRejectedInput:
                 ("sweep", "--vary", "N", "--N-range", "2:3"),
                 "sweep --vary N requires --d and --N-range",
             ),
+            # verify prints text lines only, so it takes no --format.
+            (
+                None,
+                ("verify", "--d-values", "2", "--N-range", "2:2", "--format", "json"),
+                "unrecognized arguments: --format json",
+            ),
+            (
+                "format=json\n",
+                ("--config", "{config}", "verify", "--d-values", "2", "--N-range", "2:2"),
+                "unknown config key 'format'",
+            ),
+            (
+                None,
+                ("generate", "--method", "3", "--d", "2", "--N", "2", "--alpha-sq", "5"),
+                "alpha applies to method 1 only, got method 3",
+            ),
         ],
     )
     def test_one_error_line(self, capsys, tmp_path, config, argv, message):

@@ -38,7 +38,6 @@ from noongen import pipelines
 from noongen import (
     PRUNE_THRESHOLD,
     FockState,
-    HeraldedOutcome,
     MethodConfig,
     NoonReport,
     amplitude,
@@ -55,10 +54,6 @@ from noongen import (
     make_fock,
     norm_sq,
     run_method,
-    run_method1,
-    run_method2,
-    run_method3,
-    run_method4,
     split_evenly,
     tensor,
 )
@@ -435,7 +430,7 @@ class TestNoonSector:
         assert raised < 300 // 2
 
     def test_missing_factor_leaves_no_term(self):
-        # ``run_method1`` reads a coherent amplitude that rounded to 0 as 0j;
+        # Method 1 reads a coherent amplitude that rounded to 0 as 0j;
         # a zero factor of either sign gives exact unsigned zeros, with or
         # without filter blocks.
         signed = complex(-0.0, -0.0)
@@ -457,7 +452,7 @@ class TestNoonSector:
 
 class TestMethod1:
     def test_two_mode_two_photon_amplitude(self):
-        report = run_method1(MethodConfig(method=1, d=2, N=2, alpha=1.0))
+        report = run_method(MethodConfig(method=1, d=2, N=2, alpha=1.0))
         expected = -math.exp(-1.0) / (4.0 * math.sqrt(2.0))
         for comp in report.component_amplitudes:
             assert comp == pytest.approx(expected, rel=1e-9)
@@ -466,24 +461,24 @@ class TestMethod1:
         )
 
     def test_headline_four_mode_four_photon(self):
-        report = run_method1(MethodConfig(method=1, d=4, N=4, alpha=1.0))
+        report = run_method(MethodConfig(method=1, d=4, N=4, alpha=1.0))
         assert report.generation_probability == pytest.approx(4.2e-6, rel=0.03)
         assert report.generation_probability == pytest.approx(
             closed_form_probability(1, 4, 4, 1.0), rel=1e-9, abs=0.0
         )
 
     def test_vacuum_input_reports_zero(self):
-        report = run_method1(MethodConfig(method=1, d=3, N=2, alpha=0.0))
+        report = run_method(MethodConfig(method=1, d=3, N=2, alpha=0.0))
         assert report.generation_probability == 0.0
         assert report.component_amplitudes == (0j, 0j, 0j)
 
     def test_common_phase_across_components(self):
-        report = run_method1(MethodConfig(method=1, d=4, N=4, alpha=1.0))
+        report = run_method(MethodConfig(method=1, d=4, N=4, alpha=1.0))
         for sign in report.sign_pattern:
             assert sign == pytest.approx(1.0 + 0j, abs=1e-10)
 
     def test_sector_purity(self):
-        report = run_method1(MethodConfig(method=1, d=4, N=4, alpha=1.0))
+        report = run_method(MethodConfig(method=1, d=4, N=4, alpha=1.0))
         assert report.residual_norm < 1e-12
         assert report.balanced
 
@@ -499,14 +494,14 @@ class TestMethod1:
             assert set(occ) <= allowed
 
     def test_default_alpha_is_optimal(self):
-        report = run_method1(MethodConfig(method=1, d=4, N=4))
+        report = run_method(MethodConfig(method=1, d=4, N=4))
         assert report.generation_probability == pytest.approx(
             closed_form_probability(1, 4, 4, 1.0), rel=1e-9, abs=0.0
         )
 
     @pytest.mark.parametrize("d,n", [(8, 4), (4, 8), (10, 10), (12, 8)])
     def test_matches_closed_form_beyond_verify_grid(self, d, n):
-        report = run_method1(MethodConfig(method=1, d=d, N=n))
+        report = run_method(MethodConfig(method=1, d=d, N=n))
         assert report.generation_probability == pytest.approx(
             closed_form_probability(1, d, n, n / d), rel=1e-9, abs=0.0
         )
@@ -524,7 +519,7 @@ class TestMethod1:
                 state = tensor(state, single)
             state = filtrate_blocks(state, n)
             want = extract_noon(restrict_total_photons(state, n), n)
-            got = run_method1(cfg)
+            got = run_method(cfg)
             for a, b in zip(got.component_amplitudes, want.component_amplitudes):
                 assert abs(a - b) <= 1e-15 * abs(b), alpha
             assert abs(got.residual_norm - want.residual_norm) <= (
@@ -534,20 +529,20 @@ class TestMethod1:
 
 class TestMethod2:
     def test_two_mode_two_photon_amplitude(self):
-        report = run_method2(MethodConfig(method=2, d=2, N=2))
+        report = run_method(MethodConfig(method=2, d=2, N=2))
         for comp in report.component_amplitudes:
             assert comp == pytest.approx(-0.125, rel=1e-9)
 
     def test_headline_and_ratio(self):
-        p2 = run_method2(MethodConfig(method=2, d=4, N=4)).generation_probability
+        p2 = run_method(MethodConfig(method=2, d=4, N=4)).generation_probability
         assert p2 == pytest.approx(2.1e-5, rel=0.03)
-        p1 = run_method1(
+        p1 = run_method(
             MethodConfig(method=1, d=4, N=4, alpha=1.0)
         ).generation_probability
         assert p2 / p1 == pytest.approx(5.0, rel=0.05)
 
     def test_no_residual(self):
-        report = run_method2(MethodConfig(method=2, d=3, N=4))
+        report = run_method(MethodConfig(method=2, d=3, N=4))
         assert report.residual_norm < 1e-12
         assert report.balanced
 
@@ -565,7 +560,7 @@ class TestMethod2:
 
     @pytest.mark.parametrize("d,n", [(8, 8), (6, 10), (4, 16), (12, 12), (16, 8)])
     def test_matches_closed_form_beyond_verify_grid(self, d, n):
-        report = run_method2(MethodConfig(method=2, d=d, N=n))
+        report = run_method(MethodConfig(method=2, d=d, N=n))
         assert report.generation_probability == pytest.approx(
             closed_form_probability(2, d, n), rel=1e-9, abs=0.0
         )
@@ -573,7 +568,7 @@ class TestMethod2:
 
     def test_single_photon_degenerate_case(self):
         # N=1 has no filter blocks; the even split is already the target state.
-        report = run_method2(MethodConfig(method=2, d=4, N=1))
+        report = run_method(MethodConfig(method=2, d=4, N=1))
         assert report.generation_probability == pytest.approx(1.0, rel=1e-12)
 
 
@@ -610,14 +605,14 @@ class TestFiltrationRoutes:
             single = make_coherent_truncated(amp, n)
             factors = {k: c for (k,), c in single.terms.items()}
             oracle = filtrate_blocks(sector_by_levels(factors, d, n), n)
-            got = run_method1(MethodConfig(method=1, d=d, N=n, alpha=alpha))
+            got = run_method(MethodConfig(method=1, d=d, N=n, alpha=alpha))
             self.check(got, oracle, factors, abs(amp) ** 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_method2_matches_block_passes(self, d, n):
         oracle = filtrate_blocks(split_circuit(n, d), n)
-        got = run_method2(MethodConfig(method=2, d=d, N=n))
+        got = run_method(MethodConfig(method=2, d=d, N=n))
         factors, scale = split_factors(n, d)
         factors[n] *= scale  # the NOON term's sqrt(N!) * d^(-N/2)/sqrt(N!)
         self.check(got, oracle, factors)
@@ -779,11 +774,11 @@ class TestGeneratorOddMatchesPolarizedCircuit:
 
 class TestMethod3:
     def test_two_mode_two_photon(self):
-        report = run_method3(MethodConfig(method=3, d=2, N=2))
+        report = run_method(MethodConfig(method=3, d=2, N=2))
         assert report.generation_probability == pytest.approx(1 / 16, rel=1e-9)
 
     def test_headline_four_mode_four_photon(self):
-        report = run_method3(MethodConfig(method=3, d=4, N=4))
+        report = run_method(MethodConfig(method=3, d=4, N=4))
         assert report.generation_probability == pytest.approx(3.1e-9, rel=0.04)
         assert report.generation_probability == pytest.approx(
             closed_form_probability(3, 4, 4), rel=1e-9, abs=0.0
@@ -793,7 +788,7 @@ class TestMethod3:
 
     def test_even_photon_number_beyond_verify_grid(self):
         pipelines._transfer_table.cache_clear()
-        report = run_method3(MethodConfig(method=3, d=2, N=20))
+        report = run_method(MethodConfig(method=3, d=2, N=20))
         assert report.generation_probability == pytest.approx(
             closed_form_probability(3, 2, 20), rel=1e-9, abs=0.0
         )
@@ -801,7 +796,7 @@ class TestMethod3:
 
     @pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (4, 3), (4, 5)])
     def test_odd_photon_numbers(self, d, n):
-        report = run_method3(MethodConfig(method=3, d=d, N=n))
+        report = run_method(MethodConfig(method=3, d=d, N=n))
         assert report.generation_probability == pytest.approx(
             closed_form_probability(3, d, n), rel=1e-9, abs=0.0
         )
@@ -848,11 +843,11 @@ class TestMethod3:
     @pytest.mark.parametrize("d,n", sorted(PINNED_ODD))
     def test_odd_reports_pinned(self, d, n):
         pipelines._transfer_table.cache_clear()  # tables built by this run's circuit
-        report = run_method3(MethodConfig(method=3, d=d, N=n))
+        report = run_method(MethodConfig(method=3, d=d, N=n))
         assert repr(report.to_dict()) == self.PINNED_ODD[(d, n)]
 
     def test_component_magnitude_pattern(self):
-        report = run_method3(MethodConfig(method=3, d=4, N=4))
+        report = run_method(MethodConfig(method=3, d=4, N=4))
         split, passthrough = generator_magnitudes(4)
         for comp in report.component_amplitudes:
             assert abs(comp) == pytest.approx(split**2 * passthrough, rel=1e-9)
@@ -1249,7 +1244,8 @@ class TestLevelPass:
         cfg = MethodConfig(method=method, d=d, N=n)
         one_at_a_time = cascade_one_path_at_a_time(cfg)
         generator, args = cascade_generator(cfg)
-        whole = pipelines._cascade(d, make_fock(1, (n,)), generator, *args)
+        paths = pipelines._tree_paths(d)
+        whole = generator(make_fock(1, (n,)), paths, *args).state
         assert_same_bits(whole, one_at_a_time)
         assert repr(run_method(cfg).to_dict()) == repr(
             extract_noon(one_at_a_time, n).to_dict()
@@ -1299,48 +1295,42 @@ class TestCascadeLayout:
     def test_paths_pinned_and_shared_across_calls(self, d, paths):
         # Level l splits the paths 2^l - 1, ..., 1, 0; the tuple depends on d
         # alone, so every call at one d is handed the same tuple.
-        seen = []
-
-        def record(state, level_paths):
-            seen.append(level_paths)
-            return HeraldedOutcome(state, state)
-
-        for _ in range(2):
-            pipelines._cascade(d, make_fock(1, (2,)), record)
+        seen = [pipelines._tree_paths(d) for _ in range(2)]
         assert seen[0] == paths
         assert seen[1] is seen[0]
 
     @pytest.mark.parametrize("method, n", [(3, 2), (3, 3), (4, 5)])
     def test_cascade_input_is_the_basis_state(self, monkeypatch, method, n):
-        # The runners build |N> through the trusted constructor, N being
+        # run_method builds |N> through the trusted constructor, N being
         # checked by MethodConfig: the same state as make_fock, bit for bit.
         inputs = []
-        cascade = pipelines._cascade
+        cfg = MethodConfig(method=method, d=4, N=n)
+        generator, _ = cascade_generator(cfg)
 
-        def spy(d, state, generator, *args):
+        def spy(state, *args):
             inputs.append(state)
-            return cascade(d, state, generator, *args)
+            return generator(state, *args)
 
-        monkeypatch.setattr(pipelines, "_cascade", spy)
-        run_method(MethodConfig(method=method, d=4, N=n))
+        monkeypatch.setattr(pipelines, generator.__name__, spy)
+        run_method(cfg)
         (state,) = inputs
         assert_same_bits(state, make_fock(1, (n,)))
 
 
 class TestMethod4:
     def test_headline(self):
-        report = run_method4(MethodConfig(method=4, d=4, N=4))
+        report = run_method(MethodConfig(method=4, d=4, N=4))
         assert abs(report.generation_probability - 0.25) < 1e-12
         for sign in report.sign_pattern:
             assert sign == pytest.approx(1.0 + 0j, abs=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_two_mode_any_photon_number(self, n):
-        report = run_method4(MethodConfig(method=4, d=2, N=n))
+        report = run_method(MethodConfig(method=4, d=2, N=n))
         assert abs(report.generation_probability - 0.5) < 1e-12
 
     def test_eight_modes(self):
-        report = run_method4(MethodConfig(method=4, d=8, N=3))
+        report = run_method(MethodConfig(method=4, d=8, N=3))
         assert abs(report.generation_probability - 0.125) < 1e-12
         assert report.balanced
 
@@ -1353,7 +1343,7 @@ class TestMethod4:
             return generator_kerr(state, paths)
 
         monkeypatch.setattr(pipelines, "generator_kerr", recording)
-        run_method4(MethodConfig(method=4, d=8, N=2))
+        run_method(MethodConfig(method=4, d=8, N=2))
         assert calls == [(0, 1, 0, 3, 2, 1, 0)]
 
 
@@ -1362,7 +1352,7 @@ class TestBeyondVerifyGrid:
 
     @pytest.mark.parametrize("d,n", [(64, 8), (128, 4)])
     def test_many_mode_method4(self, d, n):
-        report = run_method4(MethodConfig(method=4, d=d, N=n))
+        report = run_method(MethodConfig(method=4, d=d, N=n))
         assert report.generation_probability == pytest.approx(
             closed_form_probability(4, d, n), rel=1e-9, abs=0.0
         )
@@ -1541,16 +1531,18 @@ class TestExtractNoon:
         with pytest.raises(TypeError):
             extract_noon(state, 3, 1e-10)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True])
     def test_rejects_photon_number_below_one(self, n):
         # At N = 0 the vacuum term would count as every component: p = 0.75
-        # here, above the state's squared norm of 0.5.
+        # here, above the state's squared norm of 0.5. N = 2.0 or True would
+        # find the int-valued mode and report N as given.
         state = FockState(3, {(0, 0, 0): 0.5, (2, 0, 0): 0.5})
-        with pytest.raises(ValueError, match=f"N must be at least 1, got {n}"):
+        with pytest.raises(ValueError) as info:
             extract_noon(state, n)
+        assert str(info.value) == f"N must be an int of at least 1, got {n!r}"
 
     def test_probability_is_d_times_component(self):
-        report = run_method2(MethodConfig(method=2, d=3, N=4))
+        report = run_method(MethodConfig(method=2, d=3, N=4))
         common = abs(report.component_amplitudes[0]) ** 2
         assert report.generation_probability == pytest.approx(
             3 * common, rel=1e-10
@@ -1640,10 +1632,13 @@ class TestNoonReport:
 class TestDispatch:
     def test_run_method_routes(self):
         for method in (1, 2, 3, 4):
-            cfg = MethodConfig(method=method, d=2, N=2, alpha=1.0)
+            alpha = 1.0 if method == 1 else None  # the others reject alpha
+            cfg = MethodConfig(method=method, d=2, N=2, alpha=alpha)
             report = run_method(cfg)
             assert report.d == 2
 
-    def test_wrong_runner_rejected(self):
-        with pytest.raises(ValueError, match="method=1"):
-            run_method1(MethodConfig(method=2, d=2, N=2))
+    def test_unchecked_method_rejected(self):
+        # _make skips MethodConfig's checks; run_method still names the method.
+        cfg = MethodConfig._make((5, 2, 2, None))
+        with pytest.raises(ValueError, match="method must be 1, 2, 3 or 4, got 5"):
+            run_method(cfg)

@@ -16,7 +16,10 @@ from noongen import (
     ResourceCount,
     SweepRow,
     SweepSpec,
+    asymptotic_ratio,
+    generator_magnitudes,
     make_fock,
+    optimal_alpha_sq,
     resource_counts,
 )
 
@@ -150,6 +153,12 @@ def test_element_types_with_equal_fields_differ():
         (lambda: MethodConfig(3, 4.0, 2), "d must be an int, got 4.0"),
         (lambda: MethodConfig(1, 2, 2.0), "N must be an int, got 2.0"),
         (lambda: MethodConfig(1, 2, 2, alpha=math.inf), "alpha must be finite, got inf"),
+        (lambda: MethodConfig(2, 2, 2, alpha=5), "alpha applies to method 1 only, got method 2"),
+        (lambda: MethodConfig(3, 2, 2, alpha=1.0), "alpha applies to method 1 only, got method 3"),
+        (lambda: optimal_alpha_sq(2.5, 3), "d must be an int, got 2.5"),
+        (lambda: optimal_alpha_sq(True, 3), "d must be an int, got True"),
+        (lambda: generator_magnitudes(2.5), "N must be an int of at least 1, got 2.5"),
+        (lambda: asymptotic_ratio(2.5), "N must be an int of at least 2, got 2.5"),
         (lambda: LossModel(1.5, 1.0), "eta_detector must lie in [0, 1], got 1.5"),
         (
             lambda: LossModel(eta_detector=1.0, eta_single_photon=-0.1),
