@@ -2,8 +2,9 @@
 grids, and hardware resource counts.
 
 Exit codes: 0 on success, 1 on configuration or validation errors, 2 when the
-verification grid finds a simulation/closed-form mismatch. All output is
-deterministic: repeated identical invocations emit byte-identical text.
+verification grid finds a point whose simulation is off its closed form by
+1e-9 relative or more. All output is deterministic: repeated identical
+invocations emit byte-identical text.
 """
 
 from __future__ import annotations
@@ -63,12 +64,6 @@ def _parse_range(text: str, name: str) -> tuple[int, ...]:
         raise CliError(f"invalid {name} {text!r}; expected lo:hi or a,b,c") from exc
 
 
-def check_tolerance(tolerance: float) -> None:
-    """Raise ValueError unless ``verify --tolerance`` is positive and finite."""
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-
-
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="noongen", description=__doc__)
     parser.add_argument(
@@ -113,7 +108,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     verify.add_argument("--d-values", default="2,4")
     verify.add_argument("--N-range", default="2:6")
     verify.add_argument("--alpha-sq", type=float, default=None)
-    verify.add_argument("--tolerance", type=float, default=1e-9)
     verify.set_defaults(func=cmd_verify)
 
     resources = add_command("resources", "emit hardware counts")
@@ -217,15 +211,9 @@ def cmd_generate(args) -> int:
         }
         _emit(analysis.to_csv(list(record), [record]), args.output)
         return 0
-    noon_state_rows = sorted(
-        ((0,) * j + (report.N,) + (0,) * (report.d - 1 - j), amp.real, amp.imag)
-        for j, amp in enumerate(report.component_amplitudes)
-        if amp
-    )
     payload = {
         "method": f"M{args.method}",
         "report": {**report.to_dict(), "alpha_sq": alpha_sq},
-        "noon_state_rows": noon_state_rows,
     }
     _emit(analysis.to_json(payload, sort_keys=True), args.output)
     return 0
@@ -263,7 +251,6 @@ def cmd_verify(args) -> int:
     methods = _parse_methods(args.methods)
     d_values = _parse_range(args.d_values, "--d-values")
     n_values = _parse_range(args.N_range, "--N-range")
-    check_tolerance(args.tolerance)
     for d in d_values:
         if d > analysis.SIM_MAX_D:
             raise CliError(
@@ -274,12 +261,12 @@ def cmd_verify(args) -> int:
             raise CliError(
                 f"N={n} exceeds the simulation limit N<={analysis.SIM_MAX_N}"
             )
-    fmt = analysis.format_float
+    fmt, tolerance = analysis.format_float, analysis._REL_TOLERANCE
     rows = analysis.compare_grid(methods, d_values, n_values, args.alpha_sq)
     lines = []
     failures = 0
     for row in rows:
-        ok = row.rel_err < args.tolerance
+        ok = row.rel_err < tolerance
         failures += 0 if ok else 1
         alpha_cell = "-" if row.alpha_sq is None else fmt(row.alpha_sq)
         lines.append(
@@ -291,7 +278,7 @@ def cmd_verify(args) -> int:
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} of {len(rows)} points)"
     lines.append(
         f"verify: {len(rows)} points, max rel_err={fmt(worst)}, "
-        f"tolerance={fmt(args.tolerance)} -> {verdict}"
+        f"tolerance={fmt(tolerance)} -> {verdict}"
     )
     _emit("\n".join(lines), args.output)
     return 0 if failures == 0 else 2

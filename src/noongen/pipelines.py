@@ -8,7 +8,7 @@ Four schemes are simulated exactly on the sparse Fock representation:
    or more than N/2 photons, so the N-photon sector holds only the d NOON
    terms. The single-mode factors at 0 and N photons alone are filtered and
    multiply out to the one NOON amplitude every mode shares, none pruned,
-   reported from one magnitude and one sign; no state follows the input.
+   reported from one magnitude; no state follows the input.
 2. an evenly split N-photon input passes through the same filter blocks,
    its NOON amplitude built the same way from the split factors 1 and
    d^(-N/2); no postselection is needed because the photon number is fixed.
@@ -283,8 +283,10 @@ def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
     the N-photon sector holds only the d NOON terms, each the running
     product ``top * zero^(d-1)`` (0j, unsigned, if exactly 0). The report is
     :func:`_noon_report`'s for d copies of it, bit for bit, made from one
-    magnitude and one sign, so a point runs a handful of operations, warm
-    or cold. No other term is built, so the residual is exactly 0.0.
+    magnitude, so a point runs a handful of operations, warm or cold. Every
+    copy's sign relative to the first is ``1+0j``: a value divided by itself
+    has real part exactly 1.0, and :func:`_rounded_sign` zeroes the rest. No
+    other term is built, so the residual is exactly 0.0.
     """
     n, d = cfg.N, cfg.d
     zero = reduce(mul, _block_factors(0, n // 2), zero)
@@ -294,11 +296,7 @@ def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
     threshold = _REPORT_TOLERANCE * magnitude
     probability = sum(repeat(magnitude**2.0, d))
     balanced = 0.0 < probability and magnitude - magnitude <= threshold  # inf - inf is nan
-    sign = 1 + 0j
-    if magnitude > threshold:
-        phase = amplitude / magnitude
-        sign = _rounded_sign(phase / phase)
-    return NoonReport(d, n, (amplitude,) * d, probability, (sign,) * d, balanced, 0.0)
+    return NoonReport(d, n, (amplitude,) * d, probability, (1 + 0j,) * d, balanced, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -626,10 +624,11 @@ def run_method(cfg: MethodConfig) -> NoonReport:
     and d^(-N/2), rounded from the exact d^N as the product of sqrt(N!) and
     d^(-N/2)/sqrt(N!) underflows. Methods 3 and 4 run the generator of N's
     parity, or the cross-Kerr one, once over :func:`_tree_paths` from |N>.
-    Raises ValueError for a method outside :data:`METHODS`.
+    Raises ValueError unless the method is an int (not a bool) in
+    :data:`METHODS`.
     """
     method, d, n, alpha = cfg
-    if method not in METHODS:
+    if not is_int(method) or method not in METHODS:
         raise ValueError(f"method must be 1, 2, 3 or 4, got {method!r}")
     if method == 1:
         alpha = alpha if alpha is not None else math.sqrt(n / d)

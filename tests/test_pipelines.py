@@ -1637,8 +1637,10 @@ class TestDispatch:
             report = run_method(cfg)
             assert report.d == 2
 
-    def test_unchecked_method_rejected(self):
-        # _make skips MethodConfig's checks; run_method still names the method.
-        cfg = MethodConfig._make((5, 2, 2, None))
-        with pytest.raises(ValueError, match="method must be 1, 2, 3 or 4, got 5"):
+    @pytest.mark.parametrize("method", [5, True, 1.0])
+    def test_unchecked_method_rejected(self, method):
+        # _make skips MethodConfig's checks; run_method still names the
+        # method, and True or 1.0 is not method 1 though it compares equal.
+        cfg = MethodConfig._make((method, 2, 2, None))
+        with pytest.raises(ValueError, match=f"method must be 1, 2, 3 or 4, got {method!r}"):
             run_method(cfg)
