@@ -1,10 +1,12 @@
 """Closed-form analysis of the four generation schemes.
 
-Generation probabilities and component magnitudes are evaluated in log space
-(via lgamma) so that sweeps far beyond the simulable range do not overflow;
-method 4 is returned exactly as 1/d. One comparison, :func:`compare_grid`,
-pairs every closed form with a direct simulation wherever the grid point is
-cheap enough to simulate; sweeps and verification grids are both built on it.
+Each method's generation probability has one closed form, evaluated in log
+space (via lgamma) so that sweeps far beyond the simulable range do not
+overflow. The component magnitude and method 3's generator magnitudes are
+read off the same logarithms; method 4 is returned exactly as 1/d. One
+comparison, :func:`compare_grid`, pairs every closed form with a direct
+simulation wherever the grid point is cheap enough to simulate; sweeps and
+verification grids are both built on it.
 """
 
 from __future__ import annotations
@@ -74,25 +76,28 @@ def optimal_alpha_sq(d: int, n_photons: int) -> float:
     return n_photons / d
 
 
-def closed_form_probability(
-    method: int, d: int, n_photons: int, alpha_sq: float | None = None
+def _log_probability(
+    method: int, d: int, n_photons: int, alpha_sq: float | None
 ) -> float:
-    """Generation probability of a d-mode N-photon NOON state.
+    """Natural log of the generation probability, -inf where it is exactly 0.
 
-    ``alpha_sq`` applies to method 1 only; omitted, the optimal value N/d is
-    used. Factorials are evaluated through lgamma, so large-N sweeps stay
-    finite.
+    The one closed form of each method, factorials through lgamma. Raises
+    ValueError outside the domain, on a bad ``alpha_sq``, and on any
+    ``alpha_sq`` given to a method other than 1; None there means the
+    optimal N/d.
     """
     check_domain(method, d, n_photons)
+    if method != 1 and alpha_sq is not None:
+        raise ValueError(f"alpha applies to method 1 only, got method {method}")
     n = n_photons
     m = n // 2
     if method == 1:
         if alpha_sq is None:
-            alpha_sq = optimal_alpha_sq(d, n)
+            alpha_sq = n / d
         check_alpha_sq(alpha_sq)
         if alpha_sq == 0.0:
-            return 0.0
-        log_p = (
+            return -math.inf
+        return (
             log(d)
             - d * alpha_sq
             + n * log(alpha_sq)
@@ -102,22 +107,47 @@ def closed_form_probability(
             - 2.0 * lgamma(n - m)
             - 2.0 * lgamma(m + 1)
         )
-        return math.exp(log_p)
     if method == 2:
-        log_p = (
+        return (
             2.0 * lgamma(n)
             - (n - 1) * log(d)
             - (n + d) * log(m + 1)
             - 2.0 * lgamma(n - m)
             - 2.0 * lgamma(m + 1)
         )
-        return math.exp(log_p)
     if method == 3:
-        log_p = -(n - 1) * log(d) + (d - 1) * (
-            lgamma(n + 1) - n * log(2.0) - n * log(n)
-        )
-        return math.exp(log_p)
-    return 1.0 / d
+        return -(n - 1) * log(d) + (d - 1) * _log_generator_factor(n)
+    return -log(d)
+
+
+def _log_generator_factor(n: int) -> float:
+    """log(N!/(2^N N^N)): the factor each method-3 generator puts on p."""
+    return lgamma(n + 1) - n * log(2.0) - n * log(n)
+
+
+def closed_form_probability(
+    method: int, d: int, n_photons: int, alpha_sq: float | None = None
+) -> float:
+    """Generation probability of a d-mode N-photon NOON state.
+
+    ``alpha_sq`` applies to method 1 only; omitted, the optimal value N/d is
+    used. Evaluated in log space, so large-N sweeps stay finite; method 4's
+    1/d is exact.
+    """
+    log_p = _log_probability(method, d, n_photons, alpha_sq)
+    return 1.0 / d if method == 4 else math.exp(log_p)
+
+
+def closed_form_component_magnitude(
+    method: int, d: int, n_photons: int, alpha_sq: float | None = None
+) -> float:
+    """Magnitude sqrt(p/d) of each NOON component amplitude.
+
+    Read off the logarithm of :func:`closed_form_probability`'s p, so it
+    stays a normal float where p itself underflows.
+    """
+    log_p = _log_probability(method, d, n_photons, alpha_sq)
+    return 1.0 / d if method == 4 else math.exp(0.5 * (log_p - log(d)))
 
 
 def generator_magnitudes(n_photons: int) -> tuple[float, float]:
@@ -126,58 +156,14 @@ def generator_magnitudes(n_photons: int) -> tuple[float, float]:
     Returns (|splitting coefficient|, |pass-through coefficient|): the factor
     attached to each branch when the generator splits an |N> input into a
     two-mode NOON pair, and the factor when a vacuum input consumes the
-    internal |N>. Identical for the even- and odd-N generator flavors.
+    internal |N>. Identical for the even- and odd-N generator flavors. The
+    pass-through squared is the factor each generator puts on p.
     """
     if not is_int(n_photons) or n_photons < 1:
         raise ValueError(f"N must be an int of at least 1, got {n_photons!r}")
-    n = n_photons
-    half_log_fact = 0.5 * lgamma(n + 1)
-    split = math.exp(half_log_fact - n * log(2.0) - 0.5 * n * log(n))
-    passthrough = math.exp(half_log_fact - 0.5 * n * log(2.0) - 0.5 * n * log(n))
-    return split, passthrough
-
-
-def closed_form_component_magnitude(
-    method: int, d: int, n_photons: int, alpha_sq: float | None = None
-) -> float:
-    """Magnitude of each NOON component amplitude, from its own closed form.
-
-    Evaluated independently of :func:`closed_form_probability`; the two are
-    tied by probability = d * magnitude**2.
-    """
-    check_domain(method, d, n_photons)
-    n = n_photons
-    m = n // 2
-    if method == 1:
-        if alpha_sq is None:
-            alpha_sq = optimal_alpha_sq(d, n)
-        check_alpha_sq(alpha_sq)
-        if alpha_sq == 0.0:
-            return 0.0
-        log_c = (
-            -0.5 * d * alpha_sq
-            + 0.5 * n * log(alpha_sq)
-            + lgamma(n)
-            - 0.5 * (n + d) * log(m + 1)
-            - 0.5 * lgamma(n + 1)
-            - lgamma(n - m)
-            - lgamma(m + 1)
-        )
-        return math.exp(log_c)
-    if method == 2:
-        log_c = (
-            lgamma(n)
-            - 0.5 * n * log(d)
-            - 0.5 * (n + d) * log(m + 1)
-            - lgamma(n - m)
-            - lgamma(m + 1)
-        )
-        return math.exp(log_c)
-    if method == 3:
-        split, passthrough = generator_magnitudes(n)
-        levels = d.bit_length() - 1
-        return split**levels * passthrough ** (d - 1 - levels)
-    return 1.0 / d
+    log_passthrough = 0.5 * _log_generator_factor(n_photons)
+    split = math.exp(log_passthrough - 0.5 * n_photons * log(2.0))
+    return split, math.exp(log_passthrough)
 
 
 def asymptotic_ratio(n_photons: int) -> float:

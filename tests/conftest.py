@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import defaultdict
+from decimal import Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -412,3 +415,76 @@ def cascade_one_path_at_a_time(cfg: MethodConfig) -> FockState:
         for path in reversed(range(2**level)):
             state = generator(state, path, *args).state
     return state
+
+
+# 60 digits over an exponent range far past the double's: every closed-form
+# value, including the ones a float underflows, held to far below 1e-12.
+EXACT = Context(prec=60, Emin=-(10**6), Emax=10**6)
+NORMAL_MIN = Decimal(sys.float_info.min)
+
+
+def scan_points() -> list[tuple]:
+    """(method, d, N, alpha_sq) of the domain scan, alpha_sq None for the default.
+
+    M1/M2 at d 2-32 x N 1-40; M3/M4 at power-of-two d 2-64 x N 1-12, M3 only
+    where d*N <= 200; M1 again at alpha^2 1e-5, 0.7 and 3.0.
+    """
+    points = [
+        (method, d, n, None) for method in (1, 2) for d in range(2, 33) for n in range(1, 41)
+    ]
+    points += [
+        (method, 2**level, n, None)
+        for method in (3, 4)
+        for level in range(1, 7)
+        for n in range(1, 13)
+        if method == 4 or 2**level * n <= 200
+    ]
+    points += [
+        (1, d, n, alpha_sq)
+        for alpha_sq in (1e-5, 0.7, 3.0)
+        for d in range(2, 33)
+        for n in range(1, 41)
+    ]
+    return points
+
+
+def _exact_decimal(value: Fraction) -> Decimal:
+    return EXACT.divide(Decimal(value.numerator), Decimal(value.denominator))
+
+
+def exact_probability(method: int, d: int, n: int, alpha_sq=None) -> Decimal:
+    """Each method's closed-form p from exact integers, as a 60-digit Decimal.
+
+    Methods 2-4 are exact fractions; method 1's e^(-d alpha^2) is evaluated
+    in :data:`EXACT`. ``alpha_sq`` (a float or Fraction, taken exactly)
+    defaults to the float N/d the package uses.
+    """
+    m = n // 2
+    filters = (m + 1) ** (n + d) * math.factorial(n - m - 1) ** 2 * math.factorial(m) ** 2
+    if method == 1:
+        a = Fraction(n / d if alpha_sq is None else alpha_sq)
+        rational = d * a**n * math.factorial(n - 1) / (n * filters)
+        return EXACT.multiply(
+            _exact_decimal(rational), EXACT.exp(_exact_decimal(-d * a))
+        )
+    if method == 2:
+        rational = Fraction(math.factorial(n - 1) ** 2, d ** (n - 1) * filters)
+    elif method == 3:
+        generator = Fraction(math.factorial(n), 2**n * n**n)
+        rational = generator ** (d - 1) / d ** (n - 1)
+    else:
+        rational = Fraction(1, d)
+    return _exact_decimal(rational)
+
+
+def exact_generator_magnitudes(n: int) -> tuple[Decimal, Decimal]:
+    """Method 3's |split| = sqrt(N!/(4^N N^N)) and |pass-through| = sqrt(N!/(2^N N^N))."""
+    return tuple(
+        EXACT.sqrt(_exact_decimal(Fraction(math.factorial(n), 2 ** (k * n) * n**n)))
+        for k in (2, 1)
+    )
+
+
+def relative_error(got: float, exact: Decimal) -> float:
+    """|got - exact| / exact for a positive ``exact``, in :data:`EXACT`."""
+    return float(EXACT.divide(EXACT.abs(EXACT.subtract(Decimal(got), exact)), exact))

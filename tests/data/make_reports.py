@@ -5,13 +5,14 @@ Run from the repository root with the package importable::
     PYTHONPATH=src python tests/data/make_reports.py
 
 Each row holds method, d, N and alpha (empty for the default), ``float.hex``
-of the generation probability p, ``ok`` (p within 1e-9 relative of
-``closed_form_probability``, or both 0) and the first 16 hex digits of the
-sha256 of ``repr(report.to_dict())``. The points are the domain scan (M1/M2
-at d 2-32 x N 1-40; M3/M4 at power-of-two d 2-64 x N 1-12, M3 only where
-d*N <= 200), the console ``generate`` rows CI runs, and M1 at four fixed
-alphas over d 2-8 x N 1-12. The script prints which digests moved against
-the file it replaces and the largest relative move of p.
+of the generation probability p, ``ok`` (p within the verify gate,
+``analysis._REL_TOLERANCE`` relative, of ``closed_form_probability``, or both
+0) and the first 16 hex digits of the sha256 of ``repr(report.to_dict())``.
+The points are the domain scan (M1/M2 at d 2-32 x N 1-40; M3/M4 at
+power-of-two d 2-64 x N 1-12, M3 only where d*N <= 200), the console
+``generate`` rows CI runs, and M1 at four fixed alphas over d 2-8 x N 1-12.
+The script prints which digests moved against the file it replaces and the
+largest relative move of p.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import hashlib
 import math
 from pathlib import Path
 
-from noongen import MethodConfig, closed_form_probability, run_method
+from noongen import MethodConfig, analysis, closed_form_probability, run_method
 
 PATH = Path(__file__).with_name("reports.tsv")
 HEADER = ("method", "d", "N", "alpha", "p_hex", "ok", "digest")
@@ -68,7 +69,7 @@ def row(point: tuple) -> tuple[str, ...]:
     p = report.generation_probability
     alpha_sq = None if alpha is None else abs(alpha) ** 2
     want = closed_form_probability(method, d, n, alpha_sq)
-    ok = abs(p - want) <= 1e-9 * want if want > 0 else p == 0.0
+    ok = abs(p - want) <= analysis._REL_TOLERANCE * want if want > 0 else p == 0.0
     digest = hashlib.sha256(repr(report.to_dict()).encode()).hexdigest()[:16]
     cells = (method, d, n, "" if alpha is None else repr(alpha), p.hex())
     return (*map(str, cells), "true" if ok else "false", digest)

@@ -8,6 +8,14 @@ from math import factorial
 import numpy as np
 import pytest
 
+from conftest import (
+    EXACT,
+    NORMAL_MIN,
+    exact_generator_magnitudes,
+    exact_probability,
+    relative_error,
+    scan_points,
+)
 from noongen import (
     LossModel,
     ResourceCount,
@@ -26,30 +34,6 @@ from noongen import (
     sweep_to_json,
 )
 from noongen.analysis import SWEEP_CSV_HEADER, compare_grid
-
-
-def direct_probability(method: int, d: int, n: int, alpha_sq: float | None = None) -> float:
-    """Reference evaluation with exact integer factorials (small N only)."""
-    m = n // 2
-    if method == 1:
-        a = n / d if alpha_sq is None else alpha_sq
-        return (
-            d
-            * math.exp(-d * a)
-            * a**n
-            * factorial(n - 1)
-            / ((m + 1) ** (n + d) * n * factorial(n - m - 1) ** 2 * factorial(m) ** 2)
-        )
-    if method == 2:
-        return factorial(n - 1) ** 2 / (
-            d ** (n - 1)
-            * (m + 1) ** (n + d)
-            * factorial(n - m - 1) ** 2
-            * factorial(m) ** 2
-        )
-    if method == 3:
-        return (1 / d ** (n - 1)) * (factorial(n) / (2**n * n**n)) ** (d - 1)
-    return 1 / d
 
 
 class TestClosedForms:
@@ -106,15 +90,39 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="finite and non-negative"):
             SweepSpec(methods=(1,), vary="N", fixed=2, values=(2,), alpha_sq=alpha_sq)
 
+    @pytest.mark.parametrize(
+        "args", [(2, 2, 4, math.nan), (4, 2, 4, -1.0), (3, 2, 2, 0.5)]
+    )
+    def test_rejects_alpha_sq_off_method_1(self, args):
+        # M2 with a nan alpha_sq once gave p = 0.00154, M4 with -1.0 p = 0.5.
+        for closed_form in (closed_form_probability, closed_form_component_magnitude):
+            with pytest.raises(ValueError) as info:
+                closed_form(*args)
+            assert str(info.value) == (
+                f"alpha applies to method 1 only, got method {args[0]}"
+            )
+
     @pytest.mark.parametrize("method", [1, 2, 3, 4])
-    def test_log_space_matches_direct_factorials(self, method):
-        for d in (2, 3, 4, 8):
-            if method in (3, 4) and d & (d - 1):
+    def test_closed_forms_match_exact(self, method):
+        # p and |c| = sqrt(p/d) over the domain scan, within 1e-12 of the
+        # exact closed form wherever that is a normal float.
+        for point in scan_points():
+            if point[0] != method:
                 continue
-            for n in range(1, 16):
-                got = closed_form_probability(method, d, n)
-                want = direct_probability(method, d, n)
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            exact_p = exact_probability(*point)
+            exact_c = EXACT.sqrt(EXACT.divide(exact_p, point[1]))
+            for closed_form, exact in (
+                (closed_form_probability, exact_p),
+                (closed_form_component_magnitude, exact_c),
+            ):
+                if exact >= NORMAL_MIN:
+                    got = closed_form(*point)
+                    assert relative_error(got, exact) <= 1e-12, (closed_form, point)
+
+    def test_generator_magnitudes_match_exact(self):
+        for n in range(1, 41):
+            for got, exact in zip(generator_magnitudes(n), exact_generator_magnitudes(n)):
+                assert relative_error(got, exact) <= 1e-12, n
 
     def test_large_n_does_not_overflow(self):
         value = closed_form_probability(2, 4, 40)
@@ -122,37 +130,12 @@ class TestClosedForms:
         # far beyond double range the result underflows gracefully to zero
         assert closed_form_probability(2, 4, 200) == 0.0
 
-    @pytest.mark.parametrize("method", [1, 2, 3, 4])
-    def test_probability_equals_d_component_sq(self, method):
-        for d in (2, 4, 8):
-            for n in (2, 3, 4, 5, 6):
-                p = closed_form_probability(method, d, n)
-                c = closed_form_component_magnitude(method, d, n)
-                assert p == pytest.approx(d * c**2, rel=1e-12, abs=0.0)
-
-    def test_probability_equals_d_component_sq_fixed_alpha(self):
-        for alpha_sq in (0.4, 1.0, 2.3):
-            p = closed_form_probability(1, 3, 4, alpha_sq)
-            c = closed_form_component_magnitude(1, 3, 4, alpha_sq)
-            assert p == pytest.approx(3 * c**2, rel=1e-12, abs=0.0)
-
     def test_probabilities_in_unit_interval(self):
         for method in (1, 2, 3, 4):
             for d in (2, 4):
                 for n in (2, 3, 4, 5, 6):
                     p = closed_form_probability(method, d, n)
                     assert 0.0 < p <= 1.0
-
-    def test_p3_double_derivation(self):
-        # d * (split^log2(d) * passthrough^(d-1-log2(d)))^2 equals the closed form
-        for d in (2, 4, 8, 16):
-            levels = d.bit_length() - 1
-            for n in range(1, 11):
-                split, passthrough = generator_magnitudes(n)
-                composed = d * (split**levels * passthrough ** (d - 1 - levels)) ** 2
-                assert composed == pytest.approx(
-                    closed_form_probability(3, d, n), rel=1e-12, abs=0.0
-                )
 
 
 class TestOptimalAlpha:

@@ -817,6 +817,26 @@ M3,2,3,9,3,3,2,0,true
 ]
 """,
     ),
+    # The verify grid the benchmark's cli workload runs: every p_closed and
+    # rel_err byte, and the summary line.
+    (
+        "verify --d-values 2 --N-range 2:4",
+        """\
+M1 d=2 N=2 alpha_sq=1 p_closed=0.00845845520229 p_sim=0.00845845520229 rel_err=4.10175010564e-16 ok
+M1 d=2 N=3 alpha_sq=1.5 p_closed=0.00700130648923 p_sim=0.00700130648923 rel_err=3.71657092568e-16 ok
+M1 d=2 N=4 alpha_sq=2 p_closed=0.000301491998168 p_sim=0.000301491998168 rel_err=1.61825514635e-15 ok
+M2 d=2 N=2 alpha_sq=- p_closed=0.03125 p_sim=0.03125 rel_err=6.66133814775e-16 ok
+M2 d=2 N=3 alpha_sq=- p_closed=0.03125 p_sim=0.03125 rel_err=4.44089209850e-16 ok
+M2 d=2 N=4 alpha_sq=- p_closed=0.00154320987654 p_sim=0.00154320987654 rel_err=1.12410081243e-15 ok
+M3 d=2 N=2 alpha_sq=- p_closed=0.0625 p_sim=0.0625 rel_err=1.11022302463e-16 ok
+M3 d=2 N=3 alpha_sq=- p_closed=0.00694444444444 p_sim=0.00694444444444 rel_err=8.74300631892e-16 ok
+M3 d=2 N=4 alpha_sq=- p_closed=0.000732421875 p_sim=0.000732421875 rel_err=7.40148683083e-16 ok
+M4 d=2 N=2 alpha_sq=- p_closed=0.5 p_sim=0.5 rel_err=2.22044604925e-16 ok
+M4 d=2 N=3 alpha_sq=- p_closed=0.5 p_sim=0.5 rel_err=0 ok
+M4 d=2 N=4 alpha_sq=- p_closed=0.5 p_sim=0.5 rel_err=1.11022302463e-16 ok
+verify: 12 points, max rel_err=1.61825514635e-15, tolerance=1.00000000000e-09 -> PASS
+""",
+    ),
     # The cascades: 64 modes through the generator tables, and the odd-N
     # polarized tree, whose residual real parts pin every bit of the sums.
     (

@@ -9,18 +9,21 @@ import math
 import operator
 import random
 import sys
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
 from conftest import (
+    NORMAL_MIN,
     assert_noon_close,
     assert_same_bits,
     assert_terms_close,
     cascade_generator,
     cascade_one_path_at_a_time,
     collapse_polarization,
+    exact_probability,
     filter_factors,
     filtrate_blocks,
     generator_even_herald_circuit,
@@ -28,13 +31,15 @@ from conftest import (
     polarize,
     polarized_generator_odd_circuit,
     random_state,
+    relative_error,
     restrict_total_photons,
+    scan_points,
     sector_by_levels,
     sector_unpruned,
     split_circuit,
     split_factors,
 )
-from noongen import pipelines
+from noongen import analysis, pipelines
 from noongen import (
     PRUNE_THRESHOLD,
     FockState,
@@ -1397,6 +1402,46 @@ class TestBeyondVerifyGrid:
                         assert abs(p - want) <= 1e-9 * want, (method, d, n, p, want)
                     assert not report.balanced or p > 0
                     check_components(report, method)
+
+    # The M3 points whose every NOON amplitude falls below the cascade's
+    # absolute pruning floor, so the run reports p = 0 (ROADMAP item 1).
+    M3_FLOOR_POINTS = {
+        (3, d, n)
+        for d, first, last in (
+            (4, 11, 12), (8, 6, 12), (16, 4, 12), (32, 2, 6), (64, 2, 3)
+        )
+        for n in range(first, last + 1)
+    }
+
+    def test_scan_against_exact(self):
+        # Every report of the domain scan against the exact closed form at
+        # the alpha the run used. Only the floor points may miss the verify
+        # gate, and the rest hold to 1e-12. A point whose exact p is not a
+        # normal float is out of range: counted and printed, not judged.
+        missed, out_of_range, worst = set(), [], 0.0
+        for method, d, n, alpha_sq in scan_points():
+            alpha = None
+            if method == 1:
+                alpha = math.sqrt(n / d if alpha_sq is None else alpha_sq)
+            report = run_method(MethodConfig(method, d, n, alpha))
+            p = report.generation_probability
+            exact = exact_probability(
+                method, d, n, None if alpha is None else Fraction(alpha) ** 2
+            )
+            if exact < NORMAL_MIN:
+                out_of_range.append((method, d, n, alpha_sq, p))
+                continue
+            error = relative_error(p, exact)
+            if error > analysis._REL_TOLERANCE:
+                missed.add((method, d, n))
+            else:
+                worst = max(worst, error)
+        print(f"worst relative error against exact: {worst:.3g};"
+              f" {len(missed)} past the gate; {len(out_of_range)} out of range:")
+        for point in out_of_range:
+            print("  out of range:", point)
+        assert missed <= self.M3_FLOOR_POINTS
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize(
         "method,d,n,underflows",
