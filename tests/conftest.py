@@ -14,6 +14,7 @@ import numpy as np
 from noongen import (
     PRUNE_THRESHOLD,
     BeamSplitter,
+    CrossKerr,
     FockState,
     HeraldedOutcome,
     MethodConfig,
@@ -27,6 +28,7 @@ from noongen import (
     herald,
     make_fock,
     tensor,
+    two_photon_projector,
 )
 from noongen.elements import fsf_factor
 
@@ -153,14 +155,14 @@ def split_circuit(n_photons: int, d: int) -> FockState:
     return state
 
 
-def generator_even_herald_circuit(
-    state: FockState, path_a: int, n_photons: int
+def generator_even_circuit(
+    state: FockState, path_a: int, n_photons: int, tap_herald=two_photon_projector
 ) -> HeraldedOutcome:
-    """Even-N generator circuit with each sub-block's coincidence detected.
+    """Circuit of ``generator_even``: N/2 sub-blocks, each ending in ``tap_herald``.
 
-    The same taps as ``pipelines._generator_even_circuit``, but every
-    sub-block ends in ``two_photon_herald`` (tap phase, 50:50 recombiner,
-    (1,1) click) instead of the equivalent tap projector.
+    Sub-block k taps ``path_a`` and the internal |N> with splitters of
+    transmissivity (N-k)/(N-k+1) and heralds the taps' coincidence at tap
+    phase 2*pi*k/N, by default with the direct projector.
     """
     internal = state.mode_count
     work = tensor(state, make_fock(1, (n_photons,)))
@@ -172,8 +174,74 @@ def generator_even_herald_circuit(
         work = tensor(work, make_fock(2, (0, 0)))
         work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
         work = apply_element(work, BeamSplitter(tap_c, internal, theta))
-        work = two_photon_herald(work, tap_b, tap_c, psi).state
+        work = tap_herald(work, tap_b, tap_c, psi).state
     return HeraldedOutcome(work, state)
+
+
+def generator_even_herald_circuit(
+    state: FockState, path_a: int, n_photons: int
+) -> HeraldedOutcome:
+    """Even-N generator circuit with each sub-block's coincidence detected.
+
+    The taps of :func:`generator_even_circuit`, but every sub-block ends in
+    ``two_photon_herald`` (tap phase, 50:50 recombiner, (1,1) click) instead
+    of the equivalent tap projector.
+    """
+    return generator_even_circuit(state, path_a, n_photons, two_photon_herald)
+
+
+def generator_odd_circuit(
+    state: FockState, path_a: int, n_photons: int
+) -> HeraldedOutcome:
+    """Circuit of ``generator_odd`` on single-mode paths and two tap modes.
+
+    The polarizing splitter reflects only tap c's V photon at the detection,
+    with the factor i, so it is folded into the V click's weight, beside the
+    detection basis's relative phase pi/(2N).
+    """
+    internal = state.mode_count
+    work = tensor(state, make_fock(1, (n_photons,)))
+    clicks = {(1, 0): 1, (0, 1): 1j * cmath.exp(0.5j * math.pi / n_photons)}
+    for k in range(1, n_photons + 1):
+        theta = math.acos(
+            math.sqrt((2 * n_photons - k) / (2 * n_photons - k + 1))
+        )
+        psi = 2.0 * math.pi * k / n_photons
+        tap_b = work.mode_count
+        tap_c = tap_b + 1
+        work = tensor(work, make_fock(2, (0, 0)))
+        work = apply_element(work, BeamSplitter(path_a, tap_b, theta))
+        work = apply_element(work, BeamSplitter(tap_c, internal, theta))
+        work = apply_element(work, PhaseShifter(tap_c, psi))
+        work = herald(work, (tap_b, tap_c), clicks).state
+    return HeraldedOutcome(work, state)
+
+
+def generator_kerr_circuit(state: FockState, path_a: int) -> HeraldedOutcome:
+    """Circuit of ``generator_kerr``: nested interferometers around a chi = pi medium."""
+    partner = state.mode_count
+    herald_mode = partner + 1
+    kerr_arm = partner + 2
+    quarter = math.pi / 4
+    work = tensor(state, make_fock(3, (0, 1, 0)))
+    work = apply_element(work, BeamSplitter(herald_mode, kerr_arm, quarter))
+    work = apply_element(work, BeamSplitter(path_a, partner, quarter))
+    work = apply_element(work, CrossKerr(path_a, kerr_arm, math.pi))
+    work = apply_element(work, BeamSplitter(path_a, partner, -quarter))
+    work = apply_element(work, BeamSplitter(herald_mode, kerr_arm, -quarter))
+    work = apply_element(work, PhaseShifter(partner, -0.5 * math.pi))
+    work = herald(work, (herald_mode, kerr_arm), {(1, 0): 1}).state
+    return HeraldedOutcome(work, state)
+
+
+def circuit_table(circuit, n: int, *args) -> tuple:
+    """A generator circuit's output on |n> as ``(touched, fresh, amplitude)`` rows.
+
+    The rows come in the circuit's term order, the layout of
+    ``pipelines._transfer_table``.
+    """
+    outcome = circuit(make_fock(1, (n,)), 0, *args).state
+    return tuple((touched, fresh, amp) for (touched, fresh), amp in outcome.terms.items())
 
 
 def polarizing_bs(
@@ -205,7 +273,7 @@ def polarized_generator_odd_circuit(
     tap c's V submode during the sub-blocks and is read as H afterwards (an
     ideal V -> H half-wave plate). Each sub-block merges its four tap
     submodes in :func:`polarizing_bs` and detects one photon at port b in
-    either polarization. ``pipelines._generator_odd_circuit`` runs the same
+    either polarization. :func:`generator_odd_circuit` runs the same
     sub-blocks on single-mode paths and two tap modes, with the splitter
     folded into the V click's weight; :func:`collapse_polarization` of this
     circuit's output must equal that route's.

@@ -32,7 +32,7 @@ CONSOLE = (
     (4, 512, 4, None), (4, 1024, 2, None), (4, 2048, 2, None), (4, 4, 24, None),
     (3, 8, 5, None), (3, 4, 7, None), (3, 4, 8, None), (2, 2, 26, None),
     (1, 2, 26, None), (2, 16, 6, None), (1, 4, 6, 1.5), (1, 12, 12, None),
-    (2, 16, 12, None), (4, 2, 2, None),
+    (2, 16, 12, None), (4, 2, 2, None), (4, 2, 150, None), (4, 4, 120, None),
 )
 ALPHAS = (0.0, 1e-5, 0.7, 1.1 + 0.4j)
 

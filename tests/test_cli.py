@@ -695,7 +695,7 @@ M1,2,2,0.7,0.00755203202071,true,0
     "balanced": true,
     "component_amplitudes": [
       [
-        -7.97972798949e-17,
+        0.0,
         -0.0589255650989
       ],
       [
@@ -828,17 +828,17 @@ M1 d=2 N=4 alpha_sq=2 p_closed=0.000301491998168 p_sim=0.000301491998168 rel_err
 M2 d=2 N=2 alpha_sq=- p_closed=0.03125 p_sim=0.03125 rel_err=6.66133814775e-16 ok
 M2 d=2 N=3 alpha_sq=- p_closed=0.03125 p_sim=0.03125 rel_err=4.44089209850e-16 ok
 M2 d=2 N=4 alpha_sq=- p_closed=0.00154320987654 p_sim=0.00154320987654 rel_err=1.12410081243e-15 ok
-M3 d=2 N=2 alpha_sq=- p_closed=0.0625 p_sim=0.0625 rel_err=1.11022302463e-16 ok
+M3 d=2 N=2 alpha_sq=- p_closed=0.0625 p_sim=0.0625 rel_err=5.55111512313e-16 ok
 M3 d=2 N=3 alpha_sq=- p_closed=0.00694444444444 p_sim=0.00694444444444 rel_err=8.74300631892e-16 ok
-M3 d=2 N=4 alpha_sq=- p_closed=0.000732421875 p_sim=0.000732421875 rel_err=7.40148683083e-16 ok
-M4 d=2 N=2 alpha_sq=- p_closed=0.5 p_sim=0.5 rel_err=2.22044604925e-16 ok
+M3 d=2 N=4 alpha_sq=- p_closed=0.000732421875 p_sim=0.000732421875 rel_err=2.96059473233e-16 ok
+M4 d=2 N=2 alpha_sq=- p_closed=0.5 p_sim=0.5 rel_err=0 ok
 M4 d=2 N=3 alpha_sq=- p_closed=0.5 p_sim=0.5 rel_err=0 ok
-M4 d=2 N=4 alpha_sq=- p_closed=0.5 p_sim=0.5 rel_err=1.11022302463e-16 ok
+M4 d=2 N=4 alpha_sq=- p_closed=0.5 p_sim=0.5 rel_err=0 ok
 verify: 12 points, max rel_err=1.61825514635e-15, tolerance=1.00000000000e-09 -> PASS
 """,
     ),
     # The cascades: 64 modes through the generator tables, and the odd-N
-    # polarized tree, whose residual real parts pin every bit of the sums.
+    # polarized tree, whose signed zero real parts pin the products' order.
     (
         "generate --method 4 --d 64 --N 8 --format csv",
         """\
@@ -857,35 +857,35 @@ M4,64,8,,0.015625,true,0
     "balanced": true,
     "component_amplitudes": [
       [
-        1.92998011897e-27,
+        0.0,
         3.30681115276e-13
       ],
       [
-        -1.68408306625e-27,
+        0.0,
         -3.30681115276e-13
       ],
       [
-        1.43818601353e-27,
+        -0.0,
         3.30681115276e-13
       ],
       [
-        -1.68408306625e-27,
+        0.0,
         -3.30681115276e-13
       ],
       [
-        1.43818601353e-27,
+        -0.0,
         3.30681115276e-13
       ],
       [
-        -1.19228896081e-27,
+        0.0,
         -3.30681115276e-13
       ],
       [
-        1.43818601353e-27,
+        0.0,
         3.30681115276e-13
       ],
       [
-        -1.68408306625e-27,
+        0.0,
         -3.30681115276e-13
       ]
     ],

@@ -22,11 +22,16 @@ from conftest import (
     assert_terms_close,
     cascade_generator,
     cascade_one_path_at_a_time,
+    circuit_table,
     collapse_polarization,
+    exact_generator_magnitudes,
     exact_probability,
     filter_factors,
     filtrate_blocks,
+    generator_even_circuit,
     generator_even_herald_circuit,
+    generator_kerr_circuit,
+    generator_odd_circuit,
     noon_report_per_component,
     polarize,
     polarized_generator_odd_circuit,
@@ -812,32 +817,30 @@ class TestMethod3:
     PINNED_ODD = {
         (4, 7): (
             "{'d': 4, 'N': 7, 'component_amplitudes': "
-            "[[7.874886624318138e-24, 2.582804059892372e-09], "
-            "[5.354876622180321e-24, 2.5828040598923707e-09], "
-            "[2.8348666200425055e-24, 2.58280405989237e-09], "
-            "[5.354876622180321e-24, 2.5828040598923707e-09]], "
-            "'generation_probability': 2.668350724718605e-17, "
+            "[[0.0, 2.58280405989237e-09], [0.0, 2.58280405989237e-09], "
+            "[0.0, 2.58280405989237e-09], [0.0, 2.58280405989237e-09]], "
+            "'generation_probability': 2.6683507247186033e-17, "
             "'sign_pattern': [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], "
             "'balanced': True, 'residual_norm': 0.0}"
         ),
         (8, 5): (
             "{'d': 8, 'N': 5, 'component_amplitudes': "
-            "[[1.9299801189721343e-27, 3.3068111527573005e-13], "
-            "[-1.684083066252421e-27, -3.3068111527573005e-13], "
-            "[1.4381860135327078e-27, 3.306811152757301e-13], "
-            "[-1.684083066252421e-27, -3.3068111527573005e-13], "
-            "[1.4381860135327078e-27, 3.3068111527573015e-13], "
-            "[-1.192288960812995e-27, -3.306811152757301e-13], "
-            "[1.4381860135327082e-27, 3.306811152757301e-13], "
-            "[-1.684083066252421e-27, -3.306811152757301e-13]], "
-            "'generation_probability': 8.748000000000056e-25, "
+            "[[0.0, 3.306811152757291e-13], "
+            "[0.0, -3.3068111527572904e-13], "
+            "[-0.0, 3.3068111527572904e-13], "
+            "[0.0, -3.306811152757291e-13], "
+            "[-0.0, 3.306811152757291e-13], "
+            "[0.0, -3.3068111527572904e-13], "
+            "[0.0, 3.3068111527572904e-13], "
+            "[0.0, -3.306811152757291e-13]], "
+            "'generation_probability': 8.748000000000001e-25, "
             "'sign_pattern': [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], "
             "[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], "
             "'balanced': True, 'residual_norm': 0.0}"
         ),
         (2, 21): (
             "{'d': 2, 'N': 21, 'component_amplitudes': "
-            "[[-1.2884307392793742e-25, -4.4590203271684544e-11], "
+            "[[0.0, -4.4590203271684544e-11], "
             "[0.0, 4.4590203271684544e-11]], "
             "'generation_probability': 3.976572455620294e-21, "
             "'sign_pattern': [[1.0, 0.0], [-1.0, 0.0]], "
@@ -847,7 +850,7 @@ class TestMethod3:
 
     @pytest.mark.parametrize("d,n", sorted(PINNED_ODD))
     def test_odd_reports_pinned(self, d, n):
-        pipelines._transfer_table.cache_clear()  # tables built by this run's circuit
+        pipelines._transfer_table.cache_clear()  # tables built by this run
         report = run_method(MethodConfig(method=3, d=d, N=n))
         assert repr(report.to_dict()) == self.PINNED_ODD[(d, n)]
 
@@ -910,13 +913,13 @@ class TestGeneratorRoutes:
     """Each generator's transfer tables reproduce its circuit on whole states."""
 
     CASES = [
-        (generator_even, pipelines._generator_even_circuit, (2,)),
-        (generator_even, pipelines._generator_even_circuit, (4,)),
+        (generator_even, generator_even_circuit, (2,)),
+        (generator_even, generator_even_circuit, (4,)),
         (generator_even, generator_even_herald_circuit, (2,)),
         (generator_even, generator_even_herald_circuit, (4,)),
-        (generator_odd, pipelines._generator_odd_circuit, (1,)),
-        (generator_odd, pipelines._generator_odd_circuit, (3,)),
-        (generator_kerr, pipelines._generator_kerr_circuit, ()),
+        (generator_odd, generator_odd_circuit, (1,)),
+        (generator_odd, generator_odd_circuit, (3,)),
+        (generator_kerr, generator_kerr_circuit, ()),
     ]
 
     @staticmethod
@@ -968,25 +971,15 @@ class TestGeneratorRoutes:
             state = self.wide_state(rng, paths, path_a)
             self.assert_route_matches(public, circuit, state, path_a, args)
 
-    TABLE_CIRCUITS = [
-        (pipelines._generator_even_circuit, (2,)),
-        (pipelines._generator_even_circuit, (4,)),
-        (pipelines._generator_even_circuit, (6,)),
-        (pipelines._generator_odd_circuit, (1,)),
-        (pipelines._generator_odd_circuit, (3,)),
-        (pipelines._generator_odd_circuit, (5,)),
-        (pipelines._generator_kerr_circuit, ()),
-    ]
-
-    @pytest.mark.parametrize("circuit, args", TABLE_CIRCUITS)
-    def test_tables_keep_the_touched_photon_number(self, circuit, args):
+    @pytest.mark.parametrize("n_photons", [2, 4, 6, 1, 3, 5, None])
+    def test_tables_keep_the_touched_photon_number(self, n_photons):
         # The vacuum table is a single pass-through entry, and every entry
         # keeps the touched path's photons on the touched and fresh paths:
         # this keeps the pass-through and expanded terms of a generator apart.
-        ((touched, fresh, idle),) = pipelines._transfer_table(circuit, 0, *args)
+        ((touched, fresh, idle),) = pipelines._transfer_table(0, n_photons)
         assert (touched, fresh) == (0, 0) and idle != 0
         for n in range(7):
-            for touched, fresh, _ in pipelines._transfer_table(circuit, n, *args):
+            for touched, fresh, _ in pipelines._transfer_table(n, n_photons):
                 assert type(touched) is int and type(fresh) is int
                 assert touched + fresh == n
 
@@ -1062,6 +1055,68 @@ class TestGeneratorRoutes:
         assert repr(list(named.terms.items())) == repr(list(plain.terms.items()))
 
 
+class TestClosedFormTables:
+    """The transfer tables' closed forms: against the circuits, and per stage."""
+
+    @pytest.mark.parametrize("n_photons", [*range(1, 23), None])
+    def test_tables_match_their_circuits(self, n_photons):
+        # The same rows in the same order, every entry within 1e-14 of the
+        # largest: each n <= N + 8 at N <= 10, the photon numbers around N
+        # above that, and the Kerr circuit up to n = 23, past which its own
+        # rounding leaves rows near 1e-14 that the closed form does not have.
+        if n_photons is None:
+            circuit, args, counts = generator_kerr_circuit, (), range(24)
+        else:
+            circuit = generator_odd_circuit if n_photons % 2 else generator_even_circuit
+            args = (n_photons,)
+            counts = (
+                range(n_photons + 9)
+                if n_photons <= 10
+                else (0, 1, n_photons - 1, n_photons, n_photons + 1)
+            )
+        for n in counts:
+            want = circuit_table(circuit, n, *args)
+            got = pipelines._transfer_table(n, n_photons)
+            assert [row[:2] for row in got] == [row[:2] for row in want], n
+            largest = max(abs(amp) for _, _, amp in want)
+            for (_, _, a), (_, _, b) in zip(got, want):
+                assert abs(a - b) <= 1e-14 * largest, (n, a, b)
+
+    @staticmethod
+    def assert_within_two_ulps(got: float, exact) -> None:
+        assert abs(decimal.Decimal(got) - exact) <= 2 * decimal.Decimal(math.ulp(got))
+
+    def test_stage_factors_at_every_n(self):
+        # Method 3 at N 1-300: the vacuum table holds the one pass-through row
+        # and the N-photon table the two NOON rows, each wherever its exact
+        # magnitude reaches the floor. |idle| is the pass-through magnitude,
+        # |stay| = |move| the split one, to 2 ulps, move = s(N) stay exactly,
+        # and |idle| <= 1.
+        for n_photons in range(1, 301):
+            split, passthrough = exact_generator_magnitudes(n_photons)
+            floor = decimal.Decimal(PRUNE_THRESHOLD)
+            vacuum = pipelines._transfer_table(0, n_photons)
+            noon = pipelines._transfer_table(n_photons, n_photons)
+            assert [row[:2] for row in vacuum] == [(0, 0)] * (passthrough >= floor)
+            assert [row[:2] for row in noon] == [(0, n_photons), (n_photons, 0)] * (
+                split >= floor
+            )
+            for _, _, idle in vacuum:
+                self.assert_within_two_ulps(abs(idle), passthrough)
+                assert abs(idle) <= 1.0
+            if noon:
+                (_, _, move), (_, _, stay) = noon
+                self.assert_within_two_ulps(abs(stay), split)
+                sign = -1 if n_photons % 4 < 2 else 1
+                assert move == sign * stay and abs(move) == abs(stay), n_photons
+
+    def test_kerr_entries_are_exact(self):
+        assert repr(pipelines._transfer_table(0, None)) == "((0, 0, (1+0j)),)"
+        for n in range(1, 301):
+            table = pipelines._transfer_table(n, None)
+            assert repr(table) == repr(((0, n, 0.5 + 0j), (n, 0, 0.5 + 0j)))
+
+
 def _level_state(rng, modes: int) -> FockState:
     """Random state on ``modes`` paths with several paths occupied per term.
 
@@ -1128,11 +1183,11 @@ class TestLevelPass:
         self.assert_tuple_call_equals_int_calls(generator, args, state, tuple(paths))
 
     @pytest.mark.parametrize(
-        "amplitude, kept", [(2e-14, False), (math.nextafter(2e-14, 1.0), True)]
+        "amplitude, kept", [(1.9999999999999994e-14, False), (1.9999999999999997e-14, True)]
     )
     def test_idle_run_pruned_at_the_floor_as_int_calls(self, amplitude, kept):
         # Two empty paths of the N = 1 odd generator scale the amplitude by
-        # |idle|^2 ~ 1/2, to just below the floor or exactly onto it: the run
+        # |idle|^2 ~ 1/2, to just below the floor or onto it: the run
         # is pruned once at its end and keeps the term exactly when the int
         # calls, which prune after each step, keep it.
         state = FockState(2, {(0, 0): amplitude})
@@ -1140,25 +1195,16 @@ class TestLevelPass:
         self.assert_tuple_call_equals_int_calls(generator_odd, (1,), state, (0, 1))
         assert bool(whole.terms) is kept
 
-    @pytest.mark.parametrize(
-        "circuit, args",
-        [
-            (pipelines._generator_odd_circuit, (n,))
-            if n % 2
-            else (pipelines._generator_even_circuit, (n,))
-            for n in range(1, 13)
-        ]
-        + [(pipelines._generator_kerr_circuit, ())],
-    )
-    def test_idle_factor_at_most_one(self, circuit, args):
+    @pytest.mark.parametrize("n_photons", [*range(1, 13), None])
+    def test_idle_factor_at_most_one(self, n_photons):
         # Pruning an idle run once at its end is exact only while no idle
         # step can raise a magnitude. The Kerr pass-through is exactly
         # 1+0j: the condition under which an expanded branch skips its idle
         # runs, since a product with it changes no bit of an amplitude
         # without a -0.0 part.
-        ((_, _, idle),) = pipelines._transfer_table(circuit, 0, *args)
+        ((_, _, idle),) = pipelines._transfer_table(0, n_photons)
         assert abs(idle) <= 1.0
-        if circuit is pipelines._generator_kerr_circuit:
+        if n_photons is None:
             assert repr(idle) == "(1+0j)"
 
     SIGNED_ZERO_AMPS = [
@@ -1195,7 +1241,7 @@ class TestLevelPass:
         state = FockState(2, {(1, 0): amp})
         paths = (0, 1, 1, 0, 2)
         self.assert_tuple_call_equals_int_calls(generator_kerr, (), state, paths)
-        table = pipelines._transfer_table(pipelines._generator_kerr_circuit, 1)
+        table = pipelines._transfer_table(1, None)
         expected = []
         for kept, _, first in table:
             mode, fresh = (0, 5) if kept else (2, 6)
@@ -1213,7 +1259,7 @@ class TestLevelPass:
         # so a call's terms are in the order of the int calls it equals.
         amp = complex(-0.5, -0.0)
         out = generator_kerr(FockState(1, {(1,): amp}), 0).state
-        table = pipelines._transfer_table(pipelines._generator_kerr_circuit, 1)
+        table = pipelines._transfer_table(1, None)
         assert all(str((amp * factor).imag) == "-0.0" for _, _, factor in table)
         expected = [((t, f), 0j + amp * factor) for t, f, factor in table]
         assert repr(list(out.terms.items())) == repr(expected)
@@ -1238,9 +1284,9 @@ class TestLevelPass:
             (4, 32, 6),
             (4, 64, 8),
             (4, 256, 4),
-            # The first Kerr table whose entries leave photons on both the
-            # touched and the fresh mode: single-mode branches split into
-            # two-mode ones mid-walk.
+            # The first photon number at which the Kerr circuit's table left
+            # residue on both the touched and the fresh mode; the closed-form
+            # table keeps the two NOON rows alone.
             (4, 2, 24),
         ],
     )
@@ -1286,8 +1332,9 @@ class TestLevelPass:
 
     @pytest.mark.parametrize("amp", [1.0, 2e-14, -0.5j])
     def test_kerr_map_split_needs_no_pruning(self, amp):
-        # At n = 24 the Kerr table leaves photons on both the touched and the
-        # fresh mode, so single-mode branches turn into map branches mid-walk.
+        # At n = 24 the Kerr circuit's table left residue rows near 1e-14 on
+        # both modes; the closed-form table splits every branch into the two
+        # single-mode NOON rows, whose leaves pass the floor too.
         state = FockState(1, {(24,): amp})
         out = generator_kerr(state, (0, 1, 0, 3, 2, 1, 0)).state
         self.assert_leaves_pass_the_floor(out)
@@ -1338,6 +1385,17 @@ class TestMethod4:
         report = run_method(MethodConfig(method=4, d=8, N=3))
         assert abs(report.generation_probability - 0.125) < 1e-12
         assert report.balanced
+
+    def test_exact_across_its_domain(self):
+        # Every component is a product of exact halves and ones, so p is
+        # exactly 1/d and nothing is left over: d 2-64 x N 1-150, and the
+        # largest tree CI runs.
+        points = [(2**level, n) for level in range(1, 7) for n in range(1, 151)]
+        for d, n in points + [(2048, 2)]:
+            report = run_method(MethodConfig(method=4, d=d, N=n))
+            assert report.generation_probability == 1 / d, (d, n)
+            assert repr(report.component_amplitudes) == repr((1 / d + 0j,) * d)
+            assert report.residual_norm == 0.0 and report.balanced is True
 
     def test_balanced_tree_path_order(self, monkeypatch):
         # One call for the whole tree: its levels in turn, each last first.
