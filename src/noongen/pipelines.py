@@ -28,8 +28,11 @@ probabilities are squared norms of the extracted NOON components.
 the other cascades methods 3 and 4, which require d to be a power of two.
 The cascade is a balanced binary tree (each occupied-or-superposed mode is
 paired with a fresh mode level by level), which makes the final component
-amplitudes equal; one generator call runs the whole tree, each branch kept
-as its occupied modes until its final occupation is built.
+amplitudes equal. Each component is a product along its leaf's tree path of
+three numbers one generator gives: the amplitudes with which |N> stays or
+moves and an empty path's factor, read from two single-path calls
+(:func:`_cascade_report`). A call on a tuple of paths still runs a whole
+tree, term by term.
 """
 
 from __future__ import annotations
@@ -575,8 +578,10 @@ def run_method(cfg: MethodConfig) -> NoonReport:
     Methods 1 and 2 filter one mode's 0- and N-photon amplitudes: a coherent
     state's truncated at N (0j for one that rounded to 0), or the split's 1
     and d^(-N/2), rounded from the exact d^N as the product of sqrt(N!) and
-    d^(-N/2)/sqrt(N!) underflows. Methods 3 and 4 run the generator of N's
-    parity, or the cross-Kerr one, once over :func:`_tree_paths` from |N>.
+    d^(-N/2)/sqrt(N!) underflows. Methods 3 and 4 multiply out, along the
+    tree of :func:`_tree_paths`, what the generator of N's parity, or the
+    cross-Kerr one, does to |N> and to |0> on one path
+    (:func:`_cascade_report`).
     Raises ValueError unless the method is an int (not a bool) in
     :data:`METHODS`.
     """
@@ -593,5 +598,48 @@ def run_method(cfg: MethodConfig) -> NoonReport:
     generator, args = generator_kerr, ()
     if method == 3:
         generator, args = (generator_odd if n % 2 else generator_even), (n,)
+    return _cascade_report(generator, args, d, n)
+
+
+def _cascade_report(generator, args: tuple, d: int, n: int) -> NoonReport:
+    """The report of ``generator``'s balanced tree on |N>, from three of its outputs.
+
+    One call on |N> gives ``stay`` and ``move``, the amplitudes of |N, 0> and
+    |0, N>, and one on |0> gives ``idle``, an empty path's factor. In the
+    tree every branch keeps its N photons on one mode and no two meet, so
+    component j is the product, in step order along leaf j's path, of a
+    ``stay`` or ``move`` per generator on its mode and an ``idle`` per
+    generator between. The products repeat the tuple-path walk's operations
+    (:func:`_apply_transfer`), so the report is the walk's bit for bit: an
+    expansion is ``0j + amp * factor``, a branch is dropped (0j) wherever
+    its product falls below :data:`PRUNE_THRESHOLD`, and an idle run is
+    repeated ``amp * idle``, skipped when ``idle`` is 1 because every run
+    follows an expansion (the input is split at step 0). Only the d NOON
+    terms are built, so the residual is 0.0.
+    """
     source = FockState._adopt(1, {(n,): 1 + 0j})  # cfg checked N
-    return extract_noon(generator(source, _tree_paths(d), *args).state, n)
+    stay, move = extract_noon(generator(source, 0, *args).state, n).component_amplitudes
+    vacuum = FockState._adopt(1, {(0,): 1 + 0j})
+    ((_, idle),) = generator(vacuum, 0, *args).state.terms.items()
+    floor = PRUNE_THRESHOLD
+
+    def idled(amp, run):
+        for _ in range(run):
+            amp = amp * idle
+        return amp if abs(amp) >= floor else 0j
+
+    runs = idle != 1
+    paths = _tree_paths(d)
+    amps = [1 + 0j] + [0j] * len(paths)
+    born = [0] * d  # the step after the expansion that made each live branch
+    for fresh, mode in enumerate(paths, 1):  # step fresh - 1 appends mode fresh
+        amp = amps[mode]
+        if runs and amp:
+            amp = idled(amp, fresh - 1 - born[mode])
+            born[mode] = born[fresh] = fresh
+        kept, moved = 0j + amp * stay, 0j + amp * move
+        amps[mode] = kept if abs(kept) >= floor else 0j
+        amps[fresh] = moved if abs(moved) >= floor else 0j
+    if runs:
+        amps = [idled(amp, len(paths) - b) if amp else amp for amp, b in zip(amps, born)]
+    return _noon_report(amps, n, 0.0)

@@ -67,7 +67,7 @@ from noongen import (
     split_evenly,
     tensor,
 )
-from noongen.elements import fsf_factor
+from noongen.elements import HeraldedOutcome, fsf_factor
 
 REPORT_TOLERANCE = pipelines._REPORT_TOLERANCE  # the oracle's threshold
 
@@ -1110,6 +1110,27 @@ class TestClosedFormTables:
                 sign = -1 if n_photons % 4 < 2 else 1
                 assert move == sign * stay and abs(move) == abs(stay), n_photons
 
+    def test_scan_sign_patterns_count_moves(self):
+        # Component j is a product of stay and move, one per generator on
+        # leaf j's path, and move = s(N) stay, so every balanced method 3 or
+        # 4 report of the domain scan has sign_pattern[j] = s(N)^moves(j),
+        # moves(j) counting the generators on that path that moved its
+        # photons. The floor points are not balanced; at least 104 others are.
+        checked = 0
+        for method, d, n, _ in scan_points():
+            if method not in (3, 4):
+                continue
+            report = run_method(MethodConfig(method=method, d=d, N=n))
+            if not report.balanced:
+                continue
+            moves = [0]
+            for path in pipelines._tree_paths(d):
+                moves.append(moves[path] + 1)
+            sign = -1 if method == 3 and n % 4 < 2 else 1
+            assert report.sign_pattern == tuple(sign**k for k in moves), (method, d, n)
+            checked += 1
+        assert checked >= 104
+
     def test_kerr_entries_are_exact(self):
         assert repr(pipelines._transfer_table(0, None)) == "((0, 0, (1+0j)),)"
         for n in range(1, 301):
@@ -1264,32 +1285,36 @@ class TestLevelPass:
         expected = [((t, f), 0j + amp * factor) for t, f, factor in table]
         assert repr(list(out.terms.items())) == repr(expected)
 
-    @pytest.mark.parametrize(
-        "method, d, n",
-        [
-            (3, 2, 2),
-            (3, 4, 4),
-            (3, 4, 8),
-            (3, 8, 4),
-            (3, 8, 6),
-            (3, 16, 4),
-            (3, 2, 21),
-            (3, 4, 7),
-            (3, 8, 3),
-            (3, 8, 5),
-            (3, 16, 3),
-            (4, 2, 5),
-            (4, 8, 3),
-            (4, 16, 4),
-            (4, 32, 6),
-            (4, 64, 8),
-            (4, 256, 4),
-            # The first photon number at which the Kerr circuit's table left
-            # residue on both the touched and the fresh mode; the closed-form
-            # table keeps the two NOON rows alone.
-            (4, 2, 24),
-        ],
+    # Hand-picked points, then every other method 3 and 4 point of the domain
+    # scan: the floor points too, which only this test compares bit for bit.
+    CASCADE_POINTS = [
+        (3, 2, 2),
+        (3, 4, 4),
+        (3, 4, 8),
+        (3, 8, 4),
+        (3, 8, 6),
+        (3, 16, 4),
+        (3, 2, 21),
+        (3, 4, 7),
+        (3, 8, 3),
+        (3, 8, 5),
+        (3, 16, 3),
+        (4, 2, 5),
+        (4, 8, 3),
+        (4, 16, 4),
+        (4, 32, 6),
+        (4, 64, 8),
+        (4, 256, 4),
+        # The first photon number at which the Kerr circuit's table left
+        # residue on both the touched and the fresh mode; the closed-form
+        # table keeps the two NOON rows alone.
+        (4, 2, 24),
+    ]
+    CASCADE_POINTS = list(
+        dict.fromkeys(CASCADE_POINTS + [(m, d, n) for m, d, n, _ in scan_points() if m in (3, 4)])
     )
+
+    @pytest.mark.parametrize("method, d, n", CASCADE_POINTS)
     def test_cascade_reports_match_one_path_at_a_time(self, method, d, n):
         # The states too: a report cannot see the order of the terms.
         cfg = MethodConfig(method=method, d=d, N=n)
@@ -1353,20 +1378,24 @@ class TestCascadeLayout:
 
     @pytest.mark.parametrize("method, n", [(3, 2), (3, 3), (4, 5)])
     def test_cascade_input_is_the_basis_state(self, monkeypatch, method, n):
-        # run_method builds |N> through the trusted constructor, N being
-        # checked by MethodConfig: the same state as make_fock, bit for bit.
-        inputs = []
+        # run_method reads its three numbers from two int calls on path 0:
+        # |N> and then |0>, each built through the trusted constructor (N
+        # checked by MethodConfig) and the same state as make_fock, bit for
+        # bit. No call is handed a tuple of paths.
+        calls = []
         cfg = MethodConfig(method=method, d=4, N=n)
         generator, _ = cascade_generator(cfg)
 
-        def spy(state, *args):
-            inputs.append(state)
-            return generator(state, *args)
+        def spy(state, paths, *args):
+            calls.append((state, paths))
+            return generator(state, paths, *args)
 
         monkeypatch.setattr(pipelines, generator.__name__, spy)
         run_method(cfg)
-        (state,) = inputs
-        assert_same_bits(state, make_fock(1, (n,)))
+        assert [paths for _, paths in calls] == [0, 0]
+        assert all(type(paths) is int for _, paths in calls)
+        for (state, _), occ in zip(calls, [(n,), (0,)]):
+            assert_same_bits(state, make_fock(1, occ))
 
 
 class TestMethod4:
@@ -1398,16 +1427,21 @@ class TestMethod4:
             assert report.residual_norm == 0.0 and report.balanced is True
 
     def test_balanced_tree_path_order(self, monkeypatch):
-        # One call for the whole tree: its levels in turn, each last first.
-        calls = []
-
-        def recording(state, paths):
-            calls.append(paths)
+        # Levels in turn, each last first; the report's component j is the
+        # leaf of mode j. A stand-in generator moves with the factor 1j, so
+        # leaf j's sign is 1j^moves(j), where moves counts the generators on
+        # its path that moved its photons: 0, 1, 2, 1, 2, 3, 2, 1 for d = 8.
+        def stand_in(state, paths):
+            assert paths == 0
+            if state.terms == {(2,): 1}:
+                return HeraldedOutcome(FockState(2, {(2, 0): 0.5, (0, 2): 0.5j}), state)
             return generator_kerr(state, paths)
 
-        monkeypatch.setattr(pipelines, "generator_kerr", recording)
-        run_method(MethodConfig(method=4, d=8, N=2))
-        assert calls == [(0, 1, 0, 3, 2, 1, 0)]
+        monkeypatch.setattr(pipelines, "generator_kerr", stand_in)
+        report = run_method(MethodConfig(method=4, d=8, N=2))
+        assert pipelines._tree_paths(8) == (0, 1, 0, 3, 2, 1, 0)
+        assert report.sign_pattern == (1, 1j, -1, 1j, -1, -1j, -1, 1j)
+        assert all(abs(c) == 0.125 for c in report.component_amplitudes)
 
 
 class TestBeyondVerifyGrid:
