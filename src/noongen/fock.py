@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 Occupation = tuple[int, ...]
 
-# The state constructors, the even split and the cascade walk drop amplitudes
+# The state constructors, the even split and the generators drop amplitudes
 # below this magnitude as destructive-interference residue; real heralded
 # amplitudes can be smaller (ROADMAP item 1). Methods 1 and 2 never apply it.
 PRUNE_THRESHOLD = 1e-14
@@ -71,7 +71,7 @@ class FockState:
     checks because its occupations and amplitudes are derived from states
     that already passed them. Both prune by the same rule once, in the pass
     that builds their dict; :meth:`_adopt` takes its caller's dict as it is:
-    the cascade walk's pruned leaves, or a coherent state's nonzero terms.
+    a generator's pruned outputs, or a coherent state's nonzero terms.
     """
 
     __slots__ = ("_mode_count", "_terms")

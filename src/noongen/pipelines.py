@@ -30,9 +30,9 @@ The cascade is a balanced binary tree (each occupied-or-superposed mode is
 paired with a fresh mode level by level), which makes the final component
 amplitudes equal. Each component is a product along its leaf's tree path of
 three numbers one generator gives: the amplitudes with which |N> stays or
-moves and an empty path's factor, read from two single-path calls
-(:func:`_cascade_report`). A call on a tuple of paths still runs a whole
-tree, term by term.
+moves and an empty path's factor, read from two generator calls
+(:func:`_cascade_report`). A generator takes one int path and appends one
+fresh mode.
 """
 
 from __future__ import annotations
@@ -338,96 +338,22 @@ def _transfer_table(n: int, n_photons: int | None) -> tuple:
     return tuple(table)
 
 
-def _level_paths(paths, mode_count: int) -> tuple[int, ...]:
-    """``paths``, an int or a tuple of ints, as a tuple of mode indices.
+def _apply_transfer(state: FockState, path: int, n_photons: int | None) -> HeraldedOutcome:
+    """Apply the generator of :func:`_transfer_table`'s ``n_photons`` to ``path``.
 
-    Entry ``i`` may name any mode below ``mode_count + i``: an input mode or
-    the fresh mode an earlier entry appends. Raises ValueError for an empty
-    tuple, a non-int entry or an index outside that range. A tuple of exact
-    ints passes one pass over the entries' types here, and its ranges are
-    checked by :func:`_schedule`, once per cached schedule. Any other tuple
-    is checked here entry by entry, type then range, so a float or bool
-    never reaches the cache, where ``(0, 1.0)`` or ``(0, True)`` would find
-    the schedule of the equal ``(0, 1)``.
+    The generator touches mode ``path`` of ``state`` and appends one fresh
+    mode. A term with ``path`` empty is multiplied by the vacuum table's one
+    factor ``idle`` as ``amp * idle``; any other is expanded by the transfer
+    table of its photon number, in table order, each product summed from 0j
+    as into a zero-filled map, so a -0.0 part comes out +0.0. A product below
+    :data:`PRUNE_THRESHOLD` is dropped. Every table keeps the touched photon
+    number on the touched and fresh modes, so no two outputs meet and the
+    dict goes to :meth:`FockState._adopt` as it is.
     """
-    if not isinstance(paths, tuple):
-        paths = (paths,)
-    if not paths:
-        raise ValueError("paths must name at least one mode")
-    if set(map(type, paths)) != {int}:
-        for i, path in enumerate(paths):
-            if not is_int(path):
-                raise ValueError(f"path index {path!r} is not an int")
-            if not 0 <= path < mode_count + i:
-                raise ValueError(
-                    f"path index {path} out of range for {mode_count + i} modes"
-                )
-    return paths
-
-
-@lru_cache(maxsize=64)
-def _schedule(paths: tuple[int, ...], mode_count: int) -> tuple[tuple, ...]:
-    """Step lists of a generator call on ``paths``, one per output mode.
-
-    Entry ``m`` lists, in order, the steps whose generator touches mode ``m``
-    of the ``mode_count + len(paths)`` output modes, and ends with
-    ``len(paths)``, the step past the last. Each entry's range is checked
-    here, in order, as :func:`_level_paths` does for a tuple that is not all
-    exact ints; an error is not cached, so it is raised on every call.
-    Cached because the cascades repeat their shape: every method 3 or 4 run
-    at one d makes the same call on the same paths, and a grid revisits few
-    d.
-    """
-    width = len(paths)
-    steps = [[] for _ in range(mode_count + width)]
-    for step, path in enumerate(paths):
-        if not 0 <= path < mode_count + step:
-            raise ValueError(
-                f"path index {path} out of range for {mode_count + step} modes"
-            )
-        steps[path].append(step)
-    return tuple(tuple(touches) + (width,) for touches in steps)
-
-
-def _apply_transfer(state: FockState, paths, n_photons: int | None) -> HeraldedOutcome:
-    """Apply a heralded generator to each of ``paths`` in one pass over the terms.
-
-    The generator of :func:`_transfer_table`'s ``n_photons`` touches one path
-    and appends one fresh mode. The fresh mode of ``paths[i]`` gets index
-    ``state.mode_count + i``, and a later entry may name it, so the call
-    equals applying the generators one after another in the order of
-    ``paths``, and one call runs a whole cascade.
-
-    The generators are linear, so each term walks them depth first. Every
-    generator before the next one that touches an occupied mode meets an
-    empty path and multiplies the amplitude by the vacuum table's one factor
-    ``idle``; the generator itself expands the branch by the transfer table
-    of its photon number, looked up once per call. Each product is the one
-    applying the generators one at a time formed. That route pruned each
-    product below :data:`PRUNE_THRESHOLD`; here an idle run is pruned at its
-    end, which drops the same branches because |idle| <= 1. When ``idle``
-    is 1 (the Kerr pass-through), a branch made by an expansion skips its
-    idle runs: its amplitude is ``0j + amp * factor``, so neither part is
-    -0.0, and on such a value a product with ``1+0j`` or ``1-0j`` returns
-    every bit unchanged, so the prune it passed when pushed still holds. An
-    input term may carry a -0.0 part, which such a product can turn into
-    +0.0, so it takes every product. Every amplitude is therefore bit for
-    bit the same. Each expansion pushes its branches
-    straight onto the walk's stack from the call's copy of the table, stored
-    in reverse order, so they pop in table order and finish in that route's
-    term order. A finished branch builds its output occupation once, from one
-    row per call: a list of zeros whose occupied modes are set, copied to a
-    tuple and reset, and goes untested into the dict the output state adopts
-    (:meth:`FockState._adopt`): it passed the pruning test in the walk.
-
-    Every table keeps the touched photon number on the touched and fresh
-    modes, so no two outputs meet and none are summed; a branch carries the
-    occupied mode its next generator touches as its head, and its other
-    occupied modes, in the order they are touched, as ``rest``.
-    """
-    paths = _level_paths(paths, state.mode_count)
-    first_fresh = state.mode_count
-    steps = _schedule(paths, first_fresh)  # a range error comes before the vacuum's
+    if not is_int(path):
+        raise ValueError(f"path index {path!r} is not an int")
+    if not 0 <= path < state.mode_count:
+        raise ValueError(f"path index {path} out of range for {state.mode_count} modes")
     vacuum = _transfer_table(0, n_photons)
     if not vacuum:
         # Only the N-photon generators can get here: the Kerr pass-through is 1.
@@ -436,66 +362,23 @@ def _apply_transfer(state: FockState, paths, n_photons: int | None) -> HeraldedO
             f" PRUNE_THRESHOLD = {PRUNE_THRESHOLD}"
         )
     ((_, _, idle),) = vacuum
-    unit = idle == 1
-    width = len(paths)
-    row = [0] * len(steps)
-    tables = {}
-    leaves = {}
-    for occ, amplitude in state.terms.items():
-        heads = sorted((steps[mode][0], mode, n, 0) for mode, n in enumerate(occ) if n)
-        heads = heads or [(width, 0, 0, 0)]
-        stack = [(amplitude, 0, *heads[0], tuple(heads[1:]))]
-        while stack:
-            amp, step, index, mode, n, k, rest = stack.pop()
-            run = index - step
-            if run and not (step and unit):
-                for _ in range(run):
-                    amp = amp * idle
-                if abs(amp) < PRUNE_THRESHOLD:
-                    continue
-            if index == width:
-                row[mode] = n
-                # Nearly every leaf holds one mode: skip the loops over rest.
-                if rest:
-                    for _, other, count, _ in rest:
-                        row[other] = count
-                    leaves[tuple(row)] = amp
-                    for _, other, _, _ in rest:
-                        row[other] = 0
-                else:
-                    leaves[tuple(row)] = amp
-                row[mode] = 0
-                continue
-            fresh = first_fresh + index
-            after = steps[mode][k + 1]
-            table = tables.get(n)
-            if table is None:
-                table = tables[n] = _transfer_table(n, n_photons)[::-1]
-            for touched, moved, factor in table:
-                # Summed from 0j, as into a zero-filled map: a -0.0 part of
-                # the product comes out +0.0, which the reports have always
-                # shown.
-                value = 0j + amp * factor
-                if abs(value) < PRUNE_THRESHOLD:
-                    continue
-                if rest or touched and moved:
-                    heads = list(rest)
-                    if touched:
-                        heads.append((after, mode, touched, k + 1))
-                    if moved:
-                        heads.append((steps[fresh][0], fresh, moved, 0))
-                    heads.sort()
-                    stack.append((value, index + 1, *heads[0], tuple(heads[1:])))
-                elif moved:
-                    stack.append((value, index + 1, steps[fresh][0], fresh, moved, 0, ()))
-                else:
-                    stack.append((value, index + 1, after, mode, touched, k + 1, ()))
-    return HeraldedOutcome(FockState._adopt(len(row), leaves), state)
+    out = {}
+    for occ, amp in state.terms.items():
+        n = occ[path]
+        if not n:
+            amp = amp * idle
+            if abs(amp) >= PRUNE_THRESHOLD:
+                out[occ + (0,)] = amp
+            continue
+        head, tail = occ[:path], occ[path + 1 :]
+        for touched, moved, factor in _transfer_table(n, n_photons):
+            value = 0j + amp * factor
+            if abs(value) >= PRUNE_THRESHOLD:
+                out[(*head, touched, *tail, moved)] = value
+    return HeraldedOutcome(FockState._adopt(state.mode_count + 1, out), state)
 
 
-def generator_even(
-    state: FockState, paths: int | tuple[int, ...], n_photons: int
-) -> HeraldedOutcome:
+def generator_even(state: FockState, path: int, n_photons: int) -> HeraldedOutcome:
     """Entanglement generator for even N: reduce two photons per sub-block.
 
     Appends a fresh mode holding |N> and runs N/2 sub-blocks. Sub-block k taps
@@ -506,23 +389,16 @@ def generator_even(
     with c = -i^(N/2) sqrt(N!/(2^N N^N)) and s(N) = -1 for N = 0 (mod 4), else
     +1, because the transmissivities multiply to 1/2 and the tap phases
     cancel every partial removal. So |N> gives a balanced two-mode NOON state.
-
-    ``paths`` is one mode index or a tuple of them, such as a whole cascade;
-    each entry gets one generator and one fresh mode, with the next unused
-    indices in the order of ``paths``, and entry i may name any mode below
-    ``state.mode_count + i``, so a later entry can split an earlier one's
-    fresh mode. The call equals the int calls made in that order.
+    ``path`` is the index of the touched mode; the fresh mode is appended last.
     """
     if not is_int(n_photons) or n_photons < 2 or n_photons % 2:
         raise ValueError(
             f"even-N generator requires even int N >= 2, got {n_photons!r}"
         )
-    return _apply_transfer(state, paths, n_photons)
+    return _apply_transfer(state, path, n_photons)
 
 
-def generator_odd(
-    state: FockState, paths: int | tuple[int, ...], n_photons: int
-) -> HeraldedOutcome:
+def generator_odd(state: FockState, path: int, n_photons: int) -> HeraldedOutcome:
     """Entanglement generator for odd N: reduce one photon per sub-block.
 
     Appends a fresh mode holding |N> and runs N sub-blocks, each reducing one
@@ -535,15 +411,14 @@ def generator_odd(
     :func:`generator_even`, with c = -i sqrt(N!/(2^N N^N)) and s(N) = +1 for
     N = 3 (mod 4), -1 for N = 1 (mod 4): the transmissivities multiply to 1/2
     and the tap phases and click weights cancel every partial removal.
-    ``paths`` is one mode index or a tuple of them, as for
-    :func:`generator_even`.
+    ``path`` is as for :func:`generator_even`.
     """
     if not is_int(n_photons) or n_photons < 1 or n_photons % 2 == 0:
         raise ValueError(f"odd-N generator requires odd int N >= 1, got {n_photons!r}")
-    return _apply_transfer(state, paths, n_photons)
+    return _apply_transfer(state, path, n_photons)
 
 
-def generator_kerr(state: FockState, paths: int | tuple[int, ...]) -> HeraldedOutcome:
+def generator_kerr(state: FockState, path: int) -> HeraldedOutcome:
     """Cross-Kerr entanglement generator heralded on one single photon.
 
     Appends a fresh partner mode (vacuum), a single-photon mode and a fourth
@@ -555,9 +430,9 @@ def generator_kerr(state: FockState, paths: int | tuple[int, ...]) -> HeraldedOu
     (|n, 0> + |0, n>)/2 for n >= 1 and vacuum passes with amplitude 1,
     because the photon either misses the medium or gives the path a phase pi
     per photon, which sends all n photons to the partner, and the herald
-    takes each branch at 1/2. ``paths`` is as for :func:`generator_even`.
+    takes each branch at 1/2. ``path`` is as for :func:`generator_even`.
     """
-    return _apply_transfer(state, paths, None)
+    return _apply_transfer(state, path, None)
 
 
 @lru_cache(maxsize=64)
@@ -609,13 +484,15 @@ def _cascade_report(generator, args: tuple, d: int, n: int) -> NoonReport:
     tree every branch keeps its N photons on one mode and no two meet, so
     component j is the product, in step order along leaf j's path, of a
     ``stay`` or ``move`` per generator on its mode and an ``idle`` per
-    generator between. The products repeat the tuple-path walk's operations
-    (:func:`_apply_transfer`), so the report is the walk's bit for bit: an
-    expansion is ``0j + amp * factor``, a branch is dropped (0j) wherever
-    its product falls below :data:`PRUNE_THRESHOLD`, and an idle run is
-    repeated ``amp * idle``, skipped when ``idle`` is 1 because every run
-    follows an expansion (the input is split at step 0). Only the d NOON
-    terms are built, so the residual is 0.0.
+    generator between. The products repeat the operations of one int call
+    per generator (:func:`_apply_transfer`), so the report is that of the
+    state those calls build, bit for bit: an expansion is ``0j + amp *
+    factor`` and an idle step ``amp * idle``, and a branch is dropped (0j)
+    wherever its product falls below :data:`PRUNE_THRESHOLD`. An idle run is
+    floored once at its end, which drops the same branches because |idle|
+    <= 1, and skipped when ``idle`` is 1: every run follows an expansion (the
+    input is split at step 0), and on a sum from 0j a product with 1+0j
+    changes no bit. Only the d NOON terms are built, so the residual is 0.0.
     """
     source = FockState._adopt(1, {(n,): 1 + 0j})  # cfg checked N
     stay, move = extract_noon(generator(source, 0, *args).state, n).component_amplitudes

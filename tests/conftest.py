@@ -475,8 +475,8 @@ def cascade_one_path_at_a_time(cfg: MethodConfig) -> FockState:
 
     The same tree as ``pipelines._tree_paths``: at level l the paths 2^l - 1,
     ..., 1, 0 are split in turn. Here each path is its own int call of the
-    public generator on the whole state, the reference for the tuple-path
-    walk and for ``run_method``'s tree-path products.
+    public generator on the whole state, the reference for ``run_method``'s
+    tree-path products.
     """
     generator, args = cascade_generator(cfg)
     state = make_fock(1, (cfg.N,))

@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import sys
 from fractions import Fraction
 from math import factorial
@@ -1011,48 +1012,27 @@ class TestGeneratorRoutes:
                 generator(state, path_a, *args)
 
     @pytest.mark.parametrize("generator, args", GENERATORS)
-    @pytest.mark.parametrize(
-        "paths, message",
-        [
-            ((), "paths must name at least one mode"),
-            ((3, 0), "path index 3 out of range for 3 modes"),
-            ((0, 1.0), "path index 1.0 is not an int"),
-            ((0, "1"), "path index '1' is not an int"),
-            (True, "path index True is not an int"),
-            ((0, 4), "path index 4 out of range for 4 modes"),
-            ((0, -1), "path index -1 out of range for 4 modes"),
-            ((5, 1.0), "path index 5 out of range for 3 modes"),
-        ],
-    )
-    def test_level_paths_validated_on_the_input(self, generator, args, paths, message):
-        # Entry i may name a mode below mode_count + i: an input mode, or the
-        # fresh mode of an earlier entry, never one not appended yet. Entries
-        # are checked in order, type then range, so (5, 1.0) fails on its 5.
+    @pytest.mark.parametrize("path_a", [(), (0, 1), True, 1.0, "1"])
+    def test_path_type_validated_on_the_input(self, generator, args, path_a):
+        # A path is one int mode index: a tuple, a bool, a float or a string
+        # is rejected before its range is read, on a full and an empty state,
+        # even where it equals a valid index (True and 1.0 equal 1).
         for state in (FockState(3, {(1, 0, 2): 1.0}), FockState(3, {})):
+            message = re.escape(f"path index {path_a!r} is not an int")
             with pytest.raises(ValueError, match=message):
-                generator(state, paths, *args)
+                generator(state, path_a, *args)
 
     @pytest.mark.parametrize("generator, args", GENERATORS)
-    @pytest.mark.parametrize("paths", [(0, 1.0), (0, True)])
-    def test_equal_paths_do_not_reuse_a_checked_schedule(self, generator, args, paths):
-        # (0, 1.0) and (0, True) equal (0, 1) and hash alike, so the cached
-        # schedule of (0, 1) must not stand in for their type check.
-        state = FockState(1, {(1,): 1.0})
-        generator(state, (0, 1), *args)
-        assert (0, 1) == paths and pipelines._schedule.cache_info().currsize
-        with pytest.raises(ValueError, match=f"path index {paths[1]!r} is not an int"):
-            generator(state, paths, *args)
-
-    @pytest.mark.parametrize("generator, args", GENERATORS)
-    def test_int_enum_paths_accepted(self, generator, args):
-        # An int subclass other than bool is a mode index: the call takes
-        # the entry-by-entry check and gives the plain ints' state.
+    def test_int_enum_path_accepted(self, generator, args):
+        # An int subclass other than bool is a mode index and gives the
+        # plain int's state, bit for bit.
         Mode = enum.IntEnum("Mode", {"A": 0, "B": 1, "C": 2})
-        state = FockState(2, {(2, 0): 1.0, (1, 1): 0.5j})
-        plain = generator(state, (0, 1, 2, 0), *args).state
-        named = generator(state, (Mode.A, Mode.B, Mode.C, Mode.A), *args).state
-        assert named.mode_count == plain.mode_count == 6
-        assert repr(list(named.terms.items())) == repr(list(plain.terms.items()))
+        state = FockState(3, {(2, 0, 1): 1.0, (1, 1, 0): 0.5j, (0, 0, 0): -0.25})
+        for mode in Mode:
+            plain = generator(state, int(mode), *args).state
+            named = generator(state, mode, *args).state
+            assert named.mode_count == plain.mode_count == 4
+            assert_same_bits(named, plain)
 
 
 class TestClosedFormTables:
@@ -1144,8 +1124,7 @@ def _level_state(rng, modes: int) -> FockState:
     Each term puts 1 to 3 photons on each of 1 to 3 paths; one draw in eight
     is the vacuum. About one amplitude in three lies within a factor 100 of
     :data:`PRUNE_THRESHOLD`, so idle steps and expansions prune some
-    products mid-walk, and one in two has a real or imaginary part of 0.0 or
-    -0.0.
+    products, and one in two has a real or imaginary part of 0.0 or -0.0.
     """
     terms = {}
     for _ in range(int(rng.integers(4, 13))):
@@ -1165,8 +1144,17 @@ def _level_state(rng, modes: int) -> FockState:
     return FockState(modes, terms)
 
 
-class TestLevelPass:
-    """One call on a tuple of paths equals one int call per path, bit for bit."""
+def _int_calls(generator, args, state: FockState, paths) -> list:
+    """The states of ``generator`` called on each of ``paths`` in turn, one per call."""
+    states = []
+    for path in paths:
+        state = generator(state, path, *args).state
+        states.append(state)
+    return states
+
+
+class TestIntCalls:
+    """The exact products and floor of int calls, which the cascade reports repeat."""
 
     GENERATORS = [
         (generator_even, (2,)),
@@ -1176,53 +1164,30 @@ class TestLevelPass:
         (generator_kerr, ()),
     ]
 
-    @staticmethod
-    def assert_tuple_call_equals_int_calls(generator, args, state, paths):
-        whole = generator(state, paths, *args)
-        one_at_a_time = state
-        for path in paths:
-            one_at_a_time = generator(one_at_a_time, path, *args).state
-        assert whole.state.mode_count == state.mode_count + len(paths)
-        assert whole.before is state
-        assert_same_bits(whole.state, one_at_a_time)
-
-    @pytest.mark.parametrize("generator, args", GENERATORS)
-    @pytest.mark.parametrize("seed", range(8))
-    def test_tuple_call_equals_int_calls(self, generator, args, seed):
-        rng = np.random.default_rng(7400 + seed)
-        modes = int(rng.integers(3, 9))
-        state = _level_state(rng, modes)
-        count = int(rng.integers(2, modes + 1))
-        distinct = tuple(int(p) for p in rng.permutation(modes)[:count])
-        self.assert_tuple_call_equals_int_calls(generator, args, state, distinct)
-        # Entry i names any mode below modes + i, so modes repeat and fresh
-        # modes are split again, as in a cascade; at least one of each.
-        steps = int(rng.integers(4, 13))
-        paths = [int(rng.integers(0, modes)), modes]
-        paths += [int(rng.integers(0, modes + i)) for i in range(2, steps)]
-        paths.insert(int(rng.integers(2, steps)), paths[0])
-        self.assert_tuple_call_equals_int_calls(generator, args, state, tuple(paths))
-
     @pytest.mark.parametrize(
         "amplitude, kept", [(1.9999999999999994e-14, False), (1.9999999999999997e-14, True)]
     )
     def test_idle_run_pruned_at_the_floor_as_int_calls(self, amplitude, kept):
         # Two empty paths of the N = 1 odd generator scale the amplitude by
-        # |idle|^2 ~ 1/2, to just below the floor or onto it: the run
-        # is pruned once at its end and keeps the term exactly when the int
-        # calls, which prune after each step, keep it.
+        # |idle|^2 ~ 1/2: the first product passes the floor, the second
+        # falls just below it or onto it. Each call prunes its own product,
+        # amp * idle, and the cascade reports floor an idle run once at its
+        # end, which keeps the term exactly when these calls do.
+        ((_, _, idle),) = pipelines._transfer_table(0, 1)
         state = FockState(2, {(0, 0): amplitude})
-        whole = generator_odd(state, (0, 1), 1).state
-        self.assert_tuple_call_equals_int_calls(generator_odd, (1,), state, (0, 1))
-        assert bool(whole.terms) is kept
+        first, second = _int_calls(generator_odd, (1,), state, (0, 1))
+        assert repr(list(first.terms.items())) == repr([((0, 0, 0), amplitude * idle)])
+        expected = [((0, 0, 0, 0), amplitude * idle * idle)] if kept else []
+        assert repr(list(second.terms.items())) == repr(expected)
+        assert bool(second.terms) is kept
 
     @pytest.mark.parametrize("n_photons", [*range(1, 13), None])
     def test_idle_factor_at_most_one(self, n_photons):
-        # Pruning an idle run once at its end is exact only while no idle
+        # Flooring an idle run once at its end is exact only while no idle
         # step can raise a magnitude. The Kerr pass-through is exactly
-        # 1+0j: the condition under which an expanded branch skips its idle
-        # runs, since a product with it changes no bit of an amplitude
-        # without a -0.0 part.
+        # 1+0j: the condition under which the cascade reports skip an
+        # expanded branch's idle steps, since a product with it changes no
+        # bit of an amplitude without a -0.0 part.
         ((_, _, idle),) = pipelines._transfer_table(0, n_photons)
         assert abs(idle) <= 1.0
         if n_photons is None:
@@ -1238,30 +1203,27 @@ class TestLevelPass:
         [((1, 0), (1, 1, 1)), ((1, 1, 0), (2, 2, 2)), ((1, 0), (1, 1, 1, 1, 1))],
     )
     def test_kerr_idle_run_on_an_input_term_bit_for_bit(self, amp, occ, paths):
-        # Kerr generators on an empty mode are one idle run of products with
-        # 1+0j on an input term, which takes every one of them: on a
-        # single-mode branch and on a map branch. The term never expands, so
-        # no 0j + can hide a skipped product; a walk that skipped the run
-        # outright would keep the -0.0 real part of complex(-0.0, -1.0),
-        # which one product turns into +0.0.
+        # Kerr generators on an empty mode multiply an input term by 1+0j,
+        # once per call, on a term with one occupied mode and on one with
+        # two. The term never expands, so no 0j + can hide a skipped
+        # product; skipping the run outright would keep the -0.0 real part
+        # of complex(-0.0, -1.0), which one product turns into +0.0.
         state = FockState(len(occ), {occ: amp})
-        self.assert_tuple_call_equals_int_calls(generator_kerr, (), state, paths)
+        *_, out = _int_calls(generator_kerr, (), state, paths)
         product = functools.reduce(operator.mul, [1 + 0j] * len(paths), amp)
         expected = [(occ + (0,) * len(paths), product)]
-        out = generator_kerr(state, paths).state
         assert repr(list(out.terms.items())) == repr(expected)
 
     @pytest.mark.parametrize("amp", SIGNED_ZERO_AMPS)
     def test_kerr_expanded_branch_idles_bit_for_bit(self, amp):
-        # The photon expands at step 0 into a branch left on mode 0, which
-        # idles two steps before it expands again at step 3, and one moved
-        # to mode 2, which idles three before it expands at step 4. Each
-        # expanded amplitude is 0j + amp * factor, with no -0.0 part, so the
-        # idle products with 1+0j that the int calls make change no bit and
-        # the walk skips them: the output is the two expansions alone.
+        # The photon expands at the first call into a branch left on mode 0,
+        # which idles two calls before it expands again at the fourth, and
+        # one moved to mode 2, which idles three before it expands at the
+        # fifth. Each expanded amplitude is 0j + amp * factor, with no -0.0
+        # part, so the idle products with 1+0j change no bit, and the
+        # cascade reports skip them: the output is the two expansions alone.
         state = FockState(2, {(1, 0): amp})
-        paths = (0, 1, 1, 0, 2)
-        self.assert_tuple_call_equals_int_calls(generator_kerr, (), state, paths)
+        *_, out = _int_calls(generator_kerr, (), state, (0, 1, 1, 0, 2))
         table = pipelines._transfer_table(1, None)
         expected = []
         for kept, _, first in table:
@@ -1270,14 +1232,12 @@ class TestLevelPass:
                 occ = [0] * 7
                 occ[mode], occ[fresh] = touched, moved
                 expected.append((tuple(occ), 0j + (0j + amp * first) * second))
-        out = generator_kerr(state, paths).state
         assert repr(list(out.terms.items())) == repr(expected)
 
     def test_expanded_amplitudes_are_sums_from_zero(self):
         # An expanded amplitude is 0j + amp * factor, the sum a zero-filled
-        # map gave when each generator ran alone: amp * factor's -0.0
-        # imaginary part comes out +0.0. The terms come out in table order,
-        # so a call's terms are in the order of the int calls it equals.
+        # map gives: amp * factor's -0.0 imaginary part comes out +0.0. The
+        # terms come out in table order.
         amp = complex(-0.5, -0.0)
         out = generator_kerr(FockState(1, {(1,): amp}), 0).state
         table = pipelines._transfer_table(1, None)
@@ -1316,32 +1276,28 @@ class TestLevelPass:
 
     @pytest.mark.parametrize("method, d, n", CASCADE_POINTS)
     def test_cascade_reports_match_one_path_at_a_time(self, method, d, n):
-        # The states too: a report cannot see the order of the terms.
         cfg = MethodConfig(method=method, d=d, N=n)
         one_at_a_time = cascade_one_path_at_a_time(cfg)
-        generator, args = cascade_generator(cfg)
-        paths = pipelines._tree_paths(d)
-        whole = generator(make_fock(1, (n,)), paths, *args).state
-        assert_same_bits(whole, one_at_a_time)
         assert repr(run_method(cfg).to_dict()) == repr(
             extract_noon(one_at_a_time, n).to_dict()
         )
 
     @staticmethod
     def assert_leaves_pass_the_floor(out: FockState) -> None:
-        # The walk hands its dict to FockState._adopt, which prunes nothing:
-        # every amplitude must already pass the test _trusted makes, so that
-        # rebuilding the state through _trusted keeps every term and bit.
+        # A generator hands its dict to FockState._adopt, which prunes
+        # nothing: every amplitude must already pass the test _trusted makes,
+        # so that rebuilding the state through _trusted keeps every term and
+        # bit.
         assert all(abs(amp) >= PRUNE_THRESHOLD for amp in out.terms.values())
         rebuilt = FockState._trusted(out.mode_count, list(out.terms.items()))
         assert_same_bits(out, rebuilt)
 
     @pytest.mark.parametrize("generator, args", GENERATORS)
     @pytest.mark.parametrize("seed", range(6))
-    def test_walk_output_needs_no_pruning(self, generator, args, seed):
-        # Multi-mode terms near the floor (idle runs and expansions prune
-        # mid-walk) and single-mode inputs, on tuples of paths whose later
-        # entries split fresh modes.
+    def test_int_call_outputs_need_no_pruning(self, generator, args, seed):
+        # Multi-mode terms near the floor (idle steps and expansions prune
+        # some products) and single-mode inputs, through chains of int calls
+        # whose later paths split fresh modes.
         rng = np.random.default_rng(7500 + seed)
         near_floor = FockState(1, {(int(rng.integers(0, 7)),): 3 * PRUNE_THRESHOLD})
         steps = int(rng.integers(2, 9))
@@ -1352,17 +1308,17 @@ class TestLevelPass:
         ):
             modes = state.mode_count
             paths = [0] + [int(rng.integers(0, modes + i)) for i in range(1, steps)]
-            out = generator(state, tuple(paths), *args).state
-            self.assert_leaves_pass_the_floor(out)
+            for out in _int_calls(generator, args, state, paths):
+                self.assert_leaves_pass_the_floor(out)
 
     @pytest.mark.parametrize("amp", [1.0, 2e-14, -0.5j])
-    def test_kerr_map_split_needs_no_pruning(self, amp):
+    def test_kerr_split_at_n24_needs_no_pruning(self, amp):
         # At n = 24 the Kerr circuit's table left residue rows near 1e-14 on
         # both modes; the closed-form table splits every branch into the two
-        # single-mode NOON rows, whose leaves pass the floor too.
+        # single-mode NOON rows, whose outputs pass the floor too.
         state = FockState(1, {(24,): amp})
-        out = generator_kerr(state, (0, 1, 0, 3, 2, 1, 0)).state
-        self.assert_leaves_pass_the_floor(out)
+        for out in _int_calls(generator_kerr, (), state, (0, 1, 0, 3, 2, 1, 0)):
+            self.assert_leaves_pass_the_floor(out)
 
 
 class TestCascadeLayout:
@@ -1381,19 +1337,19 @@ class TestCascadeLayout:
         # run_method reads its three numbers from two int calls on path 0:
         # |N> and then |0>, each built through the trusted constructor (N
         # checked by MethodConfig) and the same state as make_fock, bit for
-        # bit. No call is handed a tuple of paths.
+        # bit.
         calls = []
         cfg = MethodConfig(method=method, d=4, N=n)
         generator, _ = cascade_generator(cfg)
 
-        def spy(state, paths, *args):
-            calls.append((state, paths))
-            return generator(state, paths, *args)
+        def spy(state, path, *args):
+            calls.append((state, path))
+            return generator(state, path, *args)
 
         monkeypatch.setattr(pipelines, generator.__name__, spy)
         run_method(cfg)
-        assert [paths for _, paths in calls] == [0, 0]
-        assert all(type(paths) is int for _, paths in calls)
+        assert [path for _, path in calls] == [0, 0]
+        assert all(type(path) is int for _, path in calls)
         for (state, _), occ in zip(calls, [(n,), (0,)]):
             assert_same_bits(state, make_fock(1, occ))
 
@@ -1431,11 +1387,11 @@ class TestMethod4:
         # leaf of mode j. A stand-in generator moves with the factor 1j, so
         # leaf j's sign is 1j^moves(j), where moves counts the generators on
         # its path that moved its photons: 0, 1, 2, 1, 2, 3, 2, 1 for d = 8.
-        def stand_in(state, paths):
-            assert paths == 0
+        def stand_in(state, path):
+            assert path == 0
             if state.terms == {(2,): 1}:
                 return HeraldedOutcome(FockState(2, {(2, 0): 0.5, (0, 2): 0.5j}), state)
-            return generator_kerr(state, paths)
+            return generator_kerr(state, path)
 
         monkeypatch.setattr(pipelines, "generator_kerr", stand_in)
         report = run_method(MethodConfig(method=4, d=8, N=2))
@@ -1664,7 +1620,7 @@ class TestExtractNoon:
     def test_rejects_tolerance_argument(self):
         # The report's threshold is fixed: a smaller one left 1e-32
         # imaginary residue in this state's signs.
-        state = generator_kerr(make_fock(1, (3,)), (0, 1, 0)).state
+        state = cascade_one_path_at_a_time(MethodConfig(method=4, d=4, N=3))
         with pytest.raises(TypeError):
             extract_noon(state, 3, 1e-10)
 
