@@ -1012,15 +1012,36 @@ class TestGeneratorRoutes:
                 generator(state, path_a, *args)
 
     @pytest.mark.parametrize("generator, args", GENERATORS)
-    @pytest.mark.parametrize("path_a", [(), (0, 1), True, 1.0, "1"])
+    @pytest.mark.parametrize("path_a", [3, 4, -1, -3])
+    def test_path_range_validated_on_a_wider_input(self, generator, args, path_a):
+        # On three modes, path 3 names the fresh mode the call would append
+        # and -3 a mode Python indexing would reach: both are out of range.
+        for state in (FockState(3, {(1, 0, 2): 1.0}), FockState(3, {})):
+            with pytest.raises(ValueError, match=f"path index {path_a} out of range for 3 modes"):
+                generator(state, path_a, *args)
+
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    @pytest.mark.parametrize("path_a", [(), (0, 1), True, 1.0, "1", 3.0])
     def test_path_type_validated_on_the_input(self, generator, args, path_a):
         # A path is one int mode index: a tuple, a bool, a float or a string
         # is rejected before its range is read, on a full and an empty state,
-        # even where it equals a valid index (True and 1.0 equal 1).
+        # even where it equals a valid index (True and 1.0 equal 1) or an
+        # out-of-range one (3.0 on three modes).
         for state in (FockState(3, {(1, 0, 2): 1.0}), FockState(3, {})):
             message = re.escape(f"path index {path_a!r} is not an int")
             with pytest.raises(ValueError, match=message):
                 generator(state, path_a, *args)
+
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    @pytest.mark.parametrize("path_a", [1.0, True])
+    def test_equal_path_checked_after_a_valid_call(self, generator, args, path_a):
+        # 1.0 and True equal 1 and hash alike: a valid call on path 1 must
+        # leave nothing behind that lets them skip the type check.
+        state = FockState(2, {(1, 1): 1.0})
+        generator(state, 1, *args)
+        assert path_a == 1 and hash(path_a) == hash(1)
+        with pytest.raises(ValueError, match=f"path index {path_a!r} is not an int"):
+            generator(state, path_a, *args)
 
     @pytest.mark.parametrize("generator, args", GENERATORS)
     def test_int_enum_path_accepted(self, generator, args):
@@ -1163,6 +1184,50 @@ class TestIntCalls:
         (generator_odd, (3,)),
         (generator_kerr, ()),
     ]
+
+    @staticmethod
+    def expected_terms(state: FockState, path: int, n_photons) -> list:
+        """One int call's terms, built term by term from the transfer tables."""
+        ((_, _, idle),) = pipelines._transfer_table(0, n_photons)
+        terms = []
+        for occ, amp in state.terms.items():
+            if not occ[path]:
+                terms.append((occ + (0,), amp * idle))
+                continue
+            for touched, moved, factor in pipelines._transfer_table(occ[path], n_photons):
+                out = list(occ) + [moved]
+                out[path] = touched
+                terms.append((tuple(out), 0j + amp * factor))
+        return [(occ, amp) for occ, amp in terms if abs(amp) >= PRUNE_THRESHOLD]
+
+    @pytest.mark.parametrize("generator, args", GENERATORS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_int_calls_are_the_exact_floored_products(self, generator, args, seed):
+        # Random multi-mode states near the floor with signed-zero parts,
+        # through chains of int calls on distinct paths and on paths that
+        # repeat and split fresh modes, as in a cascade. Every call appends
+        # one mode, keeps its input as `before` and holds, in input-term and
+        # then table order, exactly amp * idle or 0j + amp * factor for each
+        # term, floored: no two terms' outputs meet, so _adopt sums nothing.
+        rng = np.random.default_rng(7400 + seed)
+        modes = int(rng.integers(3, 9))
+        start = _level_state(rng, modes)
+        count = int(rng.integers(2, modes + 1))
+        distinct = [int(p) for p in rng.permutation(modes)[:count]]
+        steps = int(rng.integers(4, 13))
+        paths = [int(rng.integers(0, modes)), modes]
+        paths += [int(rng.integers(0, modes + i)) for i in range(2, steps)]
+        paths.insert(int(rng.integers(2, steps)), paths[0])
+        n_photons = args[0] if args else None
+        for chain in (distinct, paths):
+            state = start
+            for path in chain:
+                outcome = generator(state, path, *args)
+                assert outcome.before is state
+                assert outcome.state.mode_count == state.mode_count + 1
+                expected = self.expected_terms(state, path, n_photons)
+                assert repr(list(outcome.state.terms.items())) == repr(expected)
+                state = outcome.state
 
     @pytest.mark.parametrize(
         "amplitude, kept", [(1.9999999999999994e-14, False), (1.9999999999999997e-14, True)]
