@@ -5,8 +5,7 @@ space (via lgamma) so that sweeps far beyond the simulable range do not
 overflow. The component magnitude and method 3's generator magnitudes are
 read off the same logarithms; method 4 is returned exactly as 1/d. One
 comparison, :func:`compare_grid`, pairs every closed form with a direct
-simulation wherever the grid point is cheap enough to simulate; sweeps and
-verification grids are both built on it.
+simulation; sweeps and verification grids are both built on it.
 """
 
 from __future__ import annotations
@@ -19,14 +18,6 @@ from typing import Sequence
 from . import pipelines
 from .fock import Record, is_int
 from .pipelines import check_domain
-
-# Ceilings for the simulation columns of sweeps and verification grids; the
-# closed-form columns have no such limit.
-SIM_MAX_D = 4
-SIM_MAX_N = 6
-
-SWEEP_CSV_HEADER = "method,d,N,alpha_sq,p_closed,p_sim,rel_err"
-
 
 class ResourceCount(
     Record,
@@ -225,8 +216,6 @@ class SweepSpec(
     ``methods`` and ``values`` are tuples of ints, ``fixed`` is an int and
     ``vary`` is "d" or "N"; an int here is never a bool. ``alpha_sq`` fixes
     the method-1 intensity; None means the optimal N/d at every grid point.
-    Simulation columns are filled only within the (SIM_MAX_D, SIM_MAX_N)
-    ceilings.
     """
 
     __slots__ = ()
@@ -259,9 +248,12 @@ class SweepRow(
     Record,
     namedtuple("SweepRow", "method d N alpha_sq p_closed p_sim rel_err"),
 ):
-    """One grid point: closed form, and simulation where it was run (else None)."""
+    """One grid point: its closed form, its simulation and their relative error."""
 
     __slots__ = ()
+
+
+SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
 
 
 # The relative error a simulated point may show against its closed form. On
@@ -282,8 +274,8 @@ def compare_grid(
     skipped rather than reported as errors, mirroring how the comparison plots
     are drawn. A grid left with no point at all raises ValueError, as does any
     point outside the domain. ``alpha_sq`` fixes the method-1 intensity; None
-    means the optimal N/d at every point. Points beyond (SIM_MAX_D, SIM_MAX_N)
-    carry the closed form only.
+    means the optimal N/d at every point. Every point is simulated, so a
+    point the simulation rejects raises its ValueError.
     """
     rows: list[SweepRow] = []
     for method in sorted(set(methods)):
@@ -295,13 +287,9 @@ def compare_grid(
                 if method == 1:
                     point_alpha_sq = float(alpha_sq) if alpha_sq is not None else n / d
                 p_closed = closed_form_probability(method, d, n, point_alpha_sq)
-                p_sim = rel_err = None
-                if d <= SIM_MAX_D and n <= SIM_MAX_N:
-                    p_sim = simulated_probability(method, d, n, point_alpha_sq)
-                    if p_closed > 0.0:
-                        rel_err = abs(p_sim - p_closed) / p_closed
-                    else:
-                        rel_err = abs(p_sim)
+                p_sim = simulated_probability(method, d, n, point_alpha_sq)
+                error = abs(p_sim - p_closed)
+                rel_err = error / p_closed if p_closed > 0.0 else error
                 rows.append(
                     SweepRow(method, d, n, point_alpha_sq, p_closed, p_sim, rel_err)
                 )
@@ -383,8 +371,8 @@ def _sweep_records(rows: list[SweepRow]) -> list[dict]:
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    """Render sweep rows as CSV (empty cells where simulation was skipped)."""
-    return to_csv(SWEEP_CSV_HEADER.split(","), _sweep_records(rows))
+    """Render sweep rows as CSV, one line per row under :data:`SWEEP_CSV_HEADER`."""
+    return to_csv(SweepRow._fields, _sweep_records(rows))
 
 
 def sweep_to_json(rows: list[SweepRow]) -> str:

@@ -24,7 +24,7 @@ import cmath
 import math
 from collections import defaultdict, namedtuple
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, perm
 from operator import itemgetter
 from typing import Mapping
 
@@ -98,8 +98,14 @@ def bs_matrix_element(m: int, n: int, p: int, q: int, theta: float) -> complex:
             * c ** (2 * j + n - p)
             * (1j * s) ** (m + p - 2 * j)
         )
-    scale = math.sqrt(factorial(p) * factorial(q) / (factorial(m) * factorial(n)))
-    return acc * scale
+    # sqrt(p! q! / (m! n!)) from partial products: the same rational, so the
+    # same correctly rounded quotient, without four full factorials.
+    k = p - m
+    if k >= 0:
+        ratio = perm(p, k) / perm(n, k)
+    else:
+        ratio = perm(q, -k) / perm(m, -k)
+    return acc * math.sqrt(ratio)
 
 
 def _check_modes(state: FockState, *modes: int) -> None:

@@ -269,12 +269,12 @@ class TestSweep:
         values = [r.p_closed for r in run_sweep(spec)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_simulation_columns_within_limits(self):
+    def test_simulation_columns_at_every_point(self):
         spec = SweepSpec(methods=(4,), vary="d", fixed=3, values=(2, 4, 8))
         rows = {r.d: r for r in run_sweep(spec)}
-        assert rows[2].p_sim is not None and rows[2].rel_err < 1e-9
-        assert rows[4].p_sim is not None
-        assert rows[8].p_sim is None and rows[8].rel_err is None
+        assert sorted(rows) == [2, 4, 8]
+        for d, row in rows.items():
+            assert row.p_sim == 1.0 / d and row.rel_err == 0.0
 
     def test_deterministic_order(self):
         spec = SweepSpec(
@@ -329,21 +329,21 @@ class TestSweep:
             assert float(record["p_closed"]) == pytest.approx(
                 row.p_closed, rel=1e-11, abs=0.0
             )
-            if row.p_sim is None:
-                assert record["p_sim"] == ""
-            else:
-                assert float(record["p_sim"]) == pytest.approx(
-                    row.p_sim, rel=1e-11, abs=0.0
-                )
+            assert float(record["p_sim"]) == pytest.approx(
+                row.p_sim, rel=1e-11, abs=0.0
+            )
 
     def test_json_shape(self):
         import json
 
-        # d beyond SIM_MAX_D: closed form only, so p_sim is null
+        # every point is simulated, so p_sim is a number at d = 8 too
         spec = SweepSpec(methods=(3,), vary="N", fixed=8, values=(2, 3))
         payload = json.loads(sweep_to_json(run_sweep(spec)))
         assert payload[0]["method"] == "M3"
-        assert payload[0]["p_sim"] is None
+        assert isinstance(payload[0]["p_sim"], float)
+        assert payload[0]["p_sim"] == pytest.approx(
+            payload[0]["p_closed"], rel=1e-11, abs=0.0
+        )
 
     def test_simulation_agrees_with_direct_run(self):
         assert simulated_probability(4, 4, 4) == pytest.approx(0.25, abs=1e-12)

@@ -131,9 +131,10 @@ class TestSweep:
         assert m3_ds == [2, 4, 8]
         m1_ds = [int(r["d"]) for r in records if r["method"] == "M1"]
         assert m1_ds == list(range(2, 9))
-        # beyond the simulation ceiling the simulation cells are empty
+        # every point is simulated, d = 8 too
         big = next(r for r in records if r["method"] == "M1" and r["d"] == "8")
-        assert big["p_sim"] == "" and big["rel_err"] == ""
+        assert big["p_sim"] == big["p_closed"] == "6.46201985100e-09"
+        assert float(big["rel_err"]) < 1e-9
 
     def test_over_n_json(self, capsys):
         code, out, _ = run_cli(
@@ -212,13 +213,20 @@ class TestVerify:
         assert all(line.endswith(" rel_err=0 ok") for line in lines[:2])
         assert lines[2].endswith("-> PASS")
 
-    def test_beyond_simulation_limits(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--d-values", "2,8")
-        assert code == 1
-        assert "simulation limit" in err
-        code, _, err = run_cli(capsys, "verify", "--N-range", "2:7")
-        assert code == 1
-        assert "simulation limit" in err
+    def test_grid_beyond_the_default_is_simulated(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--N-range", "2:7")
+        assert code == 0
+        assert out.splitlines()[-1].endswith("-> PASS")
+        # At d = 8 the one point off its closed form is M3 N = 6, where every
+        # NOON amplitude falls below the cascade's pruning floor.
+        code, out, _ = run_cli(capsys, "verify", "--d-values", "2,8")
+        assert code == 2
+        failed = [line for line in out.splitlines()[:-1] if line.endswith(" FAIL")]
+        assert failed == [
+            "M3 d=8 N=6 alpha_sq=- p_closed=1.44632271186e-30 p_sim=0"
+            " rel_err=1 FAIL"
+        ]
+        assert out.splitlines()[-1].endswith("-> FAIL (1 of 40 points)")
 
     def test_reports_every_point(self, capsys):
         code, out, _ = run_cli(
@@ -732,9 +740,9 @@ M3,2,3,,0.00694444444444,true,0
         """\
 method,d,N,alpha_sq,p_closed,p_sim,rel_err
 M1,2,3,0.5,0.0019160387561,0.0019160387561,1.13171215252e-15
-M1,8,3,0.5,5.96212203409e-06,,
+M1,8,3,0.5,5.96212203409e-06,5.96212203409e-06,1.56275942802e-15
 M4,2,3,,0.5,0.5,0
-M4,8,3,,0.125,,
+M4,8,3,,0.125,0.125,0
 """,
     ),
     (
@@ -756,8 +764,8 @@ M4,8,3,,0.125,,
     "N": 3,
     "alpha_sq": 0.5,
     "p_closed": 5.96212203409e-06,
-    "p_sim": null,
-    "rel_err": null
+    "p_sim": 5.96212203409e-06,
+    "rel_err": 1.56275942802e-15
   },
   {
     "method": "M4",
@@ -774,8 +782,8 @@ M4,8,3,,0.125,,
     "N": 3,
     "alpha_sq": null,
     "p_closed": 0.125,
-    "p_sim": null,
-    "rel_err": null
+    "p_sim": 0.125,
+    "rel_err": 0.0
   }
 ]
 """,

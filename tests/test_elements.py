@@ -91,6 +91,38 @@ class TestBsMatrixElement:
                 got = bs_matrix_element(m, total - m, p, total - p, theta)
                 assert abs(got - expected) < 1e-10
 
+    @staticmethod
+    def factorial_form(m, n, p, q, theta):
+        """The element with its scale sqrt(p! q! / (m! n!)) from four full
+        factorials."""
+        c, s = math.cos(theta), math.sin(theta)
+        acc = 0j
+        for j in range(max(0, p - n), min(m, p) + 1):
+            acc += (
+                math.comb(m, j)
+                * math.comb(n, j + n - p)
+                * c ** (2 * j + n - p)
+                * (1j * s) ** (m + p - 2 * j)
+            )
+        scale = math.factorial(p) * math.factorial(q)
+        return acc * math.sqrt(scale / (math.factorial(m) * math.factorial(n)))
+
+    def test_scale_equals_the_factorial_form_bit_for_bit(self):
+        # The scale is the same rational built from partial products, and
+        # int true division rounds correctly, so every bit agrees: on random
+        # elements, and on the filter's (n, 1, n, 1) far past the sizes any
+        # grid reaches.
+        rng = np.random.default_rng(35)
+        cases = []
+        for _ in range(2000):
+            m, n = (int(v) for v in rng.integers(0, 60, 2))
+            p = int(rng.integers(0, m + n + 1))
+            cases.append((m, n, p, m + n - p, float(rng.uniform(-4.0, 4.0))))
+        for n in range(0, 3001, 7):
+            cases.append((n, 1, n, 1, math.atan(1.0 / math.sqrt(n + 1))))
+        for case in cases:
+            assert repr(bs_matrix_element(*case)) == repr(self.factorial_form(*case))
+
 
 class TestApplyElement:
     def test_hom_bunching(self):

@@ -45,7 +45,7 @@ from conftest import (
     split_circuit,
     split_factors,
 )
-from noongen import analysis, pipelines
+from noongen import analysis, cli, pipelines
 from noongen import (
     PRUNE_THRESHOLD,
     FockState,
@@ -1555,6 +1555,45 @@ class TestBeyondVerifyGrid:
             print("  out of range:", point)
         assert missed <= self.M3_FLOOR_POINTS
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--methods 1,2 --d-values 2:32 --N-range 1:40",
+            "--methods 4 --d-values 2,4,8,16,32,64,2048 --N-range 1:12",
+        ],
+    )
+    def test_scan_as_verify_passes(self, capsys, argv):
+        # verify simulates every point of its grid, so the domain scan of
+        # methods 1, 2 and 4 is one command each.
+        assert cli.main(["verify", *argv.split()]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith("-> PASS")
+
+    def test_scan_as_verify_flags_the_m3_floor(self, capsys):
+        # Method 3's scan fails only where the floor zeroes every NOON
+        # amplitude: each FAIL line reads p_sim=0 beside a positive closed
+        # form, and the scan's floor points are among them.
+        argv = "verify --methods 3 --d-values 2,4,8,16,32,64 --N-range 1:12"
+        assert cli.main(argv.split()) == 2
+        lines = capsys.readouterr().out.splitlines()
+        failed = set()
+        for line in lines[:-1]:
+            if line.endswith(" FAIL"):
+                method, d, n, _, p_closed, p_sim, _, _ = line.split()
+                assert method == "M3" and p_sim == "p_sim=0", line
+                assert float(p_closed.removeprefix("p_closed=")) > 0.0, line
+                failed.add((3, int(d[2:]), int(n[2:])))
+        assert self.M3_FLOOR_POINTS <= failed
+        assert lines[-1].endswith(f"-> FAIL ({len(failed)} of 72 points)")
+
+    def test_sweep_reaching_an_empty_vacuum_table_exits_1(self, capsys):
+        # At M3 N = 40 the generator's vacuum table is empty; sweep
+        # simulates every point, so it refuses the grid as generate does.
+        argv = "sweep --vary N --d 2 --N-range 38:41 --methods 3"
+        assert cli.main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "PRUNE_THRESHOLD" in captured.err
 
     @pytest.mark.parametrize(
         "method,d,n,underflows",
