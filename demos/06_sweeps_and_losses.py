@@ -3,9 +3,9 @@
 
 Reproduces the comparison tables behind the generation-probability plots:
 4-photon probabilities versus mode number, and 4-mode probabilities versus
-photon number, with a simulation cross-check column wherever the grid point is
-cheap to simulate. Ends with a loss-adjusted comparison using finite detector
-and single-photon-source efficiencies.
+photon number, with a simulation cross-check column at every grid point. Ends
+with a loss-adjusted comparison using finite detector and single-photon-source
+efficiencies.
 """
 
 from noongen import (

@@ -58,6 +58,8 @@ def _parse_range(text: str, name: str) -> tuple[int, ...]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
+            if hi - lo >= analysis._GRID_BUDGET:
+                raise CliError(f"{name} {text!r} is over the simulation budget")
             return tuple(range(lo, hi + 1))
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:

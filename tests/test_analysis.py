@@ -33,7 +33,8 @@ from noongen import (
     sweep_to_csv,
     sweep_to_json,
 )
-from noongen.analysis import SWEEP_CSV_HEADER, compare_grid
+from noongen import analysis
+from noongen.analysis import compare_grid
 
 
 class TestClosedForms:
@@ -316,11 +317,22 @@ class TestSweep:
         with pytest.raises(ValueError, match="at least 2, got -3"):
             compare_grid((3,), (-3, 2), (2,))
 
+    def test_grid_at_the_budget_is_simulated(self):
+        # d*N summed over the grid may reach the budget but not pass it; the
+        # check runs before any point is simulated.
+        budget = analysis._GRID_BUDGET
+        (row,) = compare_grid((2,), (budget,), (1,))
+        assert row.p_sim == row.p_closed == 1.0
+        with pytest.raises(ValueError, match="exceeds the simulation budget"):
+            compare_grid((2,), (budget + 1,), (1,))
+        with pytest.raises(ValueError, match="exceeds the simulation budget"):
+            compare_grid((1, 2), (2, budget // 2), (1,))
+
     def test_csv_round_trip(self):
         spec = SweepSpec(methods=(1, 4), vary="d", fixed=4, values=(2, 4))
         rows = run_sweep(spec)
         text = sweep_to_csv(rows)
-        assert text.splitlines()[0] == SWEEP_CSV_HEADER
+        assert text.splitlines()[0] == "method,d,N,alpha_sq,p_closed,p_sim,rel_err"
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == len(rows)
         for row, record in zip(rows, parsed):

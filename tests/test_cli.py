@@ -125,7 +125,7 @@ class TestSweep:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == analysis.SWEEP_CSV_HEADER
+        assert lines[0] == "method,d,N,alpha_sq,p_closed,p_sim,rel_err"
         records = list(csv.DictReader(io.StringIO(out)))
         m3_ds = [int(r["d"]) for r in records if r["method"] == "M3"]
         assert m3_ds == [2, 4, 8]
@@ -228,6 +228,30 @@ class TestVerify:
         ]
         assert out.splitlines()[-1].endswith("-> FAIL (1 of 40 points)")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                "verify --methods 4 --d-values 1073741824 --N-range 2:2",
+                "exceeds the simulation budget of 1048576",
+            ),
+            (
+                "sweep --vary d --N 4 --d-range 1073741824 --methods 1",
+                "exceeds the simulation budget of 1048576",
+            ),
+            (
+                "verify --methods 1 --d-values 2:1073741824 --N-range 1:1",
+                "--d-values '2:1073741824' is over the simulation budget",
+            ),
+        ],
+    )
+    def test_grid_over_the_budget_exits_1(self, capsys, argv, message):
+        # Refused before anything is simulated or any range is built.
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_reports_every_point(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--methods", "1,4", "--d-values", "2", "--N-range", "2:3"
@@ -287,7 +311,7 @@ class TestDeterminismAndIo:
         )
         assert code == 0
         assert out == ""
-        assert target.read_text().startswith(analysis.SWEEP_CSV_HEADER)
+        assert target.read_text().startswith("method,d,N,alpha_sq,p_closed,p_sim,rel_err")
 
     def test_output_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
